@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .schemes import parse_scheme_spec, parse_weight_spec
 from .sequences import parse_family_spec, uniform_grid
-from .summability import MODES, VerdictPolicy, classify
+from .summability import MODES, VerdictPolicy, classify, classify_thetas
 from .tauberian import tauberian_experiment
 
 
@@ -73,11 +73,11 @@ def run(config: RunConfig) -> dict:
     reports = []
     rows = []
     classify_modes = tuple(m for m in config.modes if m != "tauberian")
-    for theta in config.thetas:
-        if classify_modes:
-            rep = classify(family, None, scheme, weights, theta=theta,
-                           eps=config.eps, grid=grid, horizon=config.horizon,
-                           modes=classify_modes, policy=config.policy)
+    if classify_modes:
+        for rep in classify_thetas(family, None, scheme, weights, config.thetas,
+                                   eps=config.eps, grid=grid,
+                                   horizon=config.horizon, modes=classify_modes,
+                                   policy=config.policy):
             reports.append(rep.to_dict())
             for t in rep.traces:
                 for n, v in t.points:

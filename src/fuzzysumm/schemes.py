@@ -27,6 +27,9 @@ SHRINK_LIMINF = 3
 DILATION_GAP_LIMSUP = 4
 SHRINK_GAP_LIMSUP = 5
 
+# Weights evaluated per call while the prefix cache grows.
+_FILL_CHUNK = 1 << 16
+
 
 class DegenerateWindowError(ValueError):
     """A window collapsed: empty index range or zero denominator."""
@@ -91,14 +94,21 @@ class WeightSequence:
         new_top = max(int(k_max), 2 * have, 1024)
         if self.max_k is not None:
             new_top = min(new_top, self.max_k)
-        ks = np.arange(have + 1, new_top + 1, dtype=np.int64)
-        chunk = self.values(ks)
-        if np.any(chunk <= 0):
-            bad = int(ks[np.argmax(chunk <= 0)])
-            raise ValueError(f"{self.label}: weight t_{bad} is not positive")
+        # Fill the new tail with the weights a chunk at a time, then
+        # accumulate it in place: no full-length temporaries besides the
+        # new array itself.
         extended = np.empty(new_top + 1, dtype=np.float64)
         extended[:have + 1] = self._prefix
-        extended[have + 1:] = self._prefix[-1] + np.cumsum(chunk)
+        for a in range(have + 1, new_top + 1, _FILL_CHUNK):
+            ks = np.arange(a, min(new_top + 1, a + _FILL_CHUNK), dtype=np.int64)
+            chunk = self.values(ks)
+            if np.any(chunk <= 0):
+                bad = int(ks[np.argmax(chunk <= 0)])
+                raise ValueError(f"{self.label}: weight t_{bad} is not positive")
+            extended[a:a + len(ks)] = chunk
+        tail = extended[have + 1:]
+        np.cumsum(tail, out=tail)
+        tail += self._prefix[-1]
         self._prefix = extended
 
     def prefix(self, k: int) -> float:

@@ -10,7 +10,10 @@ Three finite-horizon transforms per evaluation point x:
 * ``ordinary_partial``-- the fuzzy-valued weighted window mean itself.
 
 Traces of these along a geometric ladder feed ``verdict``; ``classify``
-assembles per-point verdicts and class membership into a report.
+assembles per-point verdicts and class membership into a report.  All
+three are reductions of one stream of (k, t_k, f_k(x)): a sweep walks
+it once per point, keeps sums between the ladder's checkpoints, and
+applies theta last.
 """
 
 from __future__ import annotations
@@ -21,14 +24,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numbers import (FuzzyNumber, distance, triangular,
-                      triangular_profile_distance, triangular_profile_of)
+from .numbers import (FuzzyNumber, triangular, triangular_profile_distance,
+                      triangular_profile_of)
 from .schemes import BetaGammaScheme, WeightSequence, weighted_total
 from .sequences import FuzzyFunctionSequence, LimitProfile, XGridPolicy
 
 MODES = ("sp", "abs", "ord")
 
-_CHUNK = 1 << 19
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -81,38 +84,89 @@ def limit_profile_fn(seq: FuzzyFunctionSequence, limit=None) -> Callable[[float]
                     "triple, or a callable")
 
 
-def _window_chunks(lo: int, hi: int):
-    for a in range(lo, hi + 1, _CHUNK):
-        yield a, min(hi, a + _CHUNK - 1)
+@dataclass(frozen=True)
+class _Pieces:
+    """Sums over the pieces of one streamed index range, at every point.
+
+    Piece j covers (ends[j-1], ends[j]]; ``sums[i, j]`` holds the sums of
+    t*dev, t*c, t*l and t*r over it at the i-th point, and ``hits[i, j]``
+    counts its indices with t*dev >= eps.  Windows passed to the queries
+    must start and end on checkpoints of the stream.
+    """
+
+    ends: np.ndarray
+    sums: np.ndarray
+    hits: np.ndarray
+
+    def _span(self, lo: int, hi: int) -> slice:
+        return slice(int(np.searchsorted(self.ends, lo - 1, side="right")),
+                     int(np.searchsorted(self.ends, hi, side="right")))
+
+    def window_sums(self, i: int, lo: int, hi: int) -> tuple[float, ...]:
+        """Sums of t*dev, t*c, t*l and t*r over [lo, hi] at the i-th point."""
+        return tuple(math.fsum(col) for col in self.sums[i, self._span(lo, hi)].T)
+
+    def hit_count(self, i: int, lo: int, hi: int) -> int:
+        """Indices of [lo, hi] with t*dev >= eps at the i-th point."""
+        return int(self.hits[i, self._span(lo, hi)].sum())
+
+
+def _stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
+            limits: Sequence[LimitProfile], xs: Sequence[float],
+            cuts: Sequence[int], eps: float) -> _Pieces:
+    """Stream k over (min(cuts), max(cuts)] once for every point of ``xs``.
+
+    Each chunk of at most _CHUNK indices costs one ``weights.values``
+    call plus one ``seq.profile`` call per point, and is split at the
+    checkpoints inside it.  Every piece keeps its own sums, so a window
+    whose ends sit on checkpoints is summed by ``math.fsum`` over whole
+    pieces instead of as a difference of long prefix sums.
+    """
+    cuts = np.unique(np.asarray(cuts, dtype=np.int64))
+    lo, hi = int(cuts[0]), int(cuts[-1])
+    ends = np.union1d(cuts[1:], np.arange(lo + _CHUNK, hi, _CHUNK, dtype=np.int64))
+    sums = np.zeros((len(xs), len(ends), 4))
+    hits = np.zeros((len(xs), len(ends)), dtype=np.int64)
+    first = 0
+    for a in range(lo + 1, hi + 1, _CHUNK):
+        b = min(hi, a + _CHUNK - 1)
+        ks = np.arange(a, b + 1, dtype=np.int64)
+        t = weights.values(ks)
+        stop = int(np.searchsorted(ends, b, side="right"))
+        bounds = (np.append(a - 1, ends[first:stop]) - (a - 1)).tolist()
+        for i, x in enumerate(xs):
+            c, l, r = seq.profile(ks, x)
+            dev = triangular_profile_distance(c, l, r, *limits[i])
+            hit = t * dev >= eps
+            for j, s, e in zip(range(first, stop), bounds, bounds[1:]):
+                sums[i, j] = [np.dot(t[s:e], v[s:e]) for v in (dev, c, l, r)]
+                hits[i, j] = np.count_nonzero(hit[s:e])
+        first = stop
+    return _Pieces(ends, sums, hits)
+
+
+def _one_window(seq: FuzzyFunctionSequence, weights: WeightSequence,
+                lim: LimitProfile, x: float, lo: int, hi: int,
+                eps: float = math.inf) -> tuple[tuple[float, ...], int]:
+    """Window sums and hit count over [lo, hi] (empty when hi < lo)."""
+    hi = max(hi, lo - 1)
+    pieces = _stream(seq, weights, [lim], [x], [lo - 1, hi], eps)
+    return pieces.window_sums(0, lo, hi), pieces.hit_count(0, lo, hi)
 
 
 def weighted_deviation_sum(seq: FuzzyFunctionSequence, weights: WeightSequence,
                            limit_fn: Callable[[float], LimitProfile],
                            x: float, lo: int, hi: int) -> float:
     """Sum of t_k * d(f_k(x), limit(x)) over the closed range [lo, hi]."""
-    lc, ll, lr = limit_fn(x)
-    total = 0.0
-    for a, b in _window_chunks(lo, hi):
-        ks = np.arange(a, b + 1, dtype=np.int64)
-        c, l, r = seq.profile(ks, x)
-        dev = triangular_profile_distance(c, l, r, lc, ll, lr)
-        total += float(np.dot(weights.values(ks), dev))
-    return total
+    sums, _ = _one_window(seq, weights, limit_fn(x), x, lo, hi)
+    return sums[0]
 
 
 def deviation_count(seq: FuzzyFunctionSequence, weights: WeightSequence,
                     limit_fn: Callable[[float], LimitProfile],
                     x: float, k_max: int, eps: float) -> int:
     """Count of k in [1, k_max] with t_k * d(f_k(x), limit(x)) >= eps."""
-    if k_max < 1:
-        return 0
-    lc, ll, lr = limit_fn(x)
-    count = 0
-    for a, b in _window_chunks(1, k_max):
-        ks = np.arange(a, b + 1, dtype=np.int64)
-        c, l, r = seq.profile(ks, x)
-        dev = triangular_profile_distance(c, l, r, lc, ll, lr)
-        count += int(np.count_nonzero(weights.values(ks) * dev >= eps))
+    _, count = _one_window(seq, weights, limit_fn(x), x, 1, k_max, eps)
     return count
 
 
@@ -121,14 +175,8 @@ def window_fuzzy_mean(seq: FuzzyFunctionSequence, weights: WeightSequence,
     """(1/divisor) * sum of t_k * f_k(x) over [lo, hi], level-wise."""
     if divisor <= 0:
         raise ValueError("divisor must be positive")
-    csum = lsum = rsum = 0.0
-    for a, b in _window_chunks(lo, hi):
-        ks = np.arange(a, b + 1, dtype=np.int64)
-        c, l, r = seq.profile(ks, x)
-        t = weights.values(ks)
-        csum += float(np.dot(t, c))
-        lsum += float(np.dot(t, l))
-        rsum += float(np.dot(t, r))
+    (_, csum, lsum, rsum), _ = _one_window(seq, weights, (0.0, 0.0, 0.0), x,
+                                           lo, hi)
     return triangular(csum / divisor, lsum / divisor, rsum / divisor,
                       levels=seq.levels)
 
@@ -290,29 +338,6 @@ class ConvergenceReport:
         }
 
 
-def _mode_values(seq, limit_fn, p: ModeParams, ns: list[int], x: float,
-                 mode: str) -> list[float]:
-    out = []
-    if mode == "ord":
-        lim = triangular(*limit_fn(x), levels=seq.levels)
-        for n in ns:
-            out.append(distance(ordinary_partial(seq, p, n, x), lim))
-        return out
-    for n in ns:
-        b, g = p.scheme.window(n)
-        total = weighted_total(p.scheme, p.weights, n)
-        if mode == "abs":
-            s = weighted_deviation_sum(seq, p.weights, limit_fn, x, b, g)
-            out.append(s / total ** p.theta)
-        elif mode == "sp":
-            count = deviation_count(seq, p.weights, limit_fn, x,
-                                    math.floor(total), p.eps)
-            out.append(count / total ** p.theta)
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-    return out
-
-
 def _membership(traces: list[ModeTrace], policy: VerdictPolicy) -> Optional[bool]:
     saw_inconclusive = False
     for t in traces:
@@ -337,25 +362,75 @@ def classify(seq: FuzzyFunctionSequence, limit, scheme: BetaGammaScheme,
     target verdict at every grid point; a diverging or off-target point
     settles non-membership, while inconclusive points propagate as None.
     """
+    return classify_thetas(seq, limit, scheme, weights, (theta,), eps, grid,
+                           horizon, modes, policy)[0]
+
+
+def classify_thetas(seq: FuzzyFunctionSequence, limit, scheme: BetaGammaScheme,
+                    weights: WeightSequence, thetas: Sequence[float], eps: float,
+                    grid: XGridPolicy, horizon: int,
+                    modes: Sequence[str] = MODES,
+                    policy: VerdictPolicy = VerdictPolicy()) -> list[ConvergenceReport]:
+    """One ``classify`` report per order in ``thetas``, from a single sweep.
+
+    The sweep streams k = 1 .. the largest checkpoint once per grid point
+    (checkpoints: beta(n) - 1 and gamma(n) for abs and ord, floor(T_n)
+    for sp) and keeps theta-free window sums; each theta then only
+    divides them by T_n**theta.
+    """
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
-    p = ModeParams(theta=theta, eps=eps, scheme=scheme, weights=weights)
+    for theta in thetas:
+        ModeParams(theta=theta, eps=eps, scheme=scheme, weights=weights)
     limit_fn = limit_profile_fn(seq, limit)
     ns = ladder(horizon)
-    report = ConvergenceReport(
-        family=seq.label, scheme=scheme.label, weights=weights.label,
-        theta=theta, eps=eps, grid=tuple(grid.points), horizon=horizon,
-        policy=policy)
+    xs = [seq.check_x(x) for x in grid.points]
+    limits = [limit_fn(x) for x in xs]
+    windows = [scheme.window(n) for n in ns]
+    totals = [weights.window_total(b, g) for b, g in windows]
+    floors = [math.floor(total) for total in totals]
+    cuts = [0]
+    if "sp" in modes:
+        cuts += floors
+    if "abs" in modes or "ord" in modes:
+        cuts += [b - 1 for b, _ in windows] + [g for _, g in windows]
+    pieces = _stream(seq, weights, limits, xs, cuts, eps)
+
+    # Theta-free numerators per mode and point: hit counts up to
+    # floor(T_n) for sp, window sums of (t*dev, t*c, t*l, t*r) otherwise.
+    sums = {}
     for mode in modes:
-        mode_traces = []
-        for x in grid.points:
-            x = seq.check_x(x)
-            vals = _mode_values(seq, limit_fn, p, ns, x, mode)
-            trace = tuple(zip(ns, vals))
-            v = verdict(trace, tol=policy.tol, window=min(policy.window, len(ns)),
-                        divergence_factor=policy.divergence_factor)
-            mode_traces.append(ModeTrace(x, mode, theta, trace, v))
-        report.traces.extend(mode_traces)
-        report.membership[mode] = _membership(mode_traces, policy)
-    return report
+        if mode == "sp":
+            sums[mode] = [[pieces.hit_count(i, 1, k) for k in floors]
+                          for i in range(len(xs))]
+        else:
+            sums[mode] = [[pieces.window_sums(i, b, g) for b, g in windows]
+                          for i in range(len(xs))]
+
+    reports = []
+    for theta in thetas:
+        scales = [total ** theta for total in totals]
+        report = ConvergenceReport(
+            family=seq.label, scheme=scheme.label, weights=weights.label,
+            theta=theta, eps=eps, grid=tuple(grid.points), horizon=horizon,
+            policy=policy)
+        for mode in modes:
+            mode_traces = []
+            for x, lim, per_n in zip(xs, limits, sums[mode]):
+                if mode == "sp":
+                    vals = [count / s for count, s in zip(per_n, scales)]
+                elif mode == "abs":
+                    vals = [dev / s for (dev, *_), s in zip(per_n, scales)]
+                else:
+                    vals = [float(triangular_profile_distance(c / s, l / s, r / s, *lim))
+                            for (_, c, l, r), s in zip(per_n, scales)]
+                trace = tuple(zip(ns, vals))
+                v = verdict(trace, tol=policy.tol,
+                            window=min(policy.window, len(ns)),
+                            divergence_factor=policy.divergence_factor)
+                mode_traces.append(ModeTrace(x, mode, theta, trace, v))
+            report.traces.extend(mode_traces)
+            report.membership[mode] = _membership(mode_traces, policy)
+        reports.append(report)
+    return reports

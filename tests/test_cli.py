@@ -1,10 +1,13 @@
 """Command-line front end: spec parsing, artifacts, and reference table."""
 
 import csv
+import dataclasses
 import json
+import math
 
 import pytest
 
+from fuzzysumm import cli, parse_family_spec, parse_scheme_spec, parse_weight_spec
 from fuzzysumm.cli import RunConfig, main, reference_rows, reproduce, run
 
 
@@ -126,3 +129,31 @@ def test_run_function_returns_artifacts(tmp_path):
     result = run(config)
     assert result["artifacts"]["csv"].endswith("traces.csv")
     assert result["reports"][0]["membership"]["sp"] in (True, None)
+
+
+@pytest.mark.parametrize("family, scheme, weights", [
+    ("ex3.2", "pow:2", "recip5"),           # largest checkpoint gamma(H)
+    ("ex4.1", "classical", "harmonicplus"),  # largest checkpoint floor(T_H)
+])
+def test_run_streams_each_index_once_per_point(tmp_path, monkeypatch,
+                                               family, scheme, weights):
+    streamed = []
+
+    def counting_family(spec):
+        fam = parse_family_spec(spec)
+
+        def profile(ks, x):
+            streamed.append(len(ks))
+            return fam.profile(ks, x)
+        return dataclasses.replace(fam, profile=profile)
+
+    monkeypatch.setattr(cli, "parse_family_spec", counting_family)
+    horizon = 256
+    _, gamma = parse_scheme_spec(scheme).window(horizon)
+    floor_t = math.floor(parse_weight_spec(weights).window_total(1, gamma))
+    for thetas in ((0.25, 1.0), (1.0,)):
+        streamed.clear()
+        run(RunConfig(family, scheme, weights, thetas=thetas, eps=0.1,
+                      horizon=horizon, grid_spec="1,2,5",
+                      modes=("sp", "abs", "ord"), out_dir=str(tmp_path)))
+        assert sum(streamed) == 5 * max(gamma, floor_t)

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from fuzzysumm import (BetaGammaScheme, DegenerateWindowError, HorizonPolicy,
-                       classical_scheme, constant_weights, dilate,
+                       WeightSequence, classical_scheme, constant_weights, dilate,
                        harmonicplus_weights, lacunary_scheme, lambda_scheme,
                        parse_scheme_spec, parse_weight_spec, power_scheme,
                        ratio_condition, recip5_weights, validate_scheme,
                        weighted_total)
+from fuzzysumm import schemes
 
 
 class TestValidation:
@@ -78,6 +79,28 @@ class TestWeightedTotal:
             constant_weights(0)
         with pytest.raises(ValueError):
             parse_weight_spec("const:-2")
+
+
+class TestPrefixCache:
+    @pytest.mark.parametrize("spec", ["recip5", "harmonicplus", "const:0.1"])
+    def test_growth_is_bit_identical_to_one_shot_cumsum(self, spec, monkeypatch):
+        # every T_n is read from these bytes, so filling the cache chunk by
+        # chunk must not move a single bit against prefix[-1] + cumsum
+        monkeypatch.setattr(schemes, "_FILL_CHUNK", 7)
+        w = parse_weight_spec(spec)
+        want = np.zeros(1)
+        for k_max in (5, 1500, 3000, 10_000):
+            w.ensure(k_max)
+            ks = np.arange(len(want), len(w._prefix), dtype=np.int64)
+            want = np.concatenate((want, want[-1] + np.cumsum(w.values(ks))))
+            assert w._prefix.tobytes() == want.tobytes()
+
+    def test_nonpositive_weight_found_past_first_chunk(self, monkeypatch):
+        monkeypatch.setattr(schemes, "_FILL_CHUNK", 7)
+        w = WeightSequence(lambda ks: np.where(ks == 500, 0.0, 1.0), "dip")
+        with pytest.raises(ValueError, match="t_500"):
+            w.ensure(600)
+        assert w.prefix(0) == 0.0
 
 
 class TestDilate:
