@@ -1,9 +1,12 @@
 """Slow-decrease scans, decomposition identities, and the full experiment."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzysumm import (add, classical_scheme, constant_family,
                        constant_weights, crisp, alternating_crisp_family,
@@ -13,7 +16,33 @@ from fuzzysumm import (add, classical_scheme, constant_family,
                        slowly_decreasing_check_shrink, square_indicator_family,
                        tauberian_experiment, translate,
                        triangular_growing_family, uniform_grid)
-from fuzzysumm.sequences import crisp_index_family
+from fuzzysumm import tauberian
+from fuzzysumm.sequences import FuzzyFunctionSequence, crisp_index_family
+
+
+def left_spread_family():
+    """Crisp 0 widened to the left by (k mod 3)*x: only support bottoms move,
+    so a scan that skips a zero spread must skip the right one."""
+    def profile(ks, x):
+        z = np.zeros(len(ks))
+        return z, (ks % 3) * x, z
+    return FuzzyFunctionSequence("left_spread", profile)
+
+
+def violating_pairs(fam, x, eps, lam, n0, horizon):
+    """Every violating (n, k) of a slow-decrease scan in (n, k) order,
+    compared level by level on FuzzyNumbers."""
+    values = {k: fam.eval(k, x) for k in range(1, horizon + 1)}
+    pairs = []
+    for n in range(n0 + 1, horizon + 1):
+        if lam > 1:
+            lowered = translate(values[n], -eps)
+            pairs += [(n, k) for k in range(n + 1, min(math.floor(lam * n), horizon) + 1)
+                      if not partial_leq(lowered, values[k])]
+        else:
+            pairs += [(n, k) for k in range(math.floor(lam * n) + 1, n + 1)
+                      if not partial_leq(translate(values[k], -eps), values[n])]
+    return pairs
 
 
 class TestSlowDecreaseCheck:
@@ -59,7 +88,9 @@ class TestSlowDecreaseCheck:
             for k in range(n + 1, min(math.floor(lam * n), horizon) + 1):
                 if not partial_leq(translate(values[n], -eps), values[k]):
                     expect.append((n, k))
-        assert list(wit.violations) == expect
+        assert wit.count == len(expect)
+        assert wit.violations == tuple(expect[:8])
+        assert wit.last_bad == expect[-1][0]
         assert expect  # the growing spikes do violate at this eps
 
     def test_shrink_form_mirrors_growth_form(self):
@@ -71,6 +102,48 @@ class TestSlowDecreaseCheck:
         up = slowly_decreasing_check(fam, 1.0, 0.5, 2.0, 12, 300)
         down = slowly_decreasing_check_shrink(fam, 1.0, 0.5, 0.5, 24, 300)
         assert not up.holds and not down.holds
+
+    @settings(max_examples=25, deadline=None)
+    @given(family=st.sampled_from(["alternating", "triangular_growing", "harmonic",
+                                   "square_indicator", "crisp_index",
+                                   "left_spread"]),
+           lam=st.sampled_from([0.2, 0.5, 0.6667, 0.8, 1.25, 1.6, 2.0, 3.0]),
+           eps=st.sampled_from([1e-6, 0.1, 0.5, 3.0]),
+           x=st.floats(1.0, 2.0),
+           bounds=st.integers(2, 300).flatmap(
+               lambda h: st.tuples(st.integers(0, h - 1), st.just(h))))
+    def test_blocked_scan_matches_bruteforce(self, family, lam, eps, x, bounds):
+        fam = {"alternating": alternating_crisp_family,
+               "triangular_growing": triangular_growing_family,
+               "harmonic": harmonic_crisp_family,
+               "square_indicator": square_indicator_family,
+               "crisp_index": crisp_index_family,
+               "left_spread": left_spread_family}[family]()
+        n0, horizon = bounds
+        check = slowly_decreasing_check if lam > 1 else slowly_decreasing_check_shrink
+        expect = violating_pairs(fam, x, eps, lam, n0, horizon)
+        # 7-entry blocks: short rows share a block, longer ones get their own
+        with mock.patch.object(tauberian, "_BLOCK", 7):
+            wit = check(fam, x, eps, lam, n0, horizon)
+            assert wit.count == len(expect)
+            assert wit.violations == tuple(expect[:8])
+            assert wit.last_bad == (expect[-1][0] if expect else None)
+            assert wit.holds == (not expect)
+        # row n's count is the drop from the scan after n - 1 to the one after n
+        counts = [check(fam, x, eps, lam, m, horizon).count
+                  for m in range(n0, horizon)] + [0]
+        for n in range(n0 + 1, horizon + 1):
+            row = sum(1 for m, _ in expect if m == n)
+            assert counts[n - 1 - n0] - counts[n - n0] == row
+
+    def test_alternating_count_at_scale(self):
+        # closed form: every odd n > 10 against each even k in (n, min(2n, 2^14)]
+        fam = alternating_crisp_family()
+        wit = slowly_decreasing_check(fam, 1.0, 0.5, 2.0, 10, 1 << 14)
+        assert wit.count == 16_781_297
+        assert wit.last_bad == (1 << 14) - 1
+        assert wit.violations == ((11, 12), (11, 14), (11, 16), (11, 18),
+                                  (11, 20), (11, 22), (13, 14), (13, 16))
 
     def test_parameter_validation(self):
         fam = harmonic_crisp_family()
@@ -136,6 +209,19 @@ class TestExperiment:
         # subsequence distance is exactly 1/n on the classical windows
         for n, v in exp.conclusion[0].points:
             assert v == pytest.approx(1.0 / n, rel=1e-12)
+
+    def test_late_n0_is_the_last_violating_row(self):
+        # harmonic drops 1/n - 1/k exceed eps = 0.01 only for small n, so
+        # the scan restarts its clean tail after the last violating row
+        fam, scan = harmonic_crisp_family(), 400
+        exp = tauberian_experiment(
+            fam, None, classical_scheme(), constant_weights(1),
+            uniform_grid(1, 2, 2), horizon=1024, scan_horizon=scan)
+        late = [e for e in exp.slow_decrease if e.n0 != 10]
+        assert late
+        for e in late:
+            assert e.holds and e.n0 <= scan // 2
+            assert e.n0 == violating_pairs(fam, e.x, e.eps, e.lam, 10, scan)[-1][0]
 
     def test_alternating_fails_slow_decrease_with_witness(self):
         exp = tauberian_experiment(
