@@ -29,6 +29,9 @@ SHRINK_GAP_LIMSUP = 5
 
 # Weights evaluated per call while the prefix cache grows.
 _FILL_CHUNK = 1 << 16
+# Largest index the prefix cache may reach (1 GiB of float64), checked
+# before allocating; pow:2 at horizon 4096 needs 2^24.
+_MAX_PREFIX = 1 << 27
 
 
 class DegenerateWindowError(ValueError):
@@ -91,7 +94,10 @@ class WeightSequence:
             return
         if self.max_k is not None and k_max > self.max_k:
             raise ValueError(f"{self.label}: weight table ends at k={self.max_k}")
-        new_top = max(int(k_max), 2 * have, 1024)
+        if k_max > _MAX_PREFIX:
+            raise ValueError(f"{self.label}: prefix sums up to k={k_max} exceed "
+                             f"the budget of {_MAX_PREFIX} indices")
+        new_top = min(max(int(k_max), 2 * have, 1024), _MAX_PREFIX)
         if self.max_k is not None:
             new_top = min(new_top, self.max_k)
         # Fill the new tail with the weights a chunk at a time, then
@@ -167,10 +173,14 @@ class SchemeValidation:
 
 
 def _index_arrays(scheme: BetaGammaScheme, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    betas = np.fromiter((scheme.beta(int(n)) for n in ns), dtype=np.int64,
-                        count=len(ns))
-    gammas = np.fromiter((scheme.gamma(int(n)) for n in ns), dtype=np.int64,
-                         count=len(ns))
+    try:
+        betas = np.fromiter((scheme.beta(int(n)) for n in ns), dtype=np.int64,
+                            count=len(ns))
+        gammas = np.fromiter((scheme.gamma(int(n)) for n in ns), dtype=np.int64,
+                             count=len(ns))
+    except OverflowError:
+        raise ValueError(f"{scheme.label}: a window index for n <= {int(ns[-1])} "
+                         "does not fit in int64") from None
     return betas, gammas
 
 
@@ -258,18 +268,12 @@ def ratio_condition(scheme: BetaGammaScheme, weights: WeightSequence, lam: float
         dil[nonempty] = weights.window_totals(betas[nonempty],
                                               dil_gammas[nonempty])
 
-    with np.errstate(divide="ignore"):
-        if which == DILATION_LIMINF:
-            est = float(np.min(dil / base))
-            return RatioResult(est, est > 1 + HOLDS_MARGIN)
-        if which == SHRINK_LIMINF:
-            est = float(np.min(np.where(dil > 0, base / np.where(dil > 0, dil, 1.0),
-                                        np.inf)))
-            return RatioResult(est, est > 1 + HOLDS_MARGIN)
-    if which == DILATION_GAP_LIMSUP:
-        gap = dil - base
-    else:
-        gap = base - dil
+    outer, inner = (dil, base) if lam > 1 else (base, dil)
+    if which in (DILATION_LIMINF, SHRINK_LIMINF):
+        with np.errstate(divide="ignore"):
+            est = float(np.min(outer / inner))
+        return RatioResult(est, est > 1 + HOLDS_MARGIN)
+    gap = outer - inner
     if np.any(gap <= 0):
         bad = int(ns[np.argmax(gap <= 0)])
         raise DegenerateWindowError(
@@ -336,21 +340,26 @@ def lacunary_scheme(k_fn: Callable[[int], int], label: str,
                            lambda r: int(k_fn(r)), label)
 
 
-def _read_int_table(path: str, columns: int) -> list[tuple[int, ...]]:
+def read_table(path: str, *casts: Callable[[str], object]) -> list[tuple]:
+    """Rows of a ``file:`` table, each line cast column by column.
+
+    ``#`` starts a comment, entries are separated by commas or whitespace
+    and blank lines are skipped; a line with the wrong column count or an
+    entry its cast rejects raises ValueError naming ``path:line``.
+    """
     rows = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
+            parts = line.split("#", 1)[0].replace(",", " ").split()
+            if not parts:
                 continue
-            parts = text.replace(",", " ").split()
-            if len(parts) != columns:
-                raise ValueError(
-                    f"{path}:{line_no}: expected {columns} columns, got {len(parts)}")
+            if len(parts) != len(casts):
+                raise ValueError(f"{path}:{line_no}: {len(parts)} entries, "
+                                 f"expected {len(casts)}")
             try:
-                rows.append(tuple(int(p) for p in parts))
+                rows.append(tuple(cast(p) for cast, p in zip(casts, parts)))
             except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: non-integer entry") from exc
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
     if not rows:
         raise ValueError(f"{path}: empty table")
     return rows
@@ -358,7 +367,7 @@ def _read_int_table(path: str, columns: int) -> list[tuple[int, ...]]:
 
 def table_scheme(path: str) -> BetaGammaScheme:
     """Scheme from a file of 'beta gamma' rows; row order gives n."""
-    rows = _read_int_table(path, 2)
+    rows = read_table(path, int, int)
 
     def beta(n: int) -> int:
         if n > len(rows):
@@ -389,19 +398,7 @@ def harmonicplus_weights() -> WeightSequence:
 
 def table_weights(path: str) -> WeightSequence:
     """Weights from a file with one value per row; row order gives k."""
-    vals = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            try:
-                vals.append(float(text))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: non-numeric weight") from exc
-    if not vals:
-        raise ValueError(f"{path}: empty weight table")
-    table = np.asarray(vals, dtype=np.float64)
+    table = np.ravel(read_table(path, float))
 
     def values(ks: np.ndarray) -> np.ndarray:
         if int(np.max(ks)) > len(table):

@@ -15,6 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .numbers import DEFAULT_LEVEL_COUNT, FuzzyNumber, triangular
+from .schemes import read_table
 
 TriProfile = tuple[np.ndarray, np.ndarray, np.ndarray]
 LimitProfile = tuple[float, float, float]
@@ -315,23 +316,7 @@ def table_family(path: str) -> FuzzyFunctionSequence:
     Values are symmetric triangular; the table must cover every index the
     run touches (a finite table cannot stand in for the whole tail).
     """
-    ks, centers, spreads = [], [], []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = text.replace(",", " ").split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{line_no}: expected 'k center spread'")
-            try:
-                ks.append(int(parts[0]))
-                centers.append(float(parts[1]))
-                spreads.append(float(parts[2]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: bad numeric entry") from exc
-    if not ks:
-        raise ValueError(f"{path}: empty family table")
+    ks, centers, spreads = zip(*read_table(path, int, float, float))
     order = np.argsort(ks)
     k_arr = np.asarray(ks, dtype=np.int64)[order]
     if np.any(np.diff(k_arr) == 0):

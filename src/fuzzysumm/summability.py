@@ -19,7 +19,7 @@ applies theta last.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -322,12 +322,7 @@ class ConvergenceReport:
             "eps": self.eps,
             "grid": list(self.grid),
             "horizon": self.horizon,
-            "policy": {
-                "tol": self.policy.tol,
-                "window": self.policy.window,
-                "divergence_factor": self.policy.divergence_factor,
-                "limit_tol": self.policy.limit_tol,
-            },
+            "policy": asdict(self.policy),
             "verdicts": [
                 {"x": t.x, "mode": t.mode, "theta": t.theta,
                  "verdict": t.verdict.kind, "estimate": t.verdict.estimate}

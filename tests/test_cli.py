@@ -75,6 +75,18 @@ class TestRunCommand:
         assert rc == 2
         assert "horizon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("modes, horizon, named", [
+        ("ord", "64", "const:1"),             # prefix sums up to gamma(32) = 2^32
+        ("tauberian", "256", "lacunary:pow2"),  # gamma(64) = 2^64 overflows int64
+    ])
+    def test_oversized_windows_diagnosed(self, tmp_path, capsys, modes,
+                                         horizon, named):
+        rc = main(["run", "--family", "ex4.1", "--scheme", "lacunary:pow2",
+                   "--modes", modes, "--horizon", horizon,
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RunConfig("ex4.1", "classical", "const:1", thetas=(1.5,))

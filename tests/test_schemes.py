@@ -1,6 +1,7 @@
 """Window schemes, weights, totals, dilation, and the ratio conditions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ import pytest
 from fuzzysumm import (BetaGammaScheme, DegenerateWindowError, HorizonPolicy,
                        WeightSequence, classical_scheme, constant_weights, dilate,
                        harmonicplus_weights, lacunary_scheme, lambda_scheme,
-                       parse_scheme_spec, parse_weight_spec, power_scheme,
-                       ratio_condition, recip5_weights, validate_scheme,
-                       weighted_total)
+                       parse_family_spec, parse_scheme_spec, parse_weight_spec,
+                       power_scheme, ratio_condition, recip5_weights,
+                       validate_scheme, weighted_total)
 from fuzzysumm import schemes
 
 
@@ -235,6 +236,23 @@ class TestBuiltinsAndSpecs:
         assert w.window_total(1, 3) == pytest.approx(4.5)
         with pytest.raises(ValueError, match="ends at"):
             w.window_total(1, 4)
+
+    @pytest.mark.parametrize("parse, text, where", [
+        (parse_scheme_spec, "1 2\n1 4 8\n", ":2: 3 entries, expected 2"),
+        (parse_scheme_spec, "1 2\n# n=2\n1 x\n", ":3: invalid literal"),
+        (parse_scheme_spec, "# beta gamma\n\n", ": empty table"),
+        (parse_weight_spec, "0.5\n1.5, 2.5\n", ":2: 2 entries, expected 1"),
+        (parse_weight_spec, "0.5\nheavy\n", ":2: could not convert"),
+        (parse_weight_spec, "", ": empty table"),
+        (parse_family_spec, "1 0.0 1.0\n2 3.5\n", ":2: 2 entries, expected 3"),
+        (parse_family_spec, "1 0.0 1.0\n2.5 0.0 1.0\n", ":2: invalid literal"),
+        (parse_family_spec, "# k center spread\n", ": empty table"),
+    ])
+    def test_table_errors_name_path_and_line(self, tmp_path, parse, text, where):
+        path = tmp_path / "table.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}{where}")):
+            parse(f"file:{path}")
 
     def test_unknown_tokens_named(self):
         with pytest.raises(ValueError, match="nope"):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzysumm import (add, classical_scheme, constant_family,
-                       constant_weights, crisp, alternating_crisp_family,
+from fuzzysumm import (DegenerateWindowError, add, classical_scheme,
+                       constant_family, constant_weights, crisp,
+                       alternating_crisp_family,
                        dilation_mean_identity, distance, harmonic_crisp_family,
                        harmonicplus_weights, parse_scheme_spec, partial_leq,
                        scale, shrink_mean_identity, slowly_decreasing_check,
@@ -175,13 +176,18 @@ class TestDecompositionIdentities:
     @pytest.mark.parametrize("scheme_spec", ["classical", "lacunary:pow2"])
     def test_shrink_identity_tiny_deviation(self, scheme_spec):
         scheme = parse_scheme_spec(scheme_spec)
-        fams = [alternating_crisp_family(), triangular_growing_family()]
+        fams = [alternating_crisp_family(), triangular_growing_family(),
+                square_indicator_family(1.0)]
         ns = (3, 5, 8) if scheme_spec == "lacunary:pow2" else (4, 16, 128)
+        # halving a lacunary top empties the window: 2^(n-1) < beta(n)
+        lams = (0.75,) if scheme_spec == "lacunary:pow2" else (0.5, 0.75)
         for fam in fams:
-            for n in ns:
-                dev = shrink_mean_identity(fam, scheme, constant_weights(1),
-                                           0.75, n, 1.5)
-                assert dev <= 1e-9
+            for weights in (constant_weights(1), harmonicplus_weights()):
+                for n in ns:
+                    for lam in lams:
+                        dev = shrink_mean_identity(fam, scheme, weights, lam,
+                                                   n, 1.5)
+                        assert dev <= 1e-9
 
     def test_identity_lambda_ranges(self):
         fam = alternating_crisp_family()
@@ -191,6 +197,11 @@ class TestDecompositionIdentities:
         with pytest.raises(ValueError):
             shrink_mean_identity(fam, classical_scheme(), constant_weights(1),
                                  2.0, 8, 1.0)
+        # at n = 1 the dilated top stays at 1 and the shrunken one drops to 0
+        for identity, lam in ((dilation_mean_identity, 1.25),
+                              (shrink_mean_identity, 0.8)):
+            with pytest.raises(DegenerateWindowError):
+                identity(fam, classical_scheme(), constant_weights(1), lam, 1, 1.0)
 
 
 class TestExperiment:
