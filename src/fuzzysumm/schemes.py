@@ -4,15 +4,15 @@ A scheme is a pair of index maps ``beta``, ``gamma`` selecting windows
 [beta(n), gamma(n)] of a sequence; a weight sequence attaches a positive
 weight to every index.  The windowed total (sum of weights over the n-th
 window) drives every convergence transform downstream, so it is backed
-by a memoized prefix-sum array for O(1) range queries even on horizons
-of a few million indices.
+by one chunked walk over the weights that sums them piece by piece
+between the requested window ends; nothing is kept between queries.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,11 +27,13 @@ SHRINK_LIMINF = 3
 DILATION_GAP_LIMSUP = 4
 SHRINK_GAP_LIMSUP = 5
 
-# Weights evaluated per call while the prefix cache grows.
-_FILL_CHUNK = 1 << 16
-# Largest index the prefix cache may reach (1 GiB of float64), checked
-# before allocating; pow:2 at horizon 4096 needs 2^24.
-_MAX_PREFIX = 1 << 27
+# Indices per chunk of every walk over the weights (WeightSequence.chunks):
+# a chunk's float64 temporaries (64 KiB) stay under glibc's 128 KiB mmap
+# threshold, so they are reused from the heap instead of mapped anew.
+_CHUNK = 1 << 13
+# Largest index a window total may reach, checked on Python ints before
+# any index array is built; pow:2 at horizon 4096 needs 2^24.
+_MAX_INDEX = 1 << 27
 
 
 class DegenerateWindowError(ValueError):
@@ -63,11 +65,7 @@ class BetaGammaScheme:
 
 
 class WeightSequence:
-    """Positive weights t_k with a growable prefix-sum cache.
-
-    The cache is built once per horizon and then only read, so concurrent
-    range queries are safe.
-    """
+    """Positive weights t_k; window totals are summed afresh per query."""
 
     def __init__(self, values_fn: Callable[[np.ndarray], np.ndarray], label: str,
                  max_k: int | None = None):
@@ -77,8 +75,6 @@ class WeightSequence:
         t1 = float(self.values(np.array([1], dtype=np.int64))[0])
         if not t1 > 0:
             raise ValueError("first weight must be positive")
-        # prefix[k] = t_1 + ... + t_k, prefix[0] = 0
-        self._prefix = np.zeros(1, dtype=np.float64)
 
     def values(self, ks: np.ndarray) -> np.ndarray:
         out = np.asarray(self._values_fn(np.asarray(ks, dtype=np.int64)),
@@ -89,55 +85,61 @@ class WeightSequence:
         return float(self.values(np.array([k], dtype=np.int64))[0])
 
     def ensure(self, k_max: int) -> None:
-        have = len(self._prefix) - 1
-        if k_max <= have:
-            return
+        """Refuse a walk up to k_max past a table's end or the index budget."""
         if self.max_k is not None and k_max > self.max_k:
             raise ValueError(f"{self.label}: weight table ends at k={self.max_k}")
-        if k_max > _MAX_PREFIX:
-            raise ValueError(f"{self.label}: prefix sums up to k={k_max} exceed "
-                             f"the budget of {_MAX_PREFIX} indices")
-        new_top = min(max(int(k_max), 2 * have, 1024), _MAX_PREFIX)
-        if self.max_k is not None:
-            new_top = min(new_top, self.max_k)
-        # Fill the new tail with the weights a chunk at a time, then
-        # accumulate it in place: no full-length temporaries besides the
-        # new array itself.
-        extended = np.empty(new_top + 1, dtype=np.float64)
-        extended[:have + 1] = self._prefix
-        for a in range(have + 1, new_top + 1, _FILL_CHUNK):
-            ks = np.arange(a, min(new_top + 1, a + _FILL_CHUNK), dtype=np.int64)
-            chunk = self.values(ks)
-            if np.any(chunk <= 0):
-                bad = int(ks[np.argmax(chunk <= 0)])
-                raise ValueError(f"{self.label}: weight t_{bad} is not positive")
-            extended[a:a + len(ks)] = chunk
-        tail = extended[have + 1:]
-        np.cumsum(tail, out=tail)
-        tail += self._prefix[-1]
-        self._prefix = extended
+        if k_max > _MAX_INDEX:
+            raise ValueError(f"{self.label}: window totals up to k={k_max} "
+                             f"exceed the budget of {_MAX_INDEX} indices")
 
-    def prefix(self, k: int) -> float:
-        """Sum of the first k weights (k may be 0)."""
-        if k < 0:
-            raise ValueError("prefix index must be nonnegative")
-        self.ensure(k)
-        return float(self._prefix[k])
+    def chunks(self, cuts: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+        """Walk k over (cuts[0], cuts[-1]] in chunks of at most _CHUNK indices.
+
+        ``cuts`` must be sorted and unique.  Pieces end at every cut and at
+        every chunk end; each chunk yields its indices ``ks``, their weights
+        ``t``, the offsets in ``ks`` where its pieces start (so
+        ``np.add.reduceat(v, starts)`` sums v per piece) and the pieces'
+        last indices.  A weight that is not a finite positive number raises
+        ValueError naming t_k.
+        """
+        lo, hi = int(cuts[0]), int(cuts[-1])
+        for a in range(lo + 1, hi + 1, _CHUNK):
+            ks = np.arange(a, min(hi + 1, a + _CHUNK), dtype=np.int64)
+            t = self.values(ks)
+            bad = ~(np.isfinite(t) & (t > 0))
+            if bad.any():
+                raise ValueError(f"{self.label}: weight t_{ks[np.argmax(bad)]} "
+                                 "is not a finite positive number")
+            inner = cuts[np.searchsorted(cuts, a):np.searchsorted(cuts, ks[-1])]
+            yield ks, t, np.append(0, inner + 1 - a), np.append(inner, ks[-1])
 
     def window_total(self, lo: int, hi: int) -> float:
         """Sum of t_k over the closed range [lo, hi]."""
-        if lo < 1 or hi < lo:
-            raise DegenerateWindowError(f"empty weight window [{lo}, {hi}]")
-        self.ensure(hi)
-        return float(self._prefix[hi] - self._prefix[lo - 1])
+        return float(self.window_totals([lo], [hi])[0])
 
-    def window_totals(self, los: np.ndarray, his: np.ndarray) -> np.ndarray:
+    def window_totals(self, los: Sequence[int], his: Sequence[int]) -> np.ndarray:
+        """Sums of t_k over the closed ranges [los[i], his[i]].
+
+        One walk over (min(los) - 1, max(his)] sums the weights per piece
+        between consecutive window ends, and every total is a difference
+        of the cumulative piece sums.
+        """
+        self.ensure(max(his))
         los = np.asarray(los, dtype=np.int64)
         his = np.asarray(his, dtype=np.int64)
-        if np.any(los < 1) or np.any(his < los):
-            raise DegenerateWindowError("empty window in vectorized total query")
-        self.ensure(int(his.max()))
-        return self._prefix[his] - self._prefix[los - 1]
+        empty = np.flatnonzero((los < 1) | (his < los))
+        if empty.size:
+            i = empty[0]
+            raise DegenerateWindowError(f"empty weight window [{los[i]}, {his[i]}]")
+        ends, sums = [], [np.zeros(1)]
+        for _, t, starts, last in self.chunks(np.union1d(los - 1, his)):
+            ends.append(last)
+            sums.append(np.add.reduceat(t, starts))
+        # cum[j] sums the weights up to the j-th piece end; cum[0] = 0
+        cum = np.cumsum(np.concatenate(sums))
+        ends = np.concatenate(ends)
+        return (cum[np.searchsorted(ends, his, side="right")]
+                - cum[np.searchsorted(ends, los - 1, side="right")])
 
     def __repr__(self):
         return f"WeightSequence({self.label!r})"
@@ -259,14 +261,14 @@ def ratio_condition(scheme: BetaGammaScheme, weights: WeightSequence, lam: float
     ns = np.arange(horizon.trend_window, horizon.n_max + 1, dtype=np.int64)
     betas, gammas = _index_arrays(scheme, ns)
     dil_gammas = np.floor(lam * gammas).astype(np.int64)
-    base = weights.window_totals(betas, gammas)
     # A shrunken top below beta leaves an empty index range, whose total
     # is the empty sum 0 (the shrink ratios then come out infinite).
     nonempty = dil_gammas >= betas
+    totals = weights.window_totals(np.append(betas, betas[nonempty]),
+                                   np.append(gammas, dil_gammas[nonempty]))
+    base = totals[:len(ns)]
     dil = np.zeros(len(ns))
-    if np.any(nonempty):
-        dil[nonempty] = weights.window_totals(betas[nonempty],
-                                              dil_gammas[nonempty])
+    dil[nonempty] = totals[len(ns):]
 
     outer, inner = (dil, base) if lam > 1 else (base, dil)
     if which in (DILATION_LIMINF, SHRINK_LIMINF):

@@ -23,20 +23,28 @@ LimitProfile = tuple[float, float, float]
 
 # --- exact integer root tests (float sqrt/cbrt alone misclassify large k) ---
 
+# Largest int64 roots: every candidate root is clipped to these, so the
+# squares and cubes that check it cannot wrap around near 2^63.
+_SQRT_MAX = 3037000499  # isqrt(2**63 - 1)
+_CBRT_MAX = 2097151     # 2097152**3 == 2**63
+
+
 def int_sqrt(ks: np.ndarray) -> np.ndarray:
     ks = np.asarray(ks, dtype=np.int64)
-    s = np.floor(np.sqrt(ks.astype(np.float64))).astype(np.int64)
-    s = np.where((s + 1) * (s + 1) <= ks, s + 1, s)
-    s = np.where(s * s > ks, s - 1, s)
-    return s
+    s = np.minimum(np.floor(np.sqrt(ks.astype(np.float64))).astype(np.int64),
+                   _SQRT_MAX)
+    up = np.minimum(s + 1, _SQRT_MAX)
+    s = np.where(up * up <= ks, up, s)
+    return np.where(s * s > ks, s - 1, s)
 
 
 def int_cbrt(ks: np.ndarray) -> np.ndarray:
     ks = np.asarray(ks, dtype=np.int64)
-    c = np.rint(np.cbrt(ks.astype(np.float64))).astype(np.int64)
-    c = np.where((c + 1) ** 3 <= ks, c + 1, c)
-    c = np.where(c ** 3 > ks, c - 1, c)
-    return c
+    c = np.minimum(np.rint(np.cbrt(ks.astype(np.float64))).astype(np.int64),
+                   _CBRT_MAX)
+    up = np.minimum(c + 1, _CBRT_MAX)
+    c = np.where(up ** 3 <= ks, up, c)
+    return np.where(c ** 3 > ks, c - 1, c)
 
 
 def is_square(ks: np.ndarray) -> np.ndarray:
@@ -323,6 +331,8 @@ def table_family(path: str) -> FuzzyFunctionSequence:
         raise ValueError(f"{path}: duplicate index k")
     c_arr = np.asarray(centers)[order]
     s_arr = np.asarray(spreads)[order]
+    if not (np.all(np.isfinite(c_arr)) and np.all(np.isfinite(s_arr))):
+        raise ValueError(f"{path}: non-finite center or spread")
     if np.any(s_arr < 0):
         raise ValueError(f"{path}: negative spread")
 

@@ -31,8 +31,6 @@ from .sequences import FuzzyFunctionSequence, LimitProfile, XGridPolicy
 
 MODES = ("sp", "abs", "ord")
 
-_CHUNK = 1 << 16
-
 
 @dataclass(frozen=True)
 class ModeParams:
@@ -89,14 +87,13 @@ class _Pieces:
     """Sums over the pieces of one streamed index range, at every point.
 
     Piece j covers (ends[j-1], ends[j]]; ``sums[i, j]`` holds the sums of
-    t*dev, t*c, t*l and t*r over it at the i-th point, and ``hits[i, j]``
-    counts its indices with t*dev >= eps.  Windows passed to the queries
-    must start and end on checkpoints of the stream.
+    t*dev, t*c, t*l and t*r over it at the i-th point, then the count of
+    its indices with t*dev >= eps.  Windows passed to the queries must
+    start and end on checkpoints of the stream.
     """
 
     ends: np.ndarray
     sums: np.ndarray
-    hits: np.ndarray
 
     def _span(self, lo: int, hi: int) -> slice:
         return slice(int(np.searchsorted(self.ends, lo - 1, side="right")),
@@ -104,11 +101,12 @@ class _Pieces:
 
     def window_sums(self, i: int, lo: int, hi: int) -> tuple[float, ...]:
         """Sums of t*dev, t*c, t*l and t*r over [lo, hi] at the i-th point."""
-        return tuple(math.fsum(col) for col in self.sums[i, self._span(lo, hi)].T)
+        span = self.sums[i, self._span(lo, hi), :4]
+        return tuple(math.fsum(col) for col in span.T)
 
     def hit_count(self, i: int, lo: int, hi: int) -> int:
         """Indices of [lo, hi] with t*dev >= eps at the i-th point."""
-        return int(self.hits[i, self._span(lo, hi)].sum())
+        return int(self.sums[i, self._span(lo, hi), 4].sum())
 
 
 def _stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
@@ -116,33 +114,24 @@ def _stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
             cuts: Sequence[int], eps: float) -> _Pieces:
     """Stream k over (min(cuts), max(cuts)] once for every point of ``xs``.
 
-    Each chunk of at most _CHUNK indices costs one ``weights.values``
-    call plus one ``seq.profile`` call per point, and is split at the
-    checkpoints inside it.  Every piece keeps its own sums, so a window
-    whose ends sit on checkpoints is summed by ``math.fsum`` over whole
-    pieces instead of as a difference of long prefix sums.
+    Each chunk of ``weights.chunks`` costs one ``seq.profile`` call per
+    point and is split at the checkpoints inside it.  Every piece keeps
+    its own sums, so a window whose ends sit on checkpoints is summed by
+    ``math.fsum`` over whole pieces instead of as a difference of long
+    prefix sums.
     """
+    # empty leading blocks keep the concatenations valid for an empty range
+    ends, sums = [np.zeros(0, dtype=np.int64)], [np.zeros((len(xs), 0, 5))]
     cuts = np.unique(np.asarray(cuts, dtype=np.int64))
-    lo, hi = int(cuts[0]), int(cuts[-1])
-    ends = np.union1d(cuts[1:], np.arange(lo + _CHUNK, hi, _CHUNK, dtype=np.int64))
-    sums = np.zeros((len(xs), len(ends), 4))
-    hits = np.zeros((len(xs), len(ends)), dtype=np.int64)
-    first = 0
-    for a in range(lo + 1, hi + 1, _CHUNK):
-        b = min(hi, a + _CHUNK - 1)
-        ks = np.arange(a, b + 1, dtype=np.int64)
-        t = weights.values(ks)
-        stop = int(np.searchsorted(ends, b, side="right"))
-        bounds = (np.append(a - 1, ends[first:stop]) - (a - 1)).tolist()
+    for ks, t, starts, last in weights.chunks(cuts):
+        ends.append(last)
+        sums.append(np.empty((len(xs), len(starts), 5)))
         for i, x in enumerate(xs):
             c, l, r = seq.profile(ks, x)
-            dev = triangular_profile_distance(c, l, r, *limits[i])
-            hit = t * dev >= eps
-            for j, s, e in zip(range(first, stop), bounds, bounds[1:]):
-                sums[i, j] = [np.dot(t[s:e], v[s:e]) for v in (dev, c, l, r)]
-                hits[i, j] = np.count_nonzero(hit[s:e])
-        first = stop
-    return _Pieces(ends, sums, hits)
+            td = t * triangular_profile_distance(c, l, r, *limits[i])
+            for col, v in enumerate((td, t * c, t * l, t * r, td >= eps)):
+                sums[-1][i, :, col] = np.add.reduceat(v, starts)
+    return _Pieces(np.concatenate(ends), np.concatenate(sums, axis=1))
 
 
 def _one_window(seq: FuzzyFunctionSequence, weights: WeightSequence,
@@ -383,7 +372,7 @@ def classify_thetas(seq: FuzzyFunctionSequence, limit, scheme: BetaGammaScheme,
     xs = [seq.check_x(x) for x in grid.points]
     limits = [limit_fn(x) for x in xs]
     windows = [scheme.window(n) for n in ns]
-    totals = [weights.window_total(b, g) for b, g in windows]
+    totals = weights.window_totals(*zip(*windows)).tolist()
     floors = [math.floor(total) for total in totals]
     cuts = [0]
     if "sp" in modes:

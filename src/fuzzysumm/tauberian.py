@@ -21,11 +21,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .numbers import ATOL, add, distance, scale, triangular
 from .schemes import (BetaGammaScheme, DegenerateWindowError, DILATION_LIMINF,
                       HorizonPolicy, RatioResult, WeightSequence, dilate,
-                      ratio_condition, weighted_total)
+                      ratio_condition)
 from .sequences import FuzzyFunctionSequence, XGridPolicy
-from .summability import (ConvergenceReport, ModeParams, ModeTrace,
+from .summability import (ConvergenceReport, ModeTrace,
                           VerdictPolicy, classify, ladder, limit_profile_fn,
-                          ordinary_partial, verdict, window_fuzzy_mean)
+                          verdict, window_fuzzy_mean)
 
 
 @dataclass(frozen=True)
@@ -161,17 +161,14 @@ def _mean_identity(seq: FuzzyFunctionSequence, scheme: BetaGammaScheme,
     """
     x = seq.check_x(x)
     moved = dilate(scheme, lam)
-    _, g = scheme.window(n)
+    b, g = scheme.window(n)
     _, g_moved = moved.window(n)
     if g_moved == g:
         raise DegenerateWindowError(
             f"{moved.label}: moved top {g} equals the window top at n={n}")
-    # Base before moved: the prefix cache grows in request order, and the
-    # cached sums' last bits depend on that order.
-    base, shifted = [
-        (weighted_total(sch, weights, n),
-         ordinary_partial(seq, ModeParams(1.0, 1.0, sch, weights), n, x), top)
-        for sch, top in ((scheme, g), (moved, g_moved))]
+    totals = weights.window_totals((b, b), (g, g_moved)).tolist()
+    base, shifted = [(t, window_fuzzy_mean(seq, weights, b, top, x, t), top)
+                     for t, top in zip(totals, (g, g_moved))]
     grow = lam > 1
     (t_o, s_o, g_o), (t_i, s_i, g_i) = (shifted, base) if grow else (base, shifted)
     gap = t_o - t_i

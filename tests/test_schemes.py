@@ -82,26 +82,58 @@ class TestWeightedTotal:
             parse_weight_spec("const:-2")
 
 
-class TestPrefixCache:
-    @pytest.mark.parametrize("spec", ["recip5", "harmonicplus", "const:0.1"])
-    def test_growth_is_bit_identical_to_one_shot_cumsum(self, spec, monkeypatch):
-        # every T_n is read from these bytes, so filling the cache chunk by
-        # chunk must not move a single bit against prefix[-1] + cumsum
-        monkeypatch.setattr(schemes, "_FILL_CHUNK", 7)
+class TestWindowTotals:
+    @pytest.mark.parametrize("spec", ["const:0.1", "recip5", "harmonicplus",
+                                      "file"])
+    def test_matches_fsum_across_chunk_edges(self, spec, tmp_path, monkeypatch):
+        # 7-index chunks put chunk edges inside nearly every window
+        monkeypatch.setattr(schemes, "_CHUNK", 7)
+        if spec == "file":
+            rng = np.random.default_rng(5)
+            path = tmp_path / "w.txt"
+            values = rng.uniform(0.01, 3.0, 400).tolist()
+            path.write_text("\n".join(map(repr, values)))
+            spec = f"file:{path}"
         w = parse_weight_spec(spec)
-        want = np.zeros(1)
-        for k_max in (5, 1500, 3000, 10_000):
-            w.ensure(k_max)
-            ks = np.arange(len(want), len(w._prefix), dtype=np.int64)
-            want = np.concatenate((want, want[-1] + np.cumsum(w.values(ks))))
-            assert w._prefix.tobytes() == want.tobytes()
+        windows = ([(1, 400), (10, 390), (150, 250), (200, 200)]      # nested
+                   + [(k, k + 40) for k in range(1, 360, 17)]          # sliding
+                   + [(7 * j + d, 7 * j + 30 + e) for j in (1, 20, 50)  # chunk edges
+                      for d in (-1, 0, 1) for e in (-1, 0, 1)])
+        los, his = zip(*windows)
+        got = w.window_totals(los, his)
+        for (lo, hi), total in zip(windows, got):
+            want = math.fsum(w.values(np.arange(lo, hi + 1)))
+            assert total == pytest.approx(want, rel=1e-12)
+            assert w.window_total(lo, hi) == pytest.approx(want, rel=1e-12)
+
+    def test_total_does_not_depend_on_request_order(self):
+        # lacunary:pow2 at n = 16: the base window and its dilation by 1.25,
+        # whose identity value once moved when the dilated total came first
+        w = harmonicplus_weights()
+        base, moved = (2**15 + 1, 2**16), (2**15 + 1, math.floor(1.25 * 2**16))
+        first = [w.window_total(*base), w.window_total(*moved)]
+        fresh = harmonicplus_weights()
+        second = [fresh.window_total(*moved), fresh.window_total(*base)][::-1]
+        assert first == second
+        both = w.window_totals((base[0], moved[0]), (base[1], moved[1]))
+        swapped = w.window_totals((moved[0], base[0]), (moved[1], base[1]))
+        assert both.tolist() == swapped[::-1].tolist()
 
     def test_nonpositive_weight_found_past_first_chunk(self, monkeypatch):
-        monkeypatch.setattr(schemes, "_FILL_CHUNK", 7)
+        monkeypatch.setattr(schemes, "_CHUNK", 7)
         w = WeightSequence(lambda ks: np.where(ks == 500, 0.0, 1.0), "dip")
         with pytest.raises(ValueError, match="t_500"):
-            w.ensure(600)
-        assert w.prefix(0) == 0.0
+            w.window_total(1, 600)
+        assert w.window_total(1, 499) == 499.0
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_table_weight_named(self, tmp_path, bad):
+        path = tmp_path / "w.txt"
+        path.write_text(f"1\n{bad}\n1\n1\n")
+        w = parse_weight_spec(f"file:{path}")
+        assert w.window_total(3, 4) == 2.0
+        with pytest.raises(ValueError, match="t_2 is not a finite positive"):
+            w.window_total(1, 4)
 
 
 class TestDilate:

@@ -1,6 +1,7 @@
 """Built-in families, profile/value consistency, and boundedness."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,17 @@ class TestIntegerRoots:
         assert np.all(int_sqrt(ks) == np.array([math.isqrt(int(k)) for k in ks]))
         for k, c in zip(ks, int_cbrt(ks)):
             assert c**3 <= k < (c + 1) ** 3
+
+    def test_largest_int64_roots(self):
+        # the squares and cubes checking a root near 2^63 must not wrap
+        top = 2**63 - 1
+        s, c = 3037000499, 2097151  # isqrt(top) and the integer cbrt of top
+        ks = np.array([s * s - 1, s * s, s * s + 1, top], dtype=np.int64)
+        assert is_square(ks).tolist() == [False, True, False, False]
+        assert int_sqrt(ks).tolist() == [math.isqrt(int(k)) for k in ks]
+        ks = np.array([c**3 - 1, c**3, c**3 + 1, top], dtype=np.int64)
+        assert is_cube(ks).tolist() == [False, True, False, False]
+        assert int_cbrt(ks).tolist() == [c - 1, c, c, c]
 
 
 class TestFamilies:
@@ -169,6 +181,13 @@ class TestSpecStrings:
         assert distance(fam.eval(5, 1.0), triangular(-1.0, 2.0, 2.0)) == 0.0
         with pytest.raises(ValueError, match="no row"):
             fam.eval(3, 1.5)
+
+    @pytest.mark.parametrize("row", ["1 0 nan", "1 inf 0", "1 0 -inf"])
+    def test_table_family_rejects_non_finite(self, tmp_path, row):
+        path = tmp_path / "fam.txt"
+        path.write_text(f"{row}\n2 0.0 1.0\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: non-finite"):
+            parse_family_spec(f"file:{path}")
 
 
 class TestBoundedness:
