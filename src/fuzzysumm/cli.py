@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 
 from .schemes import parse_scheme_spec, parse_weight_spec
 from .sequences import parse_family_spec, uniform_grid
-from .summability import MODES, VerdictPolicy, classify, classify_thetas
+from .summability import (VerdictPolicy, check_mode_args, classify,
+                          classify_thetas)
 from .tauberian import tauberian_experiment
 
 
@@ -41,14 +42,8 @@ class RunConfig:
     def __post_init__(self):
         if self.horizon < 64:
             raise ValueError("horizon must be at least 64")
-        for th in self.thetas:
-            if not 0 < th <= 1:
-                raise ValueError(f"theta {th:g} outside (0, 1]")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
-        for m in self.modes:
-            if m not in MODES + ("tauberian",):
-                raise ValueError(f"unknown mode {m!r}")
+        check_mode_args(self.thetas, self.eps,
+                        [m for m in self.modes if m != "tauberian"])
 
 
 def _parse_grid(spec: str):

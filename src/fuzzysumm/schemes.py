@@ -31,8 +31,8 @@ SHRINK_GAP_LIMSUP = 5
 # a chunk's float64 temporaries (64 KiB) stay under glibc's 128 KiB mmap
 # threshold, so they are reused from the heap instead of mapped anew.
 _CHUNK = 1 << 13
-# Largest index a window total may reach, checked on Python ints before
-# any index array is built; pow:2 at horizon 4096 needs 2^24.
+# Largest index a walk over the weights may reach, checked on Python ints
+# before any index array is built; pow:2 at horizon 4096 needs 2^24.
 _MAX_INDEX = 1 << 27
 
 
@@ -89,8 +89,8 @@ class WeightSequence:
         if self.max_k is not None and k_max > self.max_k:
             raise ValueError(f"{self.label}: weight table ends at k={self.max_k}")
         if k_max > _MAX_INDEX:
-            raise ValueError(f"{self.label}: window totals up to k={k_max} "
-                             f"exceed the budget of {_MAX_INDEX} indices")
+            raise ValueError(f"{self.label}: a walk over the weights up to "
+                             f"k={k_max} exceeds the budget of {_MAX_INDEX} indices")
 
     def chunks(self, cuts: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
         """Walk k over (cuts[0], cuts[-1]] in chunks of at most _CHUNK indices.
@@ -99,10 +99,12 @@ class WeightSequence:
         every chunk end; each chunk yields its indices ``ks``, their weights
         ``t``, the offsets in ``ks`` where its pieces start (so
         ``np.add.reduceat(v, starts)`` sums v per piece) and the pieces'
-        last indices.  A weight that is not a finite positive number raises
+        last indices.  A walk that ``ensure`` refuses raises before its first
+        chunk, and a weight that is not a finite positive number raises
         ValueError naming t_k.
         """
         lo, hi = int(cuts[0]), int(cuts[-1])
+        self.ensure(hi)
         for a in range(lo + 1, hi + 1, _CHUNK):
             ks = np.arange(a, min(hi + 1, a + _CHUNK), dtype=np.int64)
             t = self.values(ks)
@@ -124,7 +126,7 @@ class WeightSequence:
         between consecutive window ends, and every total is a difference
         of the cumulative piece sums.
         """
-        self.ensure(max(his))
+        self.ensure(max(his))  # ends past int64 must fail before np.asarray
         los = np.asarray(los, dtype=np.int64)
         his = np.asarray(his, dtype=np.int64)
         empty = np.flatnonzero((los < 1) | (his < los))

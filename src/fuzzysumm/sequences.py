@@ -19,6 +19,7 @@ from .schemes import read_table
 
 TriProfile = tuple[np.ndarray, np.ndarray, np.ndarray]
 LimitProfile = tuple[float, float, float]
+_ValueMap = Callable[[np.ndarray, float], np.ndarray]  # (ks, x) -> values
 
 
 # --- exact integer root tests (float sqrt/cbrt alone misclassify large k) ---
@@ -119,12 +120,30 @@ class FuzzyFunctionSequence:
         return triangular(c, l, r, self.levels)
 
 
-def _const_profile(center_of_x: Callable[[float], float]):
+def _crisp_family(label: str, center: _ValueMap,
+                  limit: Optional[float] = None) -> FuzzyFunctionSequence:
+    """Family with values center(ks, x) and zero spreads; ``limit``, when
+    given, is the constant crisp limit it is claimed to converge to."""
+
     def profile(ks: np.ndarray, x: float) -> TriProfile:
-        n = len(ks)
-        z = np.zeros(n)
-        return np.full(n, center_of_x(x)), z, z
-    return profile
+        z = np.zeros(len(ks))
+        return center(ks, x), z, z
+
+    return FuzzyFunctionSequence(
+        label=label, profile=profile,
+        limit_profile=None if limit is None else lambda x: (limit, 0.0, 0.0))
+
+
+def _symmetric_family(label: str, spread: _ValueMap) -> FuzzyFunctionSequence:
+    """Family with center 0 and both spreads spread(ks, x), claimed to
+    converge to crisp 0."""
+
+    def profile(ks: np.ndarray, x: float) -> TriProfile:
+        s = spread(ks, x)
+        return np.zeros(len(ks)), s, s
+
+    return FuzzyFunctionSequence(label=label, profile=profile,
+                                 limit_profile=lambda x: (0.0, 0.0, 0.0))
 
 
 def square_indicator_family(bound: float = 1.0) -> FuzzyFunctionSequence:
@@ -134,17 +153,8 @@ def square_indicator_family(bound: float = 1.0) -> FuzzyFunctionSequence:
     are ``bound`` exactly on the (density-zero) squares.
     """
     m = float(bound)
-
-    def profile(ks: np.ndarray, x: float) -> TriProfile:
-        z = np.zeros(len(ks))
-        centers = np.where(is_square(ks), 0.0, m)
-        return centers, z, z
-
-    return FuzzyFunctionSequence(
-        label=f"square_indicator(M={m:g})",
-        profile=profile,
-        limit_profile=lambda x: (m, 0.0, 0.0),
-    )
+    return _crisp_family(f"square_indicator(M={m:g})",
+                         lambda ks, x: np.where(is_square(ks), 0.0, m), m)
 
 
 def triangular_growing_family() -> FuzzyFunctionSequence:
@@ -153,47 +163,23 @@ def triangular_growing_family() -> FuzzyFunctionSequence:
     Distance to 0 is k*x on the squares, so the family grows without
     bound yet the spoiled indices have density zero.
     """
-
-    def profile(ks: np.ndarray, x: float) -> TriProfile:
-        spread = np.where(is_square(ks), ks.astype(np.float64) * x, 0.0)
-        return np.zeros(len(ks)), spread, spread
-
-    return FuzzyFunctionSequence(
-        label="triangular_growing",
-        profile=profile,
-        limit_profile=lambda x: (0.0, 0.0, 0.0),
-    )
+    return _symmetric_family(
+        "triangular_growing",
+        lambda ks, x: np.where(is_square(ks), ks.astype(np.float64) * x, 0.0))
 
 
 def cube_decaying_family() -> FuzzyFunctionSequence:
     """Symmetric triangular value with spread x/k at cube indices, else 0."""
-
-    def profile(ks: np.ndarray, x: float) -> TriProfile:
-        spread = np.where(is_cube(ks), x / ks.astype(np.float64), 0.0)
-        return np.zeros(len(ks)), spread, spread
-
-    return FuzzyFunctionSequence(
-        label="cube_decaying",
-        profile=profile,
-        limit_profile=lambda x: (0.0, 0.0, 0.0),
-    )
+    return _symmetric_family(
+        "cube_decaying",
+        lambda ks, x: np.where(is_cube(ks), x / ks.astype(np.float64), 0.0))
 
 
 def alternating_crisp_family() -> FuzzyFunctionSequence:
     """Crisp +1, -1, +1, ... independent of x; mean-summable to 0 but the
     term deviations never shrink."""
-
-    def profile(ks: np.ndarray, x: float) -> TriProfile:
-        n = len(ks)
-        z = np.zeros(n)
-        centers = np.where(ks % 2 == 1, 1.0, -1.0)
-        return centers, z, z
-
-    return FuzzyFunctionSequence(
-        label="alternating_crisp",
-        profile=profile,
-        limit_profile=lambda x: (0.0, 0.0, 0.0),
-    )
+    return _crisp_family("alternating_crisp",
+                         lambda ks, x: np.where(ks % 2 == 1, 1.0, -1.0), 0.0)
 
 
 def truncated_square_indicator_family(n_trunc: int, bound: float = 1.0) -> FuzzyFunctionSequence:
@@ -206,44 +192,20 @@ def truncated_square_indicator_family(n_trunc: int, bound: float = 1.0) -> Fuzzy
     if n_trunc < 1:
         raise ValueError("truncation index must be a positive integer")
     m = float(bound)
-
-    def profile(ks: np.ndarray, x: float) -> TriProfile:
-        z = np.zeros(len(ks))
-        dropped = is_square(ks) & (np.asarray(ks, dtype=np.int64) <= n_trunc)
-        centers = np.where(dropped, 0.0, m)
-        return centers, z, z
-
-    return FuzzyFunctionSequence(
-        label=f"truncated_square_indicator(n={n_trunc}, M={m:g})",
-        profile=profile,
-        limit_profile=lambda x: (m, 0.0, 0.0),
-    )
+    return _crisp_family(
+        f"truncated_square_indicator(n={n_trunc}, M={m:g})",
+        lambda ks, x: np.where(is_square(ks) & (ks <= n_trunc), 0.0, m), m)
 
 
 def harmonic_crisp_family() -> FuzzyFunctionSequence:
     """Crisp 1/k, independent of x; converges to 0 and is slowly decreasing."""
-
-    def profile(ks: np.ndarray, x: float) -> TriProfile:
-        n = len(ks)
-        z = np.zeros(n)
-        return 1.0 / ks.astype(np.float64), z, z
-
-    return FuzzyFunctionSequence(
-        label="harmonic_crisp",
-        profile=profile,
-        limit_profile=lambda x: (0.0, 0.0, 0.0),
-    )
+    return _crisp_family("harmonic_crisp",
+                         lambda ks, x: 1.0 / ks.astype(np.float64), 0.0)
 
 
 def crisp_index_family() -> FuzzyFunctionSequence:
     """Crisp k; monotone increasing, useful as a slowly-decreasing witness."""
-
-    def profile(ks: np.ndarray, x: float) -> TriProfile:
-        n = len(ks)
-        z = np.zeros(n)
-        return ks.astype(np.float64), z, z
-
-    return FuzzyFunctionSequence(label="crisp_index", profile=profile)
+    return _crisp_family("crisp_index", lambda ks, x: ks.astype(np.float64))
 
 
 def constant_family(center: float, left: float = 0.0, right: float = 0.0,

@@ -32,6 +32,19 @@ from .sequences import FuzzyFunctionSequence, LimitProfile, XGridPolicy
 MODES = ("sp", "abs", "ord")
 
 
+def check_mode_args(thetas: Sequence[float], eps: float,
+                    modes: Sequence[str] = ()) -> None:
+    """Refuse an order outside (0, 1], a nonpositive eps or an unknown mode."""
+    for mode in modes:
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+    for theta in thetas:
+        if not 0 < theta <= 1:
+            raise ValueError(f"theta {theta:g} outside (0, 1]")
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+
+
 @dataclass(frozen=True)
 class ModeParams:
     """Shared knobs of the transforms: order theta, threshold eps, and the
@@ -43,10 +56,15 @@ class ModeParams:
     weights: WeightSequence
 
     def __post_init__(self):
-        if not 0 < self.theta <= 1:
-            raise ValueError("theta must lie in (0, 1]")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        check_mode_args((self.theta,), self.eps)
+
+
+def _limit_triple(v) -> LimitProfile:
+    if isinstance(v, FuzzyNumber):
+        return triangular_profile_of(v)
+    if isinstance(v, (int, float)):
+        return (float(v), 0.0, 0.0)
+    return (float(v[0]), float(v[1]), float(v[2]))
 
 
 def limit_profile_fn(seq: FuzzyFunctionSequence, limit=None) -> Callable[[float], LimitProfile]:
@@ -60,24 +78,12 @@ def limit_profile_fn(seq: FuzzyFunctionSequence, limit=None) -> Callable[[float]
         if seq.limit_profile is None:
             raise ValueError(f"{seq.label}: no limit given and none claimed")
         return seq.limit_profile
-    if isinstance(limit, FuzzyNumber):
-        trip = triangular_profile_of(limit)
-        return lambda x: trip
-    if isinstance(limit, (int, float)):
-        trip = (float(limit), 0.0, 0.0)
-        return lambda x: trip
-    if isinstance(limit, tuple) and len(limit) == 3:
-        trip = (float(limit[0]), float(limit[1]), float(limit[2]))
+    if isinstance(limit, (FuzzyNumber, int, float)) or (
+            isinstance(limit, tuple) and len(limit) == 3):
+        trip = _limit_triple(limit)
         return lambda x: trip
     if callable(limit):
-        def fn(x: float) -> LimitProfile:
-            v = limit(x)
-            if isinstance(v, FuzzyNumber):
-                return triangular_profile_of(v)
-            if isinstance(v, (int, float)):
-                return (float(v), 0.0, 0.0)
-            return (float(v[0]), float(v[1]), float(v[2]))
-        return fn
+        return lambda x: _limit_triple(limit(x))
     raise TypeError("limit must be None, a real, a FuzzyNumber, a profile "
                     "triple, or a callable")
 
@@ -362,11 +368,7 @@ def classify_thetas(seq: FuzzyFunctionSequence, limit, scheme: BetaGammaScheme,
     for sp) and keeps theta-free window sums; each theta then only
     divides them by T_n**theta.
     """
-    for mode in modes:
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
-    for theta in thetas:
-        ModeParams(theta=theta, eps=eps, scheme=scheme, weights=weights)
+    check_mode_args(thetas, eps, modes)
     limit_fn = limit_profile_fn(seq, limit)
     ns = ladder(horizon)
     xs = [seq.check_x(x) for x in grid.points]

@@ -18,14 +18,13 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numbers import ATOL, add, distance, scale, triangular
+from .numbers import ATOL, triangular_profile_distance
 from .schemes import (BetaGammaScheme, DegenerateWindowError, DILATION_LIMINF,
                       HorizonPolicy, RatioResult, WeightSequence, dilate,
                       ratio_condition)
 from .sequences import FuzzyFunctionSequence, XGridPolicy
-from .summability import (ConvergenceReport, ModeTrace,
-                          VerdictPolicy, classify, ladder, limit_profile_fn,
-                          verdict, window_fuzzy_mean)
+from .summability import (ConvergenceReport, ModeTrace, VerdictPolicy, _stream,
+                          classify, ladder, limit_profile_fn, verdict)
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,8 @@ def _mean_identity(seq: FuzzyFunctionSequence, scheme: BetaGammaScheme,
     The outer window is the longer of the base window and its dilation by
     lam, the inner one the shorter; both start at beta(n), so the outer
     total T_o is the inner T_i plus the gap, and the tail mean runs over
-    the indices between the two tops.
+    the indices between the two tops.  The means are (center, left, right)
+    triples, all three summed in one stream cut at both tops.
     """
     x = seq.check_x(x)
     moved = dilate(scheme, lam)
@@ -166,20 +166,21 @@ def _mean_identity(seq: FuzzyFunctionSequence, scheme: BetaGammaScheme,
     if g_moved == g:
         raise DegenerateWindowError(
             f"{moved.label}: moved top {g} equals the window top at n={n}")
-    totals = weights.window_totals((b, b), (g, g_moved)).tolist()
-    base, shifted = [(t, window_fuzzy_mean(seq, weights, b, top, x, t), top)
-                     for t, top in zip(totals, (g, g_moved))]
-    grow = lam > 1
-    (t_o, s_o, g_o), (t_i, s_i, g_i) = (shifted, base) if grow else (base, shifted)
+    g_i, g_o = sorted((g, g_moved))
+    t_i, t_o = weights.window_totals((b, b), (g_i, g_o)).tolist()
     gap = t_o - t_i
-    tail = window_fuzzy_mean(seq, weights, g_i + 1, g_o, x, gap)
-    if grow:
+    pieces = _stream(seq, weights, [(0.0, 0.0, 0.0)], [x], [b - 1, g_i, g_o],
+                     math.inf)
+    s_i, s_o, tail = (np.array(pieces.window_sums(0, lo, hi)[1:]) / t
+                      for lo, hi, t in ((b, g_i, t_i), (b, g_o, t_o),
+                                        (g_i + 1, g_o, gap)))
+    if lam > 1:
         r = t_o / gap
-        lhs, rhs = add(scale(r, s_o), s_i), add(scale(r, s_i), tail)
+        lhs, rhs = r * s_o + s_i, r * s_i + tail
     else:
         r = t_i / gap
-        lhs, rhs = add(scale(r, s_i), tail), add(scale(r, s_o), s_o)
-    return distance(lhs, rhs)
+        lhs, rhs = r * s_i + tail, r * s_o + s_o
+    return float(triangular_profile_distance(*lhs, *rhs))
 
 
 def dilation_mean_identity(seq: FuzzyFunctionSequence, scheme: BetaGammaScheme,
@@ -367,12 +368,10 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
             entry = None
             for lam in lambdas:
                 wit = slowly_decreasing_check(seq, x, eps, lam, n0, scan_horizon)
-                if wit.holds:
-                    entry = SlowDecreaseEntry(x, eps, True, lam, n0, 0, ())
-                    break
                 # the tail (last_bad, scan_horizon] is clean by definition
-                if wit.last_bad <= scan_horizon // 2:
-                    entry = SlowDecreaseEntry(x, eps, True, lam, wit.last_bad, 0, ())
+                if wit.holds or wit.last_bad <= scan_horizon // 2:
+                    entry = SlowDecreaseEntry(x, eps, True, lam,
+                                              wit.last_bad or n0, 0, ())
                     break
                 entry = SlowDecreaseEntry(x, eps, False, None, n0, wit.count,
                                           wit.violations)
@@ -384,16 +383,14 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
                                   horizon=horizon, modes=("ord",), policy=policy)
 
     ns = ladder(horizon)
+    tops = np.array([scheme.window(n)[1] for n in ns], dtype=np.int64)
     for x in grid.points:
         x = seq.check_x(x)
-        lim = triangular(*limit_fn(x), levels=seq.levels)
-        pts = []
-        for n in ns:
-            _, g = scheme.window(n)
-            pts.append((n, distance(seq.eval(g, x), lim)))
+        dev = triangular_profile_distance(*seq.profile(tops, x), *limit_fn(x))
+        pts = tuple(zip(ns, dev.tolist()))
         v = verdict(pts, tol=policy.tol, window=min(policy.window, len(ns)),
                     divergence_factor=policy.divergence_factor)
-        report.conclusion.append(ModeTrace(x, "tail", 1.0, tuple(pts), v))
+        report.conclusion.append(ModeTrace(x, "tail", 1.0, pts, v))
 
     mid_x = grid.points[len(grid.points) // 2]
     identity_ns = [n for n in ns if 4 <= n <= max(8, horizon // 8)][-3:] or [ns[-1]]

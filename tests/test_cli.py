@@ -9,6 +9,7 @@ import pytest
 
 from fuzzysumm import cli, parse_family_spec, parse_scheme_spec, parse_weight_spec
 from fuzzysumm.cli import RunConfig, main, reference_rows, reproduce, run
+from fuzzysumm.schemes import WeightSequence
 
 
 class TestRunCommand:
@@ -86,6 +87,23 @@ class TestRunCommand:
                    "--out-dir", str(tmp_path)])
         assert rc == 2
         assert named in capsys.readouterr().err
+
+    def test_sp_stream_past_budget_diagnosed(self, tmp_path, capsys,
+                                             monkeypatch):
+        # floor(T_4096) = 4.1e9 indices: refused before the sp stream starts,
+        # so no weight past the window totals' k = 4096 is evaluated
+        values = WeightSequence.values
+
+        def bounded(self, ks):
+            assert int(max(ks)) <= 4096, "the sp stream started"
+            return values(self, ks)
+
+        monkeypatch.setattr(WeightSequence, "values", bounded)
+        rc = main(["run", "--family", "ex4.1", "--weights", "const:1000000",
+                   "--horizon", "4096", "--modes", "sp",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "const:1e+06" in capsys.readouterr().err
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzzysumm import (DegenerateWindowError, add, classical_scheme,
-                       constant_family, constant_weights, crisp,
+from fuzzysumm import (DegenerateWindowError, add, add_families,
+                       classical_scheme, constant_family, constant_weights, crisp,
                        alternating_crisp_family,
                        dilation_mean_identity, distance, harmonic_crisp_family,
                        harmonicplus_weights, parse_scheme_spec, partial_leq,
@@ -19,6 +19,13 @@ from fuzzysumm import (DegenerateWindowError, add, classical_scheme,
                        triangular_growing_family, uniform_grid)
 from fuzzysumm import tauberian
 from fuzzysumm.sequences import FuzzyFunctionSequence, crisp_index_family
+
+
+def unequal_spread_family():
+    """Symmetric spreads k*x on squares plus a constant with l != r, so a
+    left/right mix-up on either side of a comparison shows."""
+    return add_families(triangular_growing_family(),
+                        constant_family(0.0, 0.25, 0.5))
 
 
 def left_spread_family():
@@ -164,7 +171,7 @@ class TestDecompositionIdentities:
     def test_dilation_identity_tiny_deviation(self, scheme_spec, lam):
         scheme = parse_scheme_spec(scheme_spec)
         fams = [alternating_crisp_family(), triangular_growing_family(),
-                square_indicator_family(1.0)]
+                square_indicator_family(1.0), unequal_spread_family()]
         ns = (3, 5, 8) if scheme_spec == "lacunary:pow2" else (4, 16, 128)
         for fam in fams:
             for weights in (constant_weights(1), harmonicplus_weights()):
@@ -177,7 +184,7 @@ class TestDecompositionIdentities:
     def test_shrink_identity_tiny_deviation(self, scheme_spec):
         scheme = parse_scheme_spec(scheme_spec)
         fams = [alternating_crisp_family(), triangular_growing_family(),
-                square_indicator_family(1.0)]
+                square_indicator_family(1.0), unequal_spread_family()]
         ns = (3, 5, 8) if scheme_spec == "lacunary:pow2" else (4, 16, 128)
         # halving a lacunary top empties the window: 2^(n-1) < beta(n)
         lams = (0.75,) if scheme_spec == "lacunary:pow2" else (0.5, 0.75)
@@ -220,6 +227,18 @@ class TestExperiment:
         # subsequence distance is exactly 1/n on the classical windows
         for n, v in exp.conclusion[0].points:
             assert v == pytest.approx(1.0 / n, rel=1e-12)
+
+    def test_conclusion_matches_cut_ladder_distance(self):
+        # classical tops 1, 2, 4, ..., 64 mix squares and non-squares
+        fam, scheme = unequal_spread_family(), classical_scheme()
+        exp = tauberian_experiment(fam, None, scheme, constant_weights(1),
+                                   uniform_grid(1, 2, 3), horizon=64,
+                                   scan_horizon=64)
+        for trace in exp.conclusion:
+            for n, v in trace.points:
+                want = distance(fam.eval(scheme.gamma(n), trace.x),
+                                fam.claimed_limit(trace.x))
+                assert v == pytest.approx(want, rel=1e-12)
 
     def test_late_n0_is_the_last_violating_row(self):
         # harmonic drops 1/n - 1/k exceed eps = 0.01 only for small n, so
