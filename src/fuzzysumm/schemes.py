@@ -373,17 +373,13 @@ def table_scheme(path: str) -> BetaGammaScheme:
     """Scheme from a file of 'beta gamma' rows; row order gives n."""
     rows = read_table(path, int, int)
 
-    def beta(n: int) -> int:
+    def row(n: int) -> tuple[int, int]:
         if n > len(rows):
             raise ValueError(f"scheme table {path} ends at n={len(rows)}")
-        return rows[n - 1][0]
+        return rows[n - 1]
 
-    def gamma(n: int) -> int:
-        if n > len(rows):
-            raise ValueError(f"scheme table {path} ends at n={len(rows)}")
-        return rows[n - 1][1]
-
-    return BetaGammaScheme(beta, gamma, f"file:{path}")
+    return BetaGammaScheme(lambda n: row(n)[0], lambda n: row(n)[1],
+                           f"file:{path}")
 
 
 def constant_weights(c: float) -> WeightSequence:

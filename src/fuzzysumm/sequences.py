@@ -4,7 +4,7 @@ Every family in scope takes triangular (or crisp) values, so a sequence
 is stored as a vectorized profile map: (indices k, point x) -> arrays of
 (center, left_spread, right_spread).  ``eval`` materializes a single
 value as a FuzzyNumber; the summability sweeps consume the profile
-arrays directly.
+arrays directly, checked by ``values``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numbers import DEFAULT_LEVEL_COUNT, FuzzyNumber, triangular
+from .numbers import FuzzyNumber, triangular, triangular_profile_distance
 from .schemes import read_table
 
 TriProfile = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -30,32 +30,29 @@ _SQRT_MAX = 3037000499  # isqrt(2**63 - 1)
 _CBRT_MAX = 2097151     # 2097152**3 == 2**63
 
 
-def int_sqrt(ks: np.ndarray) -> np.ndarray:
+def _int_root(ks: np.ndarray, p: int, estimate, cap: int) -> np.ndarray:
+    """Exact floor of k ** (1/p): float estimate, clip, correct by one."""
     ks = np.asarray(ks, dtype=np.int64)
-    s = np.minimum(np.floor(np.sqrt(ks.astype(np.float64))).astype(np.int64),
-                   _SQRT_MAX)
-    up = np.minimum(s + 1, _SQRT_MAX)
-    s = np.where(up * up <= ks, up, s)
-    return np.where(s * s > ks, s - 1, s)
+    s = np.minimum(estimate(ks.astype(np.float64)).astype(np.int64), cap)
+    up = np.minimum(s + 1, cap)
+    s = np.where(up ** p <= ks, up, s)
+    return np.where(s ** p > ks, s - 1, s)
+
+
+def int_sqrt(ks: np.ndarray) -> np.ndarray:
+    return _int_root(ks, 2, lambda f: np.floor(np.sqrt(f)), _SQRT_MAX)
 
 
 def int_cbrt(ks: np.ndarray) -> np.ndarray:
-    ks = np.asarray(ks, dtype=np.int64)
-    c = np.minimum(np.rint(np.cbrt(ks.astype(np.float64))).astype(np.int64),
-                   _CBRT_MAX)
-    up = np.minimum(c + 1, _CBRT_MAX)
-    c = np.where(up ** 3 <= ks, up, c)
-    return np.where(c ** 3 > ks, c - 1, c)
+    return _int_root(ks, 3, lambda f: np.rint(np.cbrt(f)), _CBRT_MAX)
 
 
 def is_square(ks: np.ndarray) -> np.ndarray:
-    s = int_sqrt(ks)
-    return s * s == np.asarray(ks, dtype=np.int64)
+    return int_sqrt(ks) ** 2 == np.asarray(ks, dtype=np.int64)
 
 
 def is_cube(ks: np.ndarray) -> np.ndarray:
-    c = int_cbrt(ks)
-    return c ** 3 == np.asarray(ks, dtype=np.int64)
+    return int_cbrt(ks) ** 3 == np.asarray(ks, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,6 @@ class FuzzyFunctionSequence:
     profile: Callable[[np.ndarray, float], TriProfile]
     limit_profile: Optional[Callable[[float], LimitProfile]] = None
     domain: tuple[float, float] = (1.0, 2.0)
-    levels: int = DEFAULT_LEVEL_COUNT
 
     def __post_init__(self):
         a, b = self.domain
@@ -105,19 +101,32 @@ class FuzzyFunctionSequence:
             raise ValueError(f"x={x:g} outside domain [{a:g}, {b:g}]")
         return float(x)
 
+    def values(self, ks: np.ndarray, x: float) -> TriProfile:
+        """``profile(ks, x)``, refused when a center or spread is not finite
+        or a spread is negative: the ValueError names the first such k."""
+        c, l, r = self.profile(ks, x)
+        spreads = (l,) if r is l else (l, r)  # built-ins pass one array for both
+        if not (np.isfinite(c).all()
+                and all(0 <= s.min() and s.max() < np.inf for s in spreads)):
+            bad = ~(np.isfinite(c) & np.isfinite(l) & np.isfinite(r)
+                    & (l >= 0) & (r >= 0))
+            raise ValueError(f"{self.label}: f_{ks[np.argmax(bad)]}({x:g}) has a "
+                             "non-finite center or spread, or a negative spread")
+        return c, l, r
+
     def eval(self, k: int, x: float) -> FuzzyNumber:
         """The fuzzy value f_k(x)."""
         if k < 1:
             raise ValueError("sequence index must be a positive integer")
         x = self.check_x(x)
         c, l, r = self.profile(np.array([k], dtype=np.int64), x)
-        return triangular(float(c[0]), float(l[0]), float(r[0]), self.levels)
+        return triangular(float(c[0]), float(l[0]), float(r[0]))
 
     def claimed_limit(self, x: float) -> FuzzyNumber:
         if self.limit_profile is None:
             raise ValueError(f"{self.label}: no claimed limit recorded")
         c, l, r = self.limit_profile(self.check_x(x))
-        return triangular(c, l, r, self.levels)
+        return triangular(c, l, r)
 
 
 def _crisp_family(label: str, center: _ValueMap,
@@ -248,7 +257,6 @@ def add_families(f: FuzzyFunctionSequence, g: FuzzyFunctionSequence) -> FuzzyFun
         profile=profile,
         limit_profile=limit,
         domain=f.domain,
-        levels=max(f.levels, g.levels),
     )
 
 
@@ -276,7 +284,6 @@ def scale_family(c: float, f: FuzzyFunctionSequence) -> FuzzyFunctionSequence:
         profile=profile,
         limit_profile=limit,
         domain=f.domain,
-        levels=f.levels,
     )
 
 
@@ -364,15 +371,11 @@ def is_bounded(seq: FuzzyFunctionSequence, grid: XGridPolicy,
     """
     if k_max < 1:
         raise ValueError("k_max must be a positive integer")
-    for x in grid.points:
-        seq.check_x(x)
     ks = np.arange(1, k_max + 1, dtype=np.int64)
     dev = np.zeros(k_max)
     for x in grid.points:
-        c, l, r = seq.profile(ks, float(x))
-        # distance to crisp 0: extremes of |endpoint| sit at levels 0 and 1
-        dev = np.maximum(dev, np.maximum(np.abs(c),
-                                         np.maximum(np.abs(c - l), np.abs(c + r))))
+        c, l, r = seq.values(ks, seq.check_x(x))
+        dev = np.maximum(dev, triangular_profile_distance(c, l, r, 0.0, 0.0, 0.0))
     running = np.maximum.accumulate(dev)
     bound = float(running[-1])
     new_max = np.flatnonzero(np.concatenate(([True], running[1:] > running[:-1])))

@@ -133,7 +133,7 @@ def _stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
         ends.append(last)
         sums.append(np.empty((len(xs), len(starts), 5)))
         for i, x in enumerate(xs):
-            c, l, r = seq.profile(ks, x)
+            c, l, r = seq.values(ks, x)
             td = t * triangular_profile_distance(c, l, r, *limits[i])
             for col, v in enumerate((td, t * c, t * l, t * r, td >= eps)):
                 sums[-1][i, :, col] = np.add.reduceat(v, starts)
@@ -172,8 +172,7 @@ def window_fuzzy_mean(seq: FuzzyFunctionSequence, weights: WeightSequence,
         raise ValueError("divisor must be positive")
     (_, csum, lsum, rsum), _ = _one_window(seq, weights, (0.0, 0.0, 0.0), x,
                                            lo, hi)
-    return triangular(csum / divisor, lsum / divisor, rsum / divisor,
-                      levels=seq.levels)
+    return triangular(csum / divisor, lsum / divisor, rsum / divisor)
 
 
 def absolute_partial(seq: FuzzyFunctionSequence, limit, p: ModeParams,
@@ -318,11 +317,8 @@ class ConvergenceReport:
             "grid": list(self.grid),
             "horizon": self.horizon,
             "policy": asdict(self.policy),
-            "verdicts": [
-                {"x": t.x, "mode": t.mode, "theta": t.theta,
-                 "verdict": t.verdict.kind, "estimate": t.verdict.estimate}
-                for t in self.traces
-            ],
+            "verdicts": [{k: v for k, v in t.to_dict().items() if k != "points"}
+                         for t in self.traces],
             "traces": [t.to_dict() for t in self.traces],
             "membership": dict(self.membership),
         }

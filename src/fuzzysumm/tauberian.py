@@ -54,6 +54,8 @@ class SlowDecreaseWitness:
 
 _BLOCK = 1 << 15  # window entries compared at once (2^15 beat 2^18 on time and RSS)
 _WITNESSES = 8
+# An identity deviation above rounding noise flags an arithmetic bug.
+_IDENTITY_TOL = 1e-9
 
 
 def _scan(seq: FuzzyFunctionSequence, x: float, eps: float, lam: float,
@@ -71,7 +73,7 @@ def _scan(seq: FuzzyFunctionSequence, x: float, eps: float, lam: float,
     if not 0 <= n0 < horizon:
         raise ValueError("need 0 <= n0 < horizon")
     x = seq.check_x(x)
-    c, l, r = seq.profile(np.arange(1, horizon + 1, dtype=np.int64), x)
+    c, l, r = seq.values(np.arange(1, horizon + 1, dtype=np.int64), x)
     grow = lam > 1
     ns = np.arange(n0 + 1, horizon + 1, dtype=np.int64)
     cut = np.floor(lam * ns).astype(np.int64)
@@ -332,7 +334,6 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
                          lambdas: Sequence[float] = (1.25, 1.5, 2.0),
                          n0: int = 10,
                          scan_horizon: Optional[int] = None,
-                         identity_tol: float = 1e-9,
                          policy: VerdictPolicy = VerdictPolicy()) -> TauberianReport:
     """Measure hypotheses and conclusion of the windowed-mean Tauber test.
 
@@ -386,7 +387,7 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
     tops = np.array([scheme.window(n)[1] for n in ns], dtype=np.int64)
     for x in grid.points:
         x = seq.check_x(x)
-        dev = triangular_profile_distance(*seq.profile(tops, x), *limit_fn(x))
+        dev = triangular_profile_distance(*seq.values(tops, x), *limit_fn(x))
         pts = tuple(zip(ns, dev.tolist()))
         v = verdict(pts, tol=policy.tol, window=min(policy.window, len(ns)),
                     divergence_factor=policy.divergence_factor)
@@ -406,5 +407,5 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
             except DegenerateWindowError:
                 continue
             report.identity_checks.append(
-                IdentityCheck(kind, lam, n, mid_x, dev, dev <= identity_tol))
+                IdentityCheck(kind, lam, n, mid_x, dev, dev <= _IDENTITY_TOL))
     return report

@@ -54,7 +54,7 @@ def rng_triangular(rng: np.random.Generator, span: float = 8.0,
 
 def oracle_absolute_partial(seq, limit, p, n, x):
     b, g = p.scheme.window(n)
-    lim = triangular(*limit_profile_fn(seq, limit)(x), levels=seq.levels)
+    lim = triangular(*limit_profile_fn(seq, limit)(x))
     total = sum(p.weights.value(k) for k in range(b, g + 1))
     s = sum(p.weights.value(k) * distance(seq.eval(k, x), lim)
             for k in range(b, g + 1))
@@ -63,7 +63,7 @@ def oracle_absolute_partial(seq, limit, p, n, x):
 
 def oracle_sp_density(seq, limit, p, n, x):
     b, g = p.scheme.window(n)
-    lim = triangular(*limit_profile_fn(seq, limit)(x), levels=seq.levels)
+    lim = triangular(*limit_profile_fn(seq, limit)(x))
     total = sum(p.weights.value(k) for k in range(b, g + 1))
     k_max = math.floor(total)
     count = sum(
@@ -76,7 +76,7 @@ def oracle_ordinary_partial(seq, p, n, x):
     from fuzzysumm import add, scale, zero
     b, g = p.scheme.window(n)
     total = sum(p.weights.value(k) for k in range(b, g + 1))
-    acc = zero(levels=seq.levels)
+    acc = zero()
     for k in range(b, g + 1):
         acc = add(acc, scale(p.weights.value(k), seq.eval(k, x)))
     return scale(1.0 / total ** p.theta, acc)

@@ -7,7 +7,8 @@ import math
 
 import pytest
 
-from fuzzysumm import cli, parse_family_spec, parse_scheme_spec, parse_weight_spec
+from fuzzysumm import (VerdictPolicy, classify, cli, parse_family_spec,
+                       parse_scheme_spec, parse_weight_spec, uniform_grid)
 from fuzzysumm.cli import RunConfig, main, reference_rows, reproduce, run
 from fuzzysumm.schemes import WeightSequence
 
@@ -136,6 +137,18 @@ class TestReproduceCommand:
         assert {r.group for r in rows} == {"ex3.1", "ex3.2", "ex3.3", "ex4.1",
                                            "remark3"}
         assert len(rows) == 10
+
+    def test_pinned_rows_need_their_pins(self):
+        # under the default policy each pinned row is inconclusive at its horizon
+        pinned = [r for r in reference_rows() if r.policy != VerdictPolicy()]
+        assert [(r.group, r.mode, r.theta, r.expect_member) for r in pinned] == [
+            ("ex3.3", "sp", 0.2, False), ("remark3", "abs", 0.25, True)]
+        for row in pinned:
+            rep = classify(parse_family_spec(row.family_spec), None,
+                           parse_scheme_spec(row.scheme_spec),
+                           parse_weight_spec(row.weight_spec), row.theta, row.eps,
+                           uniform_grid(1, 2, 5), row.horizon, modes=(row.mode,))
+            assert rep.membership[row.mode] is None
 
 
 def test_reports_are_deterministic(tmp_path):

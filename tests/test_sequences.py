@@ -2,20 +2,24 @@
 
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import squares_upto
 
-from fuzzysumm import (add_families, alternating_crisp_family, constant_family,
-                       crisp, cube_decaying_family, distance,
+from fuzzysumm import (add_families, alternating_crisp_family, classical_scheme,
+                       classify, constant_family, constant_weights, crisp,
+                       cube_decaying_family, distance,
                        harmonic_crisp_family, is_bounded, is_cube, is_square,
-                       parse_family_spec, scale_family, square_indicator_family,
+                       parse_family_spec, scale_family, slowly_decreasing_check,
+                       square_indicator_family, tauberian_experiment,
                        triangular, triangular_growing_family,
                        triangular_profile_distance,
                        truncated_square_indicator_family, uniform_grid, zero)
-from fuzzysumm.sequences import int_cbrt, int_sqrt
+from fuzzysumm import tauberian
+from fuzzysumm.sequences import FuzzyFunctionSequence, int_cbrt, int_sqrt
 
 
 class TestIntegerRoots:
@@ -215,3 +219,33 @@ def test_grid_policy_validation():
         uniform_grid(1, 2, 0)
     g = uniform_grid(1, 2, 5)
     assert g.points[0] == 1.0 and g.points[-1] == 2.0 and len(g.points) == 5
+
+
+@pytest.mark.parametrize("bad", [(0.0, -1.0, 1.0), (0.0, -0.5, -0.5),
+                                 (math.nan, 0.0, 0.0), (0.0, 0.0, math.inf)])
+def test_bad_values_refused_on_every_path(bad):
+    # crisp 0 up to k = 3, then the bad triple; classical tops 1, 2, 4, ...
+    def profile(ks, x):
+        c, l, r = (np.where(ks >= 4, v, 0.0) for v in bad)
+        # equal spreads share one array, as in the symmetric built-ins
+        return c, l, (l if bad[1] == bad[2] else r)
+
+    fam = FuzzyFunctionSequence("spoiled", profile, lambda x: (0.0, 0.0, 0.0))
+    scheme, weights = classical_scheme(), constant_weights(1)
+    grid = uniform_grid(1.5, 2, 2)
+    named = re.escape("spoiled: f_4(1.5) has a non-finite center or spread, "
+                      "or a negative spread")
+    for mode in ("ord", "abs"):
+        with pytest.raises(ValueError, match=named):
+            classify(fam, None, scheme, weights, 1.0, 0.1, grid, 64, modes=(mode,))
+    with pytest.raises(ValueError, match=named):
+        slowly_decreasing_check(fam, 1.5, 0.1, 2.0, 0, 64)
+    with pytest.raises(ValueError, match=named):
+        is_bounded(fam, grid, 64)
+    with pytest.raises(ValueError, match=named):
+        tauberian_experiment(fam, None, scheme, weights, grid, 64)
+    # a scan that stops before k = 4 and no classify leave the conclusion trace
+    with mock.patch.object(tauberian, "classify"), \
+            pytest.raises(ValueError, match=named):
+        tauberian_experiment(fam, None, scheme, weights, grid, 64, n0=0,
+                             scan_horizon=3)

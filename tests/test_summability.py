@@ -363,7 +363,7 @@ class TestStreamingKernel:
             rep = classify(fam, None, p.scheme, p.weights, theta=theta, eps=eps,
                            grid=XGridPolicy(tuple(sorted(xs))), horizon=horizon)
         for t in rep.traces:
-            lim = triangular(*fam.limit_profile(t.x), levels=fam.levels)
+            lim = triangular(*fam.limit_profile(t.x))
             for n, got in t.points:
                 if t.mode == "sp":
                     want = oracle_sp_density(fam, None, p, n, t.x)

@@ -18,6 +18,7 @@ from fuzzysumm import (DegenerateWindowError, add, add_families,
                        tauberian_experiment, translate,
                        triangular_growing_family, uniform_grid)
 from fuzzysumm import tauberian
+from fuzzysumm.numbers import ATOL
 from fuzzysumm.sequences import FuzzyFunctionSequence, crisp_index_family
 
 
@@ -38,8 +39,29 @@ def left_spread_family():
 
 
 def violating_pairs(fam, x, eps, lam, n0, horizon):
-    """Every violating (n, k) of a slow-decrease scan in (n, k) order,
-    compared level by level on FuzzyNumbers."""
+    """Every violating (n, k) of a slow-decrease scan in (n, k) order.
+
+    Each value's cut ladder (lower then upper endpoints) is stacked once;
+    a row is compared against its whole window by partial_leq's rule:
+    every level, both endpoints, with ATOL slack.
+    """
+    cuts = np.stack([np.concatenate((v.lower, v.upper)) for v in
+                     (fam.eval(k, x) for k in range(1, horizon + 1))])
+    lowered = cuts + (-eps)  # translate(v, -eps), endpoint by endpoint
+    pairs = []
+    for n in range(n0 + 1, horizon + 1):
+        if lam > 1:
+            ks = np.arange(n + 1, min(math.floor(lam * n), horizon) + 1)
+            ok = (lowered[n - 1] <= cuts[ks - 1] + ATOL).all(axis=1)
+        else:
+            ks = np.arange(math.floor(lam * n) + 1, n + 1)
+            ok = (lowered[ks - 1] <= cuts[n - 1] + ATOL).all(axis=1)
+        pairs += [(n, int(k)) for k in ks[~ok]]
+    return pairs
+
+
+def violating_pairs_per_pair(fam, x, eps, lam, n0, horizon):
+    """The same pairs, one partial_leq call per pair on FuzzyNumbers."""
     values = {k: fam.eval(k, x) for k in range(1, horizon + 1)}
     pairs = []
     for n in range(n0 + 1, horizon + 1):
@@ -51,6 +73,14 @@ def violating_pairs(fam, x, eps, lam, n0, horizon):
             pairs += [(n, k) for k in range(math.floor(lam * n) + 1, n + 1)
                       if not partial_leq(translate(values[k], -eps), values[n])]
     return pairs
+
+
+SCAN_FAMILIES = {"alternating": alternating_crisp_family,
+                 "triangular_growing": triangular_growing_family,
+                 "harmonic": harmonic_crisp_family,
+                 "square_indicator": square_indicator_family,
+                 "crisp_index": crisp_index_family,
+                 "left_spread": left_spread_family}
 
 
 class TestSlowDecreaseCheck:
@@ -111,22 +141,24 @@ class TestSlowDecreaseCheck:
         down = slowly_decreasing_check_shrink(fam, 1.0, 0.5, 0.5, 24, 300)
         assert not up.holds and not down.holds
 
+    @pytest.mark.parametrize("family", list(SCAN_FAMILIES))
+    @pytest.mark.parametrize("lam", [0.5, 0.8, 1.25, 2.0])
+    def test_bruteforce_oracle_matches_per_pair_order(self, family, lam):
+        # the stacked oracle against one partial_leq call per pair
+        fam = SCAN_FAMILIES[family]()
+        for eps in (1e-6, 0.5, 3.0):
+            assert (violating_pairs(fam, 1.25, eps, lam, 2, 40)
+                    == violating_pairs_per_pair(fam, 1.25, eps, lam, 2, 40))
+
     @settings(max_examples=25, deadline=None)
-    @given(family=st.sampled_from(["alternating", "triangular_growing", "harmonic",
-                                   "square_indicator", "crisp_index",
-                                   "left_spread"]),
+    @given(family=st.sampled_from(list(SCAN_FAMILIES)),
            lam=st.sampled_from([0.2, 0.5, 0.6667, 0.8, 1.25, 1.6, 2.0, 3.0]),
            eps=st.sampled_from([1e-6, 0.1, 0.5, 3.0]),
            x=st.floats(1.0, 2.0),
            bounds=st.integers(2, 300).flatmap(
                lambda h: st.tuples(st.integers(0, h - 1), st.just(h))))
     def test_blocked_scan_matches_bruteforce(self, family, lam, eps, x, bounds):
-        fam = {"alternating": alternating_crisp_family,
-               "triangular_growing": triangular_growing_family,
-               "harmonic": harmonic_crisp_family,
-               "square_indicator": square_indicator_family,
-               "crisp_index": crisp_index_family,
-               "left_spread": left_spread_family}[family]()
+        fam = SCAN_FAMILIES[family]()
         n0, horizon = bounds
         check = slowly_decreasing_check if lam > 1 else slowly_decreasing_check_shrink
         expect = violating_pairs(fam, x, eps, lam, n0, horizon)
