@@ -20,6 +20,7 @@ from .schemes import read_table
 TriProfile = tuple[np.ndarray, np.ndarray, np.ndarray]
 LimitProfile = tuple[float, float, float]
 _ValueMap = Callable[[np.ndarray, float], np.ndarray]  # (ks, x) -> values
+_Exceptions = Callable[[int, int], np.ndarray]  # (lo, hi) -> sorted int64 ks
 
 
 # --- exact integer root tests (float sqrt/cbrt alone misclassify large k) ---
@@ -55,6 +56,17 @@ def is_cube(ks: np.ndarray) -> np.ndarray:
     return int_cbrt(ks) ** 3 == np.asarray(ks, dtype=np.int64)
 
 
+def _powers(root: Callable[[np.ndarray], np.ndarray], p: int) -> _Exceptions:
+    """Exception hook of a family that leaves its limit only on p-th powers;
+    ``root`` is the exact floor of the p-th root."""
+
+    def exceptional(lo: int, hi: int) -> np.ndarray:
+        below, top = root(np.array([max(lo, 1) - 1, max(hi, 0)], dtype=np.int64))
+        return np.arange(below + 1, top + 1, dtype=np.int64) ** p
+
+    return exceptional
+
+
 @dataclass(frozen=True)
 class XGridPolicy:
     """Finite sample of evaluation points inside the function domain."""
@@ -82,13 +94,18 @@ class FuzzyFunctionSequence:
 
     ``profile(ks, x)`` returns (centers, left_spreads, right_spreads)
     arrays for the indices ``ks``; ``limit_profile(x)``, when present, is
-    the function the family is claimed to converge to.
+    the function the family is claimed to converge to.  ``exceptional(lo,
+    hi)``, when present, returns the sorted int64 indices of [lo, hi] at
+    which ``profile`` may differ from ``limit_profile``, for every x: extra
+    indices are harmless, a missing one is a bug.  The sweeps then
+    evaluate the family only there.
     """
 
     label: str
     profile: Callable[[np.ndarray, float], TriProfile]
     limit_profile: Optional[Callable[[float], LimitProfile]] = None
     domain: tuple[float, float] = (1.0, 2.0)
+    exceptional: Optional[_Exceptions] = None
 
     def __post_init__(self):
         a, b = self.domain
@@ -107,7 +124,8 @@ class FuzzyFunctionSequence:
         c, l, r = self.profile(ks, x)
         spreads = (l,) if r is l else (l, r)  # built-ins pass one array for both
         if not (np.isfinite(c).all()
-                and all(0 <= s.min() and s.max() < np.inf for s in spreads)):
+                and all(0 <= s.min(initial=0.0) and s.max(initial=0.0) < np.inf
+                        for s in spreads)):
             bad = ~(np.isfinite(c) & np.isfinite(l) & np.isfinite(r)
                     & (l >= 0) & (r >= 0))
             raise ValueError(f"{self.label}: f_{ks[np.argmax(bad)]}({x:g}) has a "
@@ -129,10 +147,11 @@ class FuzzyFunctionSequence:
         return triangular(c, l, r)
 
 
-def _crisp_family(label: str, center: _ValueMap,
-                  limit: Optional[float] = None) -> FuzzyFunctionSequence:
+def _crisp_family(label: str, center: _ValueMap, limit: Optional[float] = None,
+                  exceptional: Optional[_Exceptions] = None) -> FuzzyFunctionSequence:
     """Family with values center(ks, x) and zero spreads; ``limit``, when
-    given, is the constant crisp limit it is claimed to converge to."""
+    given, is the constant crisp limit it is claimed to converge to, and
+    ``exceptional`` the family's exception hook."""
 
     def profile(ks: np.ndarray, x: float) -> TriProfile:
         z = np.zeros(len(ks))
@@ -140,19 +159,22 @@ def _crisp_family(label: str, center: _ValueMap,
 
     return FuzzyFunctionSequence(
         label=label, profile=profile,
-        limit_profile=None if limit is None else lambda x: (limit, 0.0, 0.0))
+        limit_profile=None if limit is None else lambda x: (limit, 0.0, 0.0),
+        exceptional=exceptional)
 
 
-def _symmetric_family(label: str, spread: _ValueMap) -> FuzzyFunctionSequence:
+def _symmetric_family(label: str, spread: _ValueMap,
+                      exceptional: Optional[_Exceptions] = None) -> FuzzyFunctionSequence:
     """Family with center 0 and both spreads spread(ks, x), claimed to
-    converge to crisp 0."""
+    converge to crisp 0; ``exceptional`` is its exception hook."""
 
     def profile(ks: np.ndarray, x: float) -> TriProfile:
         s = spread(ks, x)
         return np.zeros(len(ks)), s, s
 
     return FuzzyFunctionSequence(label=label, profile=profile,
-                                 limit_profile=lambda x: (0.0, 0.0, 0.0))
+                                 limit_profile=lambda x: (0.0, 0.0, 0.0),
+                                 exceptional=exceptional)
 
 
 def square_indicator_family(bound: float = 1.0) -> FuzzyFunctionSequence:
@@ -163,7 +185,8 @@ def square_indicator_family(bound: float = 1.0) -> FuzzyFunctionSequence:
     """
     m = float(bound)
     return _crisp_family(f"square_indicator(M={m:g})",
-                         lambda ks, x: np.where(is_square(ks), 0.0, m), m)
+                         lambda ks, x: np.where(is_square(ks), 0.0, m), m,
+                         _powers(int_sqrt, 2))
 
 
 def triangular_growing_family() -> FuzzyFunctionSequence:
@@ -174,21 +197,25 @@ def triangular_growing_family() -> FuzzyFunctionSequence:
     """
     return _symmetric_family(
         "triangular_growing",
-        lambda ks, x: np.where(is_square(ks), ks.astype(np.float64) * x, 0.0))
+        lambda ks, x: np.where(is_square(ks), ks.astype(np.float64) * x, 0.0),
+        _powers(int_sqrt, 2))
 
 
 def cube_decaying_family() -> FuzzyFunctionSequence:
     """Symmetric triangular value with spread x/k at cube indices, else 0."""
     return _symmetric_family(
         "cube_decaying",
-        lambda ks, x: np.where(is_cube(ks), x / ks.astype(np.float64), 0.0))
+        lambda ks, x: np.where(is_cube(ks), x / ks.astype(np.float64), 0.0),
+        _powers(int_cbrt, 3))
 
 
 def alternating_crisp_family() -> FuzzyFunctionSequence:
     """Crisp +1, -1, +1, ... independent of x; mean-summable to 0 but the
     term deviations never shrink."""
+    # an even k survives dropping its low bit; numpy's shift loops are
+    # mapped already, while a first ``ks & 1`` maps 64 KB more of its code
     return _crisp_family("alternating_crisp",
-                         lambda ks, x: np.where(ks % 2 == 1, 1.0, -1.0), 0.0)
+                         lambda ks, x: np.where(ks >> 1 << 1 == ks, -1.0, 1.0), 0.0)
 
 
 def truncated_square_indicator_family(n_trunc: int, bound: float = 1.0) -> FuzzyFunctionSequence:
@@ -201,9 +228,11 @@ def truncated_square_indicator_family(n_trunc: int, bound: float = 1.0) -> Fuzzy
     if n_trunc < 1:
         raise ValueError("truncation index must be a positive integer")
     m = float(bound)
+    squares = _powers(int_sqrt, 2)
     return _crisp_family(
         f"truncated_square_indicator(n={n_trunc}, M={m:g})",
-        lambda ks, x: np.where(is_square(ks) & (ks <= n_trunc), 0.0, m), m)
+        lambda ks, x: np.where(is_square(ks) & (ks <= n_trunc), 0.0, m), m,
+        lambda lo, hi: squares(lo, min(hi, n_trunc)))
 
 
 def harmonic_crisp_family() -> FuzzyFunctionSequence:

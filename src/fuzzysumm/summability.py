@@ -124,11 +124,20 @@ def _stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
     point and is split at the checkpoints inside it.  Every piece keeps
     its own sums, so a window whose ends sit on checkpoints is summed by
     ``math.fsum`` over whole pieces instead of as a difference of long
-    prefix sums.
+    prefix sums.  A family with an exception hook and a claimed limit
+    takes ``_sparse_stream`` instead, unless a term off its exceptions can
+    reach eps: that needs an explicit limit off the claimed one and a
+    finite eps.
     """
+    cuts = np.unique(np.asarray(cuts, dtype=np.int64))
+    if seq.exceptional is not None and seq.limit_profile is not None:
+        bases = [seq.limit_profile(x) for x in xs]
+        d0s = [float(triangular_profile_distance(*b, *lim))
+               for b, lim in zip(bases, limits)]
+        if eps == math.inf or (eps > 0 and not any(d0s)):
+            return _sparse_stream(seq, weights, limits, xs, cuts, eps, bases, d0s)
     # empty leading blocks keep the concatenations valid for an empty range
     ends, sums = [np.zeros(0, dtype=np.int64)], [np.zeros((len(xs), 0, 5))]
-    cuts = np.unique(np.asarray(cuts, dtype=np.int64))
     for ks, t, starts, last in weights.chunks(cuts):
         ends.append(last)
         sums.append(np.empty((len(xs), len(starts), 5)))
@@ -138,6 +147,40 @@ def _stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
             for col, v in enumerate((td, t * c, t * l, t * r, td >= eps)):
                 sums[-1][i, :, col] = np.add.reduceat(v, starts)
     return _Pieces(np.concatenate(ends), np.concatenate(sums, axis=1))
+
+
+def _sparse_stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
+                   limits: Sequence[LimitProfile], xs: Sequence[float],
+                   cuts: np.ndarray, eps: float, bases: Sequence[LimitProfile],
+                   d0s: Sequence[float]) -> _Pieces:
+    """``_stream`` for a family equal to its claimed limit off its exceptions.
+
+    One walk over the weights, with no profile, gives each piece's weight
+    sum W_j (and checks every weight in range).  Off the exceptions every
+    term is the claimed limit's value ``bases[i]`` at deviation ``d0s[i]``
+    from ``limits[i]``, so a piece sums to base*W_j (d0*W_j for t*dev)
+    plus, from its exceptions, t*(value - base); no term off them reaches
+    eps, so the hits come from the exceptions alone.
+    """
+    weights.ensure(int(cuts[-1]))  # refuse the walk before the hook allocates
+    ks = seq.exceptional(int(cuts[0]) + 1, int(cuts[-1]))
+    # empty leading blocks as in _stream
+    ends, w, t = [np.zeros(0, dtype=np.int64)], [np.zeros(0)], [np.zeros(0)]
+    for chunk, t_chunk, starts, last in weights.chunks(cuts):
+        ends.append(last)
+        w.append(np.add.reduceat(t_chunk, starts))
+        inside = slice(*np.searchsorted(ks, (chunk[0], chunk[-1] + 1)))
+        t.append(t_chunk[ks[inside] - chunk[0]])
+    ends, w, t = np.concatenate(ends), np.concatenate(w), np.concatenate(t)
+    piece = np.searchsorted(ends, ks)
+    sums = np.empty((len(xs), len(ends), 5))
+    for i, x in enumerate(xs):
+        c, l, r = seq.values(ks, x)
+        dev = triangular_profile_distance(c, l, r, *limits[i])
+        for col, (v, b) in enumerate(zip((dev, c, l, r), (d0s[i], *bases[i]))):
+            sums[i, :, col] = b * w + np.bincount(piece, t * (v - b), len(ends))
+        sums[i, :, 4] = np.bincount(piece, t * dev >= eps, len(ends))
+    return _Pieces(ends, sums)
 
 
 def _one_window(seq: FuzzyFunctionSequence, weights: WeightSequence,

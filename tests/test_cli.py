@@ -174,12 +174,17 @@ def test_run_function_returns_artifacts(tmp_path):
     assert result["reports"][0]["membership"]["sp"] in (True, None)
 
 
-@pytest.mark.parametrize("family, scheme, weights", [
-    ("ex3.2", "pow:2", "recip5"),           # largest checkpoint gamma(H)
-    ("ex4.1", "classical", "harmonicplus"),  # largest checkpoint floor(T_H)
+@pytest.mark.parametrize("family, scheme, weights, sparse", [
+    # largest checkpoint gamma(H); the profile sees only the squares
+    pytest.param("ex3.2", "pow:2", "recip5", True, id="ex3.2-pow:2-recip5"),
+    # the same without the exception hook: every index
+    pytest.param("ex3.2", "pow:2", "recip5", False, id="ex3.2-pow:2-recip5-dense"),
+    # largest checkpoint floor(T_H); no hook
+    pytest.param("ex4.1", "classical", "harmonicplus", False,
+                 id="ex4.1-classical-harmonicplus"),
 ])
 def test_run_streams_each_index_once_per_point(tmp_path, monkeypatch,
-                                               family, scheme, weights):
+                                               family, scheme, weights, sparse):
     streamed = []
 
     def counting_family(spec):
@@ -188,15 +193,50 @@ def test_run_streams_each_index_once_per_point(tmp_path, monkeypatch,
         def profile(ks, x):
             streamed.append(len(ks))
             return fam.profile(ks, x)
-        return dataclasses.replace(fam, profile=profile)
+        return dataclasses.replace(
+            fam, profile=profile,
+            exceptional=fam.exceptional if sparse else None)
 
     monkeypatch.setattr(cli, "parse_family_spec", counting_family)
     horizon = 256
     _, gamma = parse_scheme_spec(scheme).window(horizon)
     floor_t = math.floor(parse_weight_spec(weights).window_total(1, gamma))
+    k_max = max(gamma, floor_t)
     for thetas in ((0.25, 1.0), (1.0,)):
         streamed.clear()
         run(RunConfig(family, scheme, weights, thetas=thetas, eps=0.1,
                       horizon=horizon, grid_spec="1,2,5",
                       modes=("sp", "abs", "ord"), out_dir=str(tmp_path)))
-        assert sum(streamed) == 5 * max(gamma, floor_t)
+        assert sum(streamed) == 5 * (math.isqrt(k_max) if sparse else k_max)
+
+
+@pytest.mark.parametrize("weights, horizon, named", [
+    # floor(T_4096) = 4.1e9: past the 2^27 walk budget
+    ("const:1000000", "4096", "exceeds the budget of 134217728 indices"),
+    # floor(T_4096) = 4.1e18: its 2e9 squares must not be listed first
+    ("const:1e15", "4096", "exceeds the budget of 134217728 indices"),
+    # the totals end at k = 64, the sp stream at floor(T_64) = 128
+    ([2] * 64, "64", "ends at k=64"),
+    # t_101 lies past every window but inside the sp stream, and 101 is
+    # neither a square nor a cube
+    ([2] * 100 + [-1] + [2] * 99, "64",
+     "weight t_101 is not a finite positive number"),
+])
+@pytest.mark.parametrize("family", ["ex3.2", "ex3.3"])
+def test_sparse_and_dense_paths_refuse_alike(tmp_path, monkeypatch, capsys,
+                                             family, weights, horizon, named):
+    if isinstance(weights, list):
+        path = tmp_path / "w.txt"
+        path.write_text("".join(f"{w}\n" for w in weights))
+        weights = f"file:{path}"
+    errors = []
+    for parse in (parse_family_spec, lambda spec: dataclasses.replace(
+            parse_family_spec(spec), exceptional=None)):
+        monkeypatch.setattr(cli, "parse_family_spec", parse)
+        rc = main(["run", "--family", family, "--scheme", "classical",
+                   "--weights", weights, "--horizon", horizon, "--modes", "sp",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert named in errors[0]

@@ -84,6 +84,11 @@ class TestFamilies:
         fam = alternating_crisp_family()
         assert distance(fam.eval(3, 1.0), crisp(1)) == 0.0
         assert distance(fam.eval(4, 1.9), crisp(-1)) == 0.0
+        ks = np.concatenate([np.arange(-5, 70), 2 ** 62 + np.arange(-3, 4),
+                             [2 ** 63 - 1]]).astype(np.int64)
+        c, l, r = fam.values(ks, 1.5)
+        assert np.array_equal(c, [1.0 if k % 2 else -1.0 for k in ks.tolist()])
+        assert not l.any() and not r.any()
 
     def test_truncated_matches_full_below_cutoff(self):
         full = square_indicator_family(1.0)
@@ -139,6 +144,46 @@ class TestFamilies:
             for i, k in enumerate(ks):
                 assert dev[i] == pytest.approx(
                     distance(fam.eval(int(k), x), lim_fn), abs=1e-12)
+
+
+HOOKED = ["ex3.1", "ex3.1:M=2.5", "ex3.2", "ex3.3", "remark3:n=100",
+          "square_indicator"]
+
+
+class TestExceptionHooks:
+    @pytest.mark.parametrize("spec", HOOKED)
+    def test_hook_lists_every_index_off_the_limit(self, spec):
+        # sorted, unique, in range, and profile == claimed limit elsewhere
+        fam = parse_family_spec(spec)
+        rng = np.random.default_rng(23)
+        ranges = [tuple(int(v) for v in sorted(rng.integers(1, 1 << 16, 2)))
+                  for _ in range(12)]
+        ranges += [(1, 1 << 16), (1, 1), (1, 7), (2, 7), (9, 8), (100, 3),
+                   (2**40 - 3, 2**40 + 3), (2**60 - 3, 2**60 + 3)]
+        for lo, hi in ranges:
+            ks = fam.exceptional(lo, hi)
+            assert ks.dtype == np.int64
+            assert np.all(np.diff(ks) > 0)
+            assert np.all((lo <= ks) & (ks <= hi))
+            others = np.setdiff1d(np.arange(lo, hi + 1, dtype=np.int64), ks)
+            for x in (1.0, 1.375, 2.0):
+                lim = fam.limit_profile(x)
+                for got, want in zip(fam.profile(others, x), lim):
+                    assert np.all(got == want), (lo, hi, x)
+
+    def test_composite_families_have_no_hook(self, tmp_path):
+        path = tmp_path / "fam.txt"
+        path.write_text("1 0.0 0.5\n2 1.0 0.0\n")
+        f = triangular_growing_family()
+        for fam in (add_families(f, f), scale_family(2.0, f),
+                    parse_family_spec(f"file:{path}")):
+            assert fam.exceptional is None
+
+    @pytest.mark.parametrize("spec", ["ex3.2", "ex4.1"])
+    def test_values_of_no_indices(self, spec):
+        # a range without exceptions (cubes in [2, 7]) asks for no values
+        c, l, r = parse_family_spec(spec).values(np.zeros(0, np.int64), 1.0)
+        assert len(c) == len(l) == len(r) == 0
 
 
 class TestFamilyAlgebra:

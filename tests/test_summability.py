@@ -1,5 +1,6 @@
 """Transforms, verdicts, and classification against brute-force oracles."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -20,7 +21,13 @@ from fuzzysumm import (ModeParams, VerdictPolicy, XGridPolicy, absolute_partial,
                        recip5_weights, sp_density, square_indicator_family,
                        triangular, triangular_growing_family, uniform_grid,
                        verdict, weighted_total, zero)
-from fuzzysumm import schemes
+from fuzzysumm import dilation_mean_identity, schemes, shrink_mean_identity
+from fuzzysumm.summability import _stream, classify_thetas, limit_profile_fn
+
+
+def dense(fam):
+    """The family without its exception hook: the sweeps' dense path."""
+    return dataclasses.replace(fam, exceptional=None)
 
 
 def params(theta=1.0, eps=0.1, scheme=None, weights=None):
@@ -359,21 +366,119 @@ class TestStreamingKernel:
         fam = parse_family_spec(family)
         p = ModeParams(theta=theta, eps=eps, scheme=parse_scheme_spec(scheme),
                        weights=parse_weight_spec(weights))
-        with mock.patch.object(schemes, "_CHUNK", 7):
-            rep = classify(fam, None, p.scheme, p.weights, theta=theta, eps=eps,
-                           grid=XGridPolicy(tuple(sorted(xs))), horizon=horizon)
-        for t in rep.traces:
+        reps = []
+        for f in (fam, dense(fam)):
+            with mock.patch.object(schemes, "_CHUNK", 7):
+                reps.append(classify(f, None, p.scheme, p.weights, theta=theta,
+                                     eps=eps, grid=XGridPolicy(tuple(sorted(xs))),
+                                     horizon=horizon))
+        for t, t_dense in zip(*(rep.traces for rep in reps)):
             lim = triangular(*fam.limit_profile(t.x))
-            for n, got in t.points:
+            for (n, got), (_, got_dense) in zip(t.points, t_dense.points):
                 if t.mode == "sp":
                     want = oracle_sp_density(fam, None, p, n, t.x)
-                    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+                    rel = 1e-12
                 elif t.mode == "abs":
                     want = oracle_absolute_partial(fam, None, p, n, t.x)
-                    assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+                    rel = 1e-9
                 else:
                     want = distance(oracle_ordinary_partial(fam, p, n, t.x), lim)
-                    assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+                    rel = 1e-9
+                for value in (got, got_dense):
+                    assert value == pytest.approx(want, rel=rel, abs=1e-12)
+
+
+SPARSE_FAMILIES = ["ex3.1", "ex3.1:M=2.5", "ex3.2", "ex3.3", "remark3:n=16"]
+# An explicit limit off the claimed one (0.5, the triple) puts every index
+# at a deviation d0 > 0 from it: the sparse path serves it only at eps = inf.
+LIMITS = [None, 0.5, (0.25, 0.5, 1.0)]
+
+
+def close(got, want):
+    return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+class TestSparsePath:
+    """Families with an exception hook against the same family without it.
+
+    A 61-index chunk puts several chunk edges inside the longer windows.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(SPARSE_FAMILIES),
+           weights=st.sampled_from(["const:0.1", "const:2.5", "recip5",
+                                    "harmonicplus"]),
+           limit=st.sampled_from(LIMITS),
+           cuts=st.lists(st.integers(0, 3000), min_size=1, max_size=6),
+           eps=st.sampled_from([0.05, 0.5, 2.0, math.inf]),
+           xs=st.lists(st.floats(1.0, 2.0), min_size=1, max_size=3, unique=True))
+    def test_piece_sums_match_dense(self, family, weights, limit, cuts, eps, xs):
+        fam, w = parse_family_spec(family), parse_weight_spec(weights)
+        limits = [limit_profile_fn(fam, limit)(x) for x in xs]
+        with mock.patch.object(schemes, "_CHUNK", 61):
+            got, want = [_stream(f, w, limits, xs, cuts, eps)
+                         for f in (fam, dense(fam))]
+        assert np.array_equal(got.ends, want.ends)
+        assert np.array_equal(got.sums[..., 4], want.sums[..., 4])
+        sums = want.sums[..., :4]
+        assert np.all(np.abs(got.sums[..., :4] - sums)
+                      <= 1e-12 * np.maximum(1.0, np.abs(sums)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(SPARSE_FAMILIES),
+           scheme=st.sampled_from(["classical", "pow:2", "lambda:half",
+                                   "lambda:n"]),
+           weights=st.sampled_from(["const:0.1", "const:2.5", "recip5",
+                                    "harmonicplus"]),
+           limit=st.sampled_from(LIMITS),
+           eps=st.floats(0.05, 2.0),
+           horizon=st.integers(1, 64),
+           xs=st.lists(st.floats(1.0, 2.0), min_size=1, max_size=2, unique=True))
+    def test_classify_matches_dense(self, family, scheme, weights, limit, eps,
+                                    horizon, xs):
+        fam = parse_family_spec(family)
+        scheme, w = parse_scheme_spec(scheme), parse_weight_spec(weights)
+        grid = XGridPolicy(tuple(sorted(xs)))
+        with mock.patch.object(schemes, "_CHUNK", 61):
+            got, want = [classify_thetas(f, limit, scheme, w, (0.5, 1.0), eps,
+                                         grid, horizon) for f in (fam, dense(fam))]
+        for rep, rep_dense in zip(got, want):
+            for t, t_dense in zip(rep.traces, rep_dense.traces):
+                for (n, v), (n_dense, v_dense) in zip(t.points, t_dense.points):
+                    assert n == n_dense and close(v, v_dense), (t.mode, n)
+
+    @pytest.mark.parametrize("limit, eps, seen", [
+        (None, 0.5, 31),  # the squares of [1, 1000]
+        (0.5, math.inf, 31),  # d0 > 0, but no hits are counted
+        (0.5, 0.5, 1000),  # d0 > 0: a hit may lie anywhere, so dense
+    ])
+    def test_sparse_path_only_when_hits_stay_on_exceptions(self, limit, eps,
+                                                           seen):
+        fam = parse_family_spec("ex3.1")
+        evaluated = []
+
+        def profile(ks, x):
+            evaluated.append(len(ks))
+            return fam.profile(ks, x)
+
+        counted = dataclasses.replace(fam, profile=profile)
+        lim = limit_profile_fn(fam, limit)(1.5)
+        _stream(counted, constant_weights(1), [lim], [1.5], [0, 1000], eps)
+        assert sum(evaluated) == seen
+
+    @pytest.mark.parametrize("family", ["ex3.1", "ex3.2"])
+    def test_identities_match_dense(self, family):
+        fam = parse_family_spec(family)
+        scheme, w = power_scheme(2), recip5_weights()
+        with mock.patch.object(schemes, "_CHUNK", 61):
+            for n in (4, 9, 33, 64):
+                for identity, lam in ((dilation_mean_identity, 1.25),
+                                      (dilation_mean_identity, 2.0),
+                                      (shrink_mean_identity, 0.8),
+                                      (shrink_mean_identity, 0.5)):
+                    got, want = [identity(f, scheme, w, lam, n, 1.5)
+                                 for f in (fam, dense(fam))]
+                    assert close(got, want), (identity.__name__, lam, n)
 
 
 @pytest.mark.xfail(strict=True, reason="known defect: floor(T_n) is taken of a "

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzysumm import (DegenerateWindowError, add, add_families,
@@ -36,6 +36,15 @@ def left_spread_family():
         z = np.zeros(len(ks))
         return z, (ks % 3) * x, z
     return FuzzyFunctionSequence("left_spread", profile)
+
+
+def right_spread_family():
+    """Crisp 0 widened to the right by (k mod 3)*x: only support tops move,
+    so a scan that skips a zero spread must skip the left one."""
+    def profile(ks, x):
+        z = np.zeros(len(ks))
+        return z, z, (ks % 3) * x
+    return FuzzyFunctionSequence("right_spread", profile)
 
 
 def violating_pairs(fam, x, eps, lam, n0, horizon):
@@ -80,7 +89,8 @@ SCAN_FAMILIES = {"alternating": alternating_crisp_family,
                  "harmonic": harmonic_crisp_family,
                  "square_indicator": square_indicator_family,
                  "crisp_index": crisp_index_family,
-                 "left_spread": left_spread_family}
+                 "left_spread": left_spread_family,
+                 "right_spread": right_spread_family}
 
 
 class TestSlowDecreaseCheck:
@@ -157,6 +167,8 @@ class TestSlowDecreaseCheck:
            x=st.floats(1.0, 2.0),
            bounds=st.integers(2, 300).flatmap(
                lambda h: st.tuples(st.integers(0, h - 1), st.just(h))))
+    # only the right endpoints violate
+    @example(family="right_spread", lam=2.0, eps=0.5, x=1.5, bounds=(2, 40))
     def test_blocked_scan_matches_bruteforce(self, family, lam, eps, x, bounds):
         fam = SCAN_FAMILIES[family]()
         n0, horizon = bounds
