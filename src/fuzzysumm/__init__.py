@@ -6,13 +6,12 @@ from .numbers import (ATOL, DEFAULT_LEVEL_COUNT, ClosenessCheck, FuzzyNumber,
                       resample, scale, translate, triangular,
                       triangular_profile_distance, triangular_profile_of,
                       uniform_alphas, zero)
-from .schemes import (BetaGammaScheme, DegenerateWindowError, HorizonPolicy,
-                      RatioResult, SchemeValidation, WeightSequence,
-                      classical_scheme, constant_weights, dilate,
-                      harmonicplus_weights, lacunary_scheme, lambda_scheme,
-                      parse_scheme_spec, parse_weight_spec, power_scheme,
-                      ratio_condition, recip5_weights, validate_scheme,
-                      weighted_total)
+from .schemes import (BetaGammaScheme, DegenerateWindowError, RatioResult,
+                      SchemeValidation, WeightSequence, classical_scheme,
+                      constant_weights, dilate, harmonicplus_weights,
+                      lacunary_scheme, lambda_scheme, parse_scheme_spec,
+                      parse_weight_spec, power_scheme, ratio_condition,
+                      recip5_weights, validate_scheme, weighted_total)
 from .sequences import (BoundednessReport, FuzzyFunctionSequence, XGridPolicy,
                         add_families, alternating_crisp_family,
                         constant_family, cube_decaying_family,
@@ -26,7 +25,6 @@ from .summability import (ConvergenceReport, ModeParams, ModeTrace, Verdict,
                           window_fuzzy_mean)
 from .tauberian import (SlowDecreaseWitness, TauberianReport,
                         dilation_mean_identity, shrink_mean_identity,
-                        slowly_decreasing_check,
-                        slowly_decreasing_check_shrink, tauberian_experiment)
+                        slowly_decreasing_check, tauberian_experiment)
 
 __version__ = "0.1.0"

@@ -2,8 +2,8 @@
 replay the built-in reference configurations.
 
 Outputs a CSV of traces (columns x,mode,theta,n,value, sorted by x, mode,
-n) and a JSON report per run.  ``reproduce`` replays the five canned
-reference configurations and compares observed verdicts against their
+n) and a JSON report per run.  ``reproduce`` replays the ten canned
+reference rows (five groups) and compares observed verdicts against their
 documented expected outcomes, exiting nonzero on any contradiction.
 """
 

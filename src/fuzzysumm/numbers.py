@@ -21,6 +21,8 @@ DEFAULT_LEVEL_COUNT = 101
 
 # Absolute slack for level-wise equality / order comparisons of floats.
 ATOL = 1e-12
+# How far a cut ladder may stray from triangular in triangular_profile_of.
+_PROFILE_TOL = 1e-9
 
 
 @lru_cache(maxsize=64)
@@ -183,11 +185,12 @@ def distance(x: FuzzyNumber, y: FuzzyNumber) -> float:
                                    np.abs(a.upper - b.upper))))
 
 
-def partial_leq(x: FuzzyNumber, y: FuzzyNumber, atol: float = ATOL) -> bool:
-    """Partial order: both cut endpoints of x are <= those of y at every level."""
+def partial_leq(x: FuzzyNumber, y: FuzzyNumber) -> bool:
+    """Partial order: both cut endpoints of x are <= those of y at every
+    level, within ATOL."""
     a, b = _aligned(x, y)
-    return bool(np.all(a.lower <= b.lower + atol)
-                and np.all(a.upper <= b.upper + atol))
+    return bool(np.all(a.lower <= b.lower + ATOL)
+                and np.all(a.upper <= b.upper + ATOL))
 
 
 class ClosenessCheck(NamedTuple):
@@ -223,20 +226,20 @@ def triangular_profile_distance(c1, l1, r1, c2, l2, r2):
     return np.maximum(np.abs(dc), np.maximum(np.abs(dc - dl), np.abs(dc + dr)))
 
 
-def triangular_profile_of(x: FuzzyNumber, tol: float = 1e-9) -> tuple[float, float, float]:
+def triangular_profile_of(x: FuzzyNumber) -> tuple[float, float, float]:
     """Extract (center, left_spread, right_spread) from a triangular-shaped number.
 
-    Raises if the cut ladder is not triangular to within ``tol``; callers
-    use this to normalize limit values for the vectorized sweeps.
+    Raises if the cut ladder is not triangular to within _PROFILE_TOL;
+    callers use this to normalize limit values for the vectorized sweeps.
     """
     c_lo, c_hi = float(x.lower[-1]), float(x.upper[-1])
-    if abs(c_hi - c_lo) > tol:
+    if abs(c_hi - c_lo) > _PROFILE_TOL:
         raise ValueError("top cut is an interval, not a point: not triangular")
     center = c_lo
     left = center - float(x.lower[0])
     right = float(x.upper[0]) - center
     slack = 1.0 - x.alphas
-    if (np.max(np.abs(x.lower - (center - slack * left))) > tol
-            or np.max(np.abs(x.upper - (center + slack * right))) > tol):
+    if (np.max(np.abs(x.lower - (center - slack * left))) > _PROFILE_TOL
+            or np.max(np.abs(x.upper - (center + slack * right))) > _PROFILE_TOL):
         raise ValueError("cut endpoints are not linear in alpha: not triangular")
     return center, left, right

@@ -34,6 +34,9 @@ _CHUNK = 1 << 13
 # Largest index a walk over the weights may reach, checked on Python ints
 # before any index array is built; pow:2 at horizon 4096 needs 2^24.
 _MAX_INDEX = 1 << 27
+# Steps over which lambda_scheme and lacunary_scheme check their sequence.
+_LAMBDA_CHECK = 4096
+_LACUNARY_CHECK = 64
 
 
 class DegenerateWindowError(ValueError):
@@ -77,17 +80,17 @@ class WeightSequence:
             raise ValueError("first weight must be positive")
 
     def values(self, ks: np.ndarray) -> np.ndarray:
-        out = np.asarray(self._values_fn(np.asarray(ks, dtype=np.int64)),
-                         dtype=np.float64)
-        return out
+        """Weights t_k; an index past a table's end raises ValueError."""
+        ks = np.asarray(ks, dtype=np.int64)
+        if self.max_k is not None and ks.max(initial=0) > self.max_k:
+            raise ValueError(f"{self.label}: weight table ends at k={self.max_k}")
+        return np.asarray(self._values_fn(ks), dtype=np.float64)
 
     def value(self, k: int) -> float:
         return float(self.values(np.array([k], dtype=np.int64))[0])
 
     def ensure(self, k_max: int) -> None:
-        """Refuse a walk up to k_max past a table's end or the index budget."""
-        if self.max_k is not None and k_max > self.max_k:
-            raise ValueError(f"{self.label}: weight table ends at k={self.max_k}")
+        """Refuse a walk up to k_max past the index budget."""
         if k_max > _MAX_INDEX:
             raise ValueError(f"{self.label}: a walk over the weights up to "
                              f"k={k_max} exceeds the budget of {_MAX_INDEX} indices")
@@ -100,8 +103,8 @@ class WeightSequence:
         ``t``, the offsets in ``ks`` where its pieces start (so
         ``np.add.reduceat(v, starts)`` sums v per piece) and the pieces'
         last indices.  A walk that ``ensure`` refuses raises before its first
-        chunk, and a weight that is not a finite positive number raises
-        ValueError naming t_k.
+        chunk; a weight past a table's end, or one that is not a finite
+        positive number, raises ValueError naming it.
         """
         lo, hi = int(cuts[0]), int(cuts[-1])
         self.ensure(hi)
@@ -114,6 +117,14 @@ class WeightSequence:
                                  "is not a finite positive number")
             inner = cuts[np.searchsorted(cuts, a):np.searchsorted(cuts, ks[-1])]
             yield ks, t, np.append(0, inner + 1 - a), np.append(inner, ks[-1])
+
+    def piece_sums(self, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Last index and weight sum of every piece of the walk over ``cuts``."""
+        ends, sums = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+        for _, t, starts, last in self.chunks(cuts):
+            ends.append(last)
+            sums.append(np.add.reduceat(t, starts))
+        return np.concatenate(ends), np.concatenate(sums)
 
     def window_total(self, lo: int, hi: int) -> float:
         """Sum of t_k over the closed range [lo, hi]."""
@@ -133,35 +144,14 @@ class WeightSequence:
         if empty.size:
             i = empty[0]
             raise DegenerateWindowError(f"empty weight window [{los[i]}, {his[i]}]")
-        ends, sums = [], [np.zeros(1)]
-        for _, t, starts, last in self.chunks(np.union1d(los - 1, his)):
-            ends.append(last)
-            sums.append(np.add.reduceat(t, starts))
+        ends, sums = self.piece_sums(np.union1d(los - 1, his))
         # cum[j] sums the weights up to the j-th piece end; cum[0] = 0
-        cum = np.cumsum(np.concatenate(sums))
-        ends = np.concatenate(ends)
+        cum = np.cumsum(np.append(0.0, sums))
         return (cum[np.searchsorted(ends, his, side="right")]
                 - cum[np.searchsorted(ends, los - 1, side="right")])
 
     def __repr__(self):
         return f"WeightSequence({self.label!r})"
-
-
-@dataclass(frozen=True)
-class HorizonPolicy:
-    """Finite surrogate for n -> infinity: sweep [1, n_max], judge tails
-    on [trend_window, n_max]."""
-
-    n_max: int
-    trend_window: int = 0  # 0 means "use n_max // 2"
-
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("empty horizon")
-        if self.trend_window == 0:
-            object.__setattr__(self, "trend_window", max(1, self.n_max // 2))
-        if not 1 <= self.trend_window < self.n_max:
-            raise ValueError("trend_window must lie in [1, n_max)")
 
 
 @dataclass(frozen=True)
@@ -188,14 +178,23 @@ def _index_arrays(scheme: BetaGammaScheme, ns: np.ndarray) -> tuple[np.ndarray, 
     return betas, gammas
 
 
-def validate_scheme(scheme: BetaGammaScheme, horizon: HorizonPolicy) -> SchemeValidation:
-    """Check the three window-scheme conditions over the horizon.
+def _tail_start(n_max: int) -> int:
+    """First n of the tail half of [1, n_max], the finite stand-in for
+    n -> infinity on which trends are judged."""
+    if n_max < 2:
+        raise ValueError("horizon n_max must be at least 2")
+    return n_max // 2
+
+
+def validate_scheme(scheme: BetaGammaScheme, n_max: int) -> SchemeValidation:
+    """Check the three window-scheme conditions over n = 1 .. n_max.
 
     (a) both index maps non-decreasing, (b) gamma >= beta everywhere,
-    (c) the window width gamma - beta keeps growing past the trend window
+    (c) the window width gamma - beta keeps growing on the tail half
     (the finite stand-in for width -> infinity).
     """
-    ns = np.arange(1, horizon.n_max + 1, dtype=np.int64)
+    start = _tail_start(n_max)
+    ns = np.arange(1, n_max + 1, dtype=np.int64)
     betas, gammas = _index_arrays(scheme, ns)
     notes = []
     nondecr = bool(np.all(np.diff(betas) >= 0) and np.all(np.diff(gammas) >= 0))
@@ -205,7 +204,7 @@ def validate_scheme(scheme: BetaGammaScheme, horizon: HorizonPolicy) -> SchemeVa
     if not ordered:
         notes.append("gamma < beta or beta < 1 at some n")
     widths = gammas - betas
-    tail = widths[horizon.trend_window - 1:]
+    tail = widths[start - 1:]
     growing = bool(np.all(np.diff(tail) >= 0) and tail[-1] > tail[0])
     if not growing:
         notes.append("window width stops growing on the tail")
@@ -241,7 +240,7 @@ class RatioResult(NamedTuple):
 
 
 def ratio_condition(scheme: BetaGammaScheme, weights: WeightSequence, lam: float,
-                    horizon: HorizonPolicy, which: int) -> RatioResult:
+                    n_max: int, which: int) -> RatioResult:
     """Tail estimate of one of the four dilation ratio conditions.
 
     which=2: liminf T_dilated / T        (needs lam > 1; holds when > 1)
@@ -249,7 +248,7 @@ def ratio_condition(scheme: BetaGammaScheme, weights: WeightSequence, lam: float
     which=4: limsup T_dilated / (T_dilated - T)   (lam > 1; holds when finite)
     which=5: limsup T_dilated / (T - T_dilated)   (0 < lam < 1; holds when finite)
 
-    liminf/limsup are estimated as min/max over [trend_window, n_max].
+    liminf/limsup are estimated as min/max over [n_max // 2, n_max].
     """
     if which in (DILATION_LIMINF, DILATION_GAP_LIMSUP):
         if not lam > 1:
@@ -260,7 +259,7 @@ def ratio_condition(scheme: BetaGammaScheme, weights: WeightSequence, lam: float
     else:
         raise ValueError("which must be one of 2, 3, 4, 5")
 
-    ns = np.arange(horizon.trend_window, horizon.n_max + 1, dtype=np.int64)
+    ns = np.arange(_tail_start(n_max), n_max + 1, dtype=np.int64)
     betas, gammas = _index_arrays(scheme, ns)
     dil_gammas = np.floor(lam * gammas).astype(np.int64)
     # A shrunken top below beta leaves an empty index range, whose total
@@ -302,14 +301,14 @@ def power_scheme(p: int) -> BetaGammaScheme:
     return BetaGammaScheme(lambda n: 1, lambda n: n ** p, f"pow:{p}")
 
 
-def lambda_scheme(lam_fn: Callable[[int], int], label: str,
-                  check_horizon: int = 4096) -> BetaGammaScheme:
+def lambda_scheme(lam_fn: Callable[[int], int], label: str) -> BetaGammaScheme:
     """Trailing windows [n - lam(n) + 1, n] with integer window lengths.
 
     The length sequence must start at 1, be non-decreasing, grow by at
-    most 1 per step, and keep growing; violations are rejected by name.
+    most 1 per step, and keep growing; violations on the first
+    _LAMBDA_CHECK steps are rejected by name.
     """
-    vals = [int(lam_fn(n)) for n in range(1, check_horizon + 1)]
+    vals = [int(lam_fn(n)) for n in range(1, _LAMBDA_CHECK + 1)]
     if vals[0] != 1:
         raise ValueError("lambda sequence must start at 1")
     for i in range(1, len(vals)):
@@ -328,14 +327,13 @@ _LAMBDA_PRESETS = {
 }
 
 
-def lacunary_scheme(k_fn: Callable[[int], int], label: str,
-                    check_horizon: int = 64) -> BetaGammaScheme:
+def lacunary_scheme(k_fn: Callable[[int], int], label: str) -> BetaGammaScheme:
     """Block windows [k(r-1) + 1, k(r)] for an increasing integer sequence
-    with k(0) = 0."""
+    with k(0) = 0, checked on its first _LACUNARY_CHECK steps."""
     if int(k_fn(0)) != 0:
         raise ValueError("lacunary boundary sequence must start at k_0 = 0")
     prev = 0
-    for r in range(1, check_horizon + 1):
+    for r in range(1, _LACUNARY_CHECK + 1):
         cur = int(k_fn(r))
         if cur <= prev:
             raise ValueError("lacunary boundary sequence must be strictly increasing")
@@ -399,13 +397,8 @@ def harmonicplus_weights() -> WeightSequence:
 def table_weights(path: str) -> WeightSequence:
     """Weights from a file with one value per row; row order gives k."""
     table = np.ravel(read_table(path, float))
-
-    def values(ks: np.ndarray) -> np.ndarray:
-        if int(np.max(ks)) > len(table):
-            raise ValueError(f"weight table {path} ends at k={len(table)}")
-        return table[np.asarray(ks, dtype=np.int64) - 1]
-
-    return WeightSequence(values, f"file:{path}", max_k=len(table))
+    return WeightSequence(lambda ks: table[ks - 1], f"file:{path}",
+                          max_k=len(table))
 
 
 def parse_scheme_spec(spec: str) -> BetaGammaScheme:

@@ -10,7 +10,7 @@ arrays directly, checked by ``values``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -98,19 +98,15 @@ class FuzzyFunctionSequence:
     hi)``, when present, returns the sorted int64 indices of [lo, hi] at
     which ``profile`` may differ from ``limit_profile``, for every x: extra
     indices are harmless, a missing one is a bug.  The sweeps then
-    evaluate the family only there.
+    evaluate the family only there.  Every family lives on the domain
+    [1, 2].
     """
 
     label: str
     profile: Callable[[np.ndarray, float], TriProfile]
     limit_profile: Optional[Callable[[float], LimitProfile]] = None
-    domain: tuple[float, float] = (1.0, 2.0)
     exceptional: Optional[_Exceptions] = None
-
-    def __post_init__(self):
-        a, b = self.domain
-        if not a < b:
-            raise ValueError("domain must be a nondegenerate interval")
+    domain: ClassVar[tuple[float, float]] = (1.0, 2.0)
 
     def check_x(self, x: float) -> float:
         a, b = self.domain
@@ -218,20 +214,19 @@ def alternating_crisp_family() -> FuzzyFunctionSequence:
                          lambda ks, x: np.where(ks >> 1 << 1 == ks, -1.0, 1.0), 0.0)
 
 
-def truncated_square_indicator_family(n_trunc: int, bound: float = 1.0) -> FuzzyFunctionSequence:
-    """Like square_indicator but only squares up to ``n_trunc`` drop to 0.
+def truncated_square_indicator_family(n_trunc: int) -> FuzzyFunctionSequence:
+    """Like square_indicator(1) but only squares up to ``n_trunc`` drop to 0.
 
-    A finite perturbation of the constant crisp ``bound``, hence summable
-    to it at every order; as n_trunc grows the family tends pointwise to
-    square_indicator.
+    A finite perturbation of the constant crisp 1, hence summable to it at
+    every order; as n_trunc grows the family tends pointwise to
+    square_indicator(1).
     """
     if n_trunc < 1:
         raise ValueError("truncation index must be a positive integer")
-    m = float(bound)
     squares = _powers(int_sqrt, 2)
     return _crisp_family(
-        f"truncated_square_indicator(n={n_trunc}, M={m:g})",
-        lambda ks, x: np.where(is_square(ks) & (ks <= n_trunc), 0.0, m), m,
+        f"truncated_square_indicator(n={n_trunc}, M=1)",
+        lambda ks, x: np.where(is_square(ks) & (ks <= n_trunc), 0.0, 1.0), 1.0,
         lambda lo, hi: squares(lo, min(hi, n_trunc)))
 
 
@@ -246,8 +241,8 @@ def crisp_index_family() -> FuzzyFunctionSequence:
     return _crisp_family("crisp_index", lambda ks, x: ks.astype(np.float64))
 
 
-def constant_family(center: float, left: float = 0.0, right: float = 0.0,
-                    label: str | None = None) -> FuzzyFunctionSequence:
+def constant_family(center: float, left: float = 0.0,
+                    right: float = 0.0) -> FuzzyFunctionSequence:
     """The constant family f_k = triangular(center, left, right)."""
     if left < 0 or right < 0:
         raise ValueError("spreads must be nonnegative")
@@ -258,7 +253,7 @@ def constant_family(center: float, left: float = 0.0, right: float = 0.0,
                 np.full(n, float(right)))
 
     return FuzzyFunctionSequence(
-        label=label or f"constant({center:g},{left:g},{right:g})",
+        label=f"constant({center:g},{left:g},{right:g})",
         profile=profile,
         limit_profile=lambda x: (float(center), float(left), float(right)),
     )
@@ -266,8 +261,6 @@ def constant_family(center: float, left: float = 0.0, right: float = 0.0,
 
 def add_families(f: FuzzyFunctionSequence, g: FuzzyFunctionSequence) -> FuzzyFunctionSequence:
     """Index-wise sum; triangular parameters add level-wise."""
-    if f.domain != g.domain:
-        raise ValueError("families must share a domain")
 
     def profile(ks: np.ndarray, x: float) -> TriProfile:
         cf, lf, rf = f.profile(ks, x)
@@ -285,7 +278,6 @@ def add_families(f: FuzzyFunctionSequence, g: FuzzyFunctionSequence) -> FuzzyFun
         label=f"({f.label})+({g.label})",
         profile=profile,
         limit_profile=limit,
-        domain=f.domain,
     )
 
 
@@ -312,7 +304,6 @@ def scale_family(c: float, f: FuzzyFunctionSequence) -> FuzzyFunctionSequence:
         label=f"{c:g}*({f.label})",
         profile=profile,
         limit_profile=limit,
-        domain=f.domain,
     )
 
 

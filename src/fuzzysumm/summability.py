@@ -164,14 +164,8 @@ def _sparse_stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
     """
     weights.ensure(int(cuts[-1]))  # refuse the walk before the hook allocates
     ks = seq.exceptional(int(cuts[0]) + 1, int(cuts[-1]))
-    # empty leading blocks as in _stream
-    ends, w, t = [np.zeros(0, dtype=np.int64)], [np.zeros(0)], [np.zeros(0)]
-    for chunk, t_chunk, starts, last in weights.chunks(cuts):
-        ends.append(last)
-        w.append(np.add.reduceat(t_chunk, starts))
-        inside = slice(*np.searchsorted(ks, (chunk[0], chunk[-1] + 1)))
-        t.append(t_chunk[ks[inside] - chunk[0]])
-    ends, w, t = np.concatenate(ends), np.concatenate(w), np.concatenate(t)
+    ends, w = weights.piece_sums(cuts)
+    t = weights.values(ks)  # checked by the walk
     piece = np.searchsorted(ends, ks)
     sums = np.empty((len(xs), len(ends), 5))
     for i, x in enumerate(xs):
@@ -280,20 +274,24 @@ class VerdictPolicy:
     limit_tol: float = 0.05
 
 
-def verdict(trace: Sequence[tuple[int, float]], tol: float = 1e-2,
-            window: int = 4, divergence_factor: float = 10.0) -> Verdict:
-    """Call a trace: converged plateau, monotone blow-up, or inconclusive."""
+def verdict(trace: Sequence[tuple[int, float]],
+            policy: VerdictPolicy = VerdictPolicy()) -> Verdict:
+    """Call a trace: converged plateau, monotone blow-up, or inconclusive.
+
+    The plateau and monotonicity tests read the last ``policy.window``
+    values, or the whole trace when it is shorter.
+    """
     vals = [float(v) for _, v in trace]
     if not vals:
         raise ValueError("empty trace")
-    if not 1 <= window <= len(vals):
-        raise ValueError("window must lie in [1, len(trace)]")
-    tail = vals[-window:]
+    if policy.window < 1:
+        raise ValueError("window must be a positive integer")
+    tail = vals[-min(policy.window, len(vals)):]
     mean = sum(tail) / len(tail)
-    if all(abs(v - mean) <= tol for v in tail):
+    if all(abs(v - mean) <= policy.tol for v in tail):
         return Verdict("converges", mean)
     if (all(b >= a for a, b in zip(tail, tail[1:]))
-            and vals[-1] > divergence_factor * (vals[0] + 1.0)):
+            and vals[-1] > policy.divergence_factor * (vals[0] + 1.0)):
         return Verdict("diverges")
     return Verdict("inconclusive")
 
@@ -451,10 +449,8 @@ def classify_thetas(seq: FuzzyFunctionSequence, limit, scheme: BetaGammaScheme,
                     vals = [float(triangular_profile_distance(c / s, l / s, r / s, *lim))
                             for (_, c, l, r), s in zip(per_n, scales)]
                 trace = tuple(zip(ns, vals))
-                v = verdict(trace, tol=policy.tol,
-                            window=min(policy.window, len(ns)),
-                            divergence_factor=policy.divergence_factor)
-                mode_traces.append(ModeTrace(x, mode, theta, trace, v))
+                mode_traces.append(ModeTrace(x, mode, theta, trace,
+                                             verdict(trace, policy)))
             report.traces.extend(mode_traces)
             report.membership[mode] = _membership(mode_traces, policy)
         reports.append(report)

@@ -20,11 +20,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .numbers import ATOL, triangular_profile_distance
 from .schemes import (BetaGammaScheme, DegenerateWindowError, DILATION_LIMINF,
-                      HorizonPolicy, RatioResult, WeightSequence, dilate,
-                      ratio_condition)
+                      RatioResult, WeightSequence, dilate, ratio_condition)
 from .sequences import FuzzyFunctionSequence, XGridPolicy
-from .summability import (ConvergenceReport, ModeTrace, VerdictPolicy, _stream,
-                          classify, ladder, limit_profile_fn, verdict)
+from .summability import (ConvergenceReport, ModeTrace, _stream, classify,
+                          ladder, limit_profile_fn, verdict)
 
 
 @dataclass(frozen=True)
@@ -56,18 +55,26 @@ _BLOCK = 1 << 15  # window entries compared at once (2^15 beat 2^18 on time and 
 _WITNESSES = 8
 # An identity deviation above rounding noise flags an arithmetic bug.
 _IDENTITY_TOL = 1e-9
+# Dilation factors the experiment tries, for slow decrease and condition 2.
+_LAMBDAS = (1.25, 1.5, 2.0)
 
 
-def _scan(seq: FuzzyFunctionSequence, x: float, eps: float, lam: float,
-          n0: int, horizon: int) -> SlowDecreaseWitness:
-    """Slow-decrease scan of rows n0 < n <= horizon in either direction.
+def slowly_decreasing_check(seq: FuzzyFunctionSequence, x: float, eps: float,
+                            lam: float, n0: int, horizon: int) -> SlowDecreaseWitness:
+    """Exhaustive slow-decrease scan of rows n0 < n <= horizon.
 
-    Triangular values make the cut-wise comparison equivalent to three
-    endpoint inequalities (levels 0 and 1).  Rows are compared in blocks
-    of about _BLOCK window entries, each window a row of a sliding view of
-    the endpoint arrays; a block leaves only its count, its last violating
-    row and its first pairs, so memory stays O(horizon + _BLOCK).
+    For lam > 1 each row n is compared with k in (n, floor(lam*n)], k <=
+    horizon, for the k-th term dropping more than eps below the n-th; for
+    0 < lam < 1 with k in (floor(lam*n), n], for the n-th term dropping
+    more than eps below the k-th.  Triangular values make the cut-wise
+    comparison equivalent to three endpoint inequalities (levels 0 and 1).
+    Rows are compared in blocks of about _BLOCK window entries, each
+    window a row of a sliding view of the endpoint arrays; a block leaves
+    only its count, its last violating row and its first pairs, so memory
+    stays O(horizon + _BLOCK).
     """
+    if not lam > 0 or lam == 1:
+        raise ValueError("lam must be positive and not 1")
     if eps <= 0:
         raise ValueError("eps must be positive")
     if not 0 <= n0 < horizon:
@@ -124,26 +131,6 @@ def _scan(seq: FuzzyFunctionSequence, x: float, eps: float, lam: float,
             del first[_WITNESSES:]
     return SlowDecreaseWitness(eps, lam, n0, horizon, tuple(first), count,
                                last_bad)
-
-
-def slowly_decreasing_check(seq: FuzzyFunctionSequence, x: float, eps: float,
-                            lam: float, n0: int, horizon: int) -> SlowDecreaseWitness:
-    """Exhaustively scan all (n, k), n0 < n <= horizon, n < k <= floor(lam*n),
-    k <= horizon, for the k-th term dropping more than eps below the n-th
-    in the partial order."""
-    if not lam > 1:
-        raise ValueError("lam must exceed 1")
-    return _scan(seq, x, eps, lam, n0, horizon)
-
-
-def slowly_decreasing_check_shrink(seq: FuzzyFunctionSequence, x: float,
-                                   eps: float, lam: float, n0: int,
-                                   horizon: int) -> SlowDecreaseWitness:
-    """Mirror form for 0 < lam < 1: scan (n, k) with floor(lam*n) < k <= n
-    for the n-th term dropping more than eps below the k-th."""
-    if not 0 < lam < 1:
-        raise ValueError("lam must lie in (0, 1)")
-    return _scan(seq, x, eps, lam, n0, horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +318,8 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
                          scheme: BetaGammaScheme, weights: WeightSequence,
                          grid: XGridPolicy, horizon: int,
                          eps_ladder: Sequence[float] = (0.5, 0.1, 0.01),
-                         lambdas: Sequence[float] = (1.25, 1.5, 2.0),
                          n0: int = 10,
-                         scan_horizon: Optional[int] = None,
-                         policy: VerdictPolicy = VerdictPolicy()) -> TauberianReport:
+                         scan_horizon: Optional[int] = None) -> TauberianReport:
     """Measure hypotheses and conclusion of the windowed-mean Tauber test.
 
     Hypotheses: the dilation growth condition on window totals, slow
@@ -352,11 +337,10 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
         family=seq.label, scheme=scheme.label, weights=weights.label,
         horizon=horizon, eps_ladder=tuple(eps_ladder))
 
-    hp = HorizonPolicy(n_max=max(horizon // 4, 8))
-    for lam in lambdas:
+    for lam in _LAMBDAS:
         try:
             report.condition2[lam] = ratio_condition(
-                scheme, weights, lam, hp, DILATION_LIMINF)
+                scheme, weights, lam, max(horizon // 4, 8), DILATION_LIMINF)
         except DegenerateWindowError:
             report.condition2[lam] = RatioResult(math.inf, False)
 
@@ -367,7 +351,7 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
     for x in grid.points:
         for eps in eps_ladder:
             entry = None
-            for lam in lambdas:
+            for lam in _LAMBDAS:
                 wit = slowly_decreasing_check(seq, x, eps, lam, n0, scan_horizon)
                 # the tail (last_bad, scan_horizon] is clean by definition
                 if wit.holds or wit.last_bad <= scan_horizon // 2:
@@ -381,7 +365,7 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
     limit_fn = limit_profile_fn(seq, limit)
     report.summability = classify(seq, limit, scheme, weights, theta=1.0,
                                   eps=min(eps_ladder), grid=grid,
-                                  horizon=horizon, modes=("ord",), policy=policy)
+                                  horizon=horizon, modes=("ord",))
 
     ns = ladder(horizon)
     tops = np.array([scheme.window(n)[1] for n in ns], dtype=np.int64)
@@ -389,17 +373,15 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
         x = seq.check_x(x)
         dev = triangular_profile_distance(*seq.values(tops, x), *limit_fn(x))
         pts = tuple(zip(ns, dev.tolist()))
-        v = verdict(pts, tol=policy.tol, window=min(policy.window, len(ns)),
-                    divergence_factor=policy.divergence_factor)
-        report.conclusion.append(ModeTrace(x, "tail", 1.0, pts, v))
+        report.conclusion.append(ModeTrace(x, "tail", 1.0, pts, verdict(pts)))
 
     mid_x = grid.points[len(grid.points) // 2]
     identity_ns = [n for n in ns if 4 <= n <= max(8, horizon // 8)][-3:] or [ns[-1]]
     # Built per call: the identities are read from the module's names at
     # call time, so a wrapped identity (perfbench's tracer) is the one run.
-    checks = ([("dilation", dilation_mean_identity, lam) for lam in lambdas]
+    checks = ([("dilation", dilation_mean_identity, lam) for lam in _LAMBDAS]
               + [("shrink", shrink_mean_identity, round(1.0 / lam, 6))
-                 for lam in lambdas])
+                 for lam in _LAMBDAS])
     for n in identity_ns:
         for kind, identity, lam in checks:
             try:

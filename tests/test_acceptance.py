@@ -177,7 +177,7 @@ def test_criterion_5_truncated_vs_limit_family():
     policy = fz.VerdictPolicy(tol=0.2, limit_tol=0.5)
 
     for n_trunc in (4, 16, 64):
-        fam = fz.truncated_square_indicator_family(n_trunc, 1.0)
+        fam = fz.truncated_square_indicator_family(n_trunc)
         rep = fz.classify(fam, None, scheme, weights, theta=0.25, eps=0.1,
                           grid=GRID, horizon=horizon, modes=("abs",),
                           policy=policy)
@@ -329,7 +329,7 @@ def test_criterion_7_ratio_condition_table():
         scheme = fz.parse_scheme_spec(sspec)
         for wspec in ("const:1", "harmonicplus"):
             w = fz.parse_weight_spec(wspec)
-            h = fz.HorizonPolicy(n_max)
+            h = n_max
             up_hold = [fz.ratio_condition(scheme, w, lam, h, 2).holds
                        for lam in ups]
             down_hold = [fz.ratio_condition(scheme, w, lam, h, 3).holds
@@ -344,7 +344,7 @@ def test_criterion_7_ratio_condition_table():
                 assert r.holds and math.isfinite(r.estimate)
 
     scheme, w = fz.classical_scheme(), fz.constant_weights(1)
-    h = fz.HorizonPolicy(1 << 16)
+    h = 1 << 16
     assert abs(fz.ratio_condition(scheme, w, 2.0, h, 2).estimate - 2.0) <= 1e-3
     assert abs(fz.ratio_condition(scheme, w, 0.5, h, 3).estimate - 2.0) <= 1e-3
     assert abs(fz.ratio_condition(scheme, w, 2.0, h, 4).estimate - 2.0) <= 1e-3

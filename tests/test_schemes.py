@@ -6,39 +6,51 @@ import re
 import numpy as np
 import pytest
 
-from fuzzysumm import (BetaGammaScheme, DegenerateWindowError, HorizonPolicy,
-                       WeightSequence, classical_scheme, constant_weights, dilate,
-                       harmonicplus_weights, lacunary_scheme, lambda_scheme,
-                       parse_family_spec, parse_scheme_spec, parse_weight_spec,
-                       power_scheme, ratio_condition, recip5_weights,
-                       validate_scheme, weighted_total)
+from fuzzysumm import (BetaGammaScheme, DegenerateWindowError, WeightSequence,
+                       classical_scheme, constant_weights, dilate,
+                       harmonicplus_weights, lacunary_scheme, ladder,
+                       lambda_scheme, parse_family_spec, parse_scheme_spec,
+                       parse_weight_spec, power_scheme, ratio_condition,
+                       recip5_weights, validate_scheme, weighted_total)
 from fuzzysumm import schemes
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: a window's total depends "
+                   "on the other windows summed in the same call")
+def test_single_window_total_matches_ladder_total():
+    # recip5 on classical: the ladder 1, 2, 4, ..., 32, 45 splits [1, 45]
+    # into pieces that sum to 9.000000000000002, the window alone to
+    # 8.999999999999996
+    scheme, weights = classical_scheme(), recip5_weights()
+    windows = [scheme.window(n) for n in ladder(45)]
+    in_ladder = weights.window_totals(*zip(*windows))[-1]
+    assert in_ladder == weights.window_total(1, 45)
 
 
 class TestValidation:
     def test_classical_passes_all_conditions(self):
-        v = validate_scheme(classical_scheme(), HorizonPolicy(512))
+        v = validate_scheme(classical_scheme(), 512)
         assert v.nondecreasing and v.ordered and v.growing and v.ok
 
     def test_constant_width_fails_growth(self):
         s = BetaGammaScheme(lambda n: n, lambda n: n, "b=g")
-        v = validate_scheme(s, HorizonPolicy(512))
+        v = validate_scheme(s, 512)
         assert v.nondecreasing and v.ordered
         assert not v.growing and not v.ok
         assert "width" in v.detail
 
     def test_lacunary_pow2_passes(self):
         s = parse_scheme_spec("lacunary:pow2")
-        assert validate_scheme(s, HorizonPolicy(24)).ok
+        assert validate_scheme(s, 24).ok
         # block boundaries: [2^(r-1)+1, 2^r]
         assert s.window(3) == (5, 8)
         assert s.window(10) == (513, 1024)
 
     def test_empty_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            HorizonPolicy(0)
-        with pytest.raises(ValueError):
-            HorizonPolicy(10, trend_window=10)
+        with pytest.raises(ValueError, match="at least 2"):
+            validate_scheme(classical_scheme(), 0)
+        with pytest.raises(ValueError, match="at least 2"):
+            ratio_condition(classical_scheme(), constant_weights(1), 2.0, 1, 2)
 
 
 class TestWeightedTotal:
@@ -163,7 +175,7 @@ class TestDilate:
 class TestRatioConditions:
     def test_classical_growth_ratios(self):
         s, w = classical_scheme(), constant_weights(1)
-        h = HorizonPolicy(4096)
+        h = 4096
         est2 = ratio_condition(s, w, 2.0, h, 2)
         assert est2.holds and est2.estimate == pytest.approx(2.0, abs=1e-3)
         est3 = ratio_condition(s, w, 0.5, h, 3)
@@ -175,7 +187,7 @@ class TestRatioConditions:
 
     def test_lambda_range_enforced(self):
         s, w = classical_scheme(), constant_weights(1)
-        h = HorizonPolicy(256)
+        h = 256
         with pytest.raises(ValueError):
             ratio_condition(s, w, 0.5, h, 2)
         with pytest.raises(ValueError):
@@ -187,7 +199,7 @@ class TestRatioConditions:
         # factor so close to 1 the dilated top never moves on a short horizon
         s, w = classical_scheme(), constant_weights(1)
         with pytest.raises(DegenerateWindowError):
-            ratio_condition(s, w, 1.001, HorizonPolicy(64), 4)
+            ratio_condition(s, w, 1.001, 64, 4)
 
     @pytest.mark.parametrize("spec", ["classical", "pow:2", "lacunary:pow2"])
     @pytest.mark.parametrize("wspec", ["const:1", "harmonicplus"])
@@ -196,7 +208,7 @@ class TestRatioConditions:
         scheme = parse_scheme_spec(spec)
         weights = parse_weight_spec(wspec)
         n_max = {"classical": 2048, "pow:2": 160, "lacunary:pow2": 14}[spec]
-        h = HorizonPolicy(n_max)
+        h = n_max
         up = [ratio_condition(scheme, weights, lam, h, 2).holds
               for lam in (1.25, 1.5, 2.0, 3.0)]
         down = [ratio_condition(scheme, weights, lam, h, 3).holds
@@ -210,7 +222,7 @@ class TestRatioConditions:
         scheme = parse_scheme_spec(spec)
         weights = constant_weights(1)
         n_max = {"classical": 2048, "pow:2": 160, "lacunary:pow2": 14}[spec]
-        h = HorizonPolicy(n_max)
+        h = n_max
         for lam in (1.5, 2.0):
             lim2 = ratio_condition(scheme, weights, lam, h, 2)
             lim4 = ratio_condition(scheme, weights, lam, h, 4)
@@ -234,17 +246,17 @@ class TestBuiltinsAndSpecs:
     def test_lambda_half_is_trailing_half_window(self):
         s = parse_scheme_spec("lambda:half")
         assert s.window(10) == (6, 10)
-        assert validate_scheme(s, HorizonPolicy(512)).ok
+        assert validate_scheme(s, 512).ok
 
     def test_lambda_side_conditions_named(self):
         with pytest.raises(ValueError, match="start at 1"):
-            lambda_scheme(lambda n: n + 1, "bad", check_horizon=64)
+            lambda_scheme(lambda n: n + 1, "bad")
         with pytest.raises(ValueError, match="at most 1"):
-            lambda_scheme(lambda n: 1 if n == 1 else 2 * n, "bad", check_horizon=64)
+            lambda_scheme(lambda n: 1 if n == 1 else 2 * n, "bad")
         with pytest.raises(ValueError, match="non-decreasing"):
-            lambda_scheme(lambda n: 2 if n == 2 else 1, "bad", check_horizon=64)
+            lambda_scheme(lambda n: 2 if n == 2 else 1, "bad")
         with pytest.raises(ValueError, match="infinity"):
-            lambda_scheme(lambda n: 1, "bad", check_horizon=64)
+            lambda_scheme(lambda n: 1, "bad")
 
     def test_lacunary_side_conditions_named(self):
         with pytest.raises(ValueError, match="k_0 = 0"):
@@ -268,6 +280,14 @@ class TestBuiltinsAndSpecs:
         assert w.window_total(1, 3) == pytest.approx(4.5)
         with pytest.raises(ValueError, match="ends at"):
             w.window_total(1, 4)
+
+    def test_weight_table_values_on_empty_and_past_end(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("0.5\n1.5\n")
+        w = parse_weight_spec(f"file:{path}")
+        assert w.values(np.zeros(0, dtype=np.int64)).shape == (0,)
+        with pytest.raises(ValueError, match="ends at k=2"):
+            w.values(np.array([1, 3], dtype=np.int64))
 
     @pytest.mark.parametrize("parse, text, where", [
         (parse_scheme_spec, "1 2\n1 4 8\n", ":2: 3 entries, expected 2"),

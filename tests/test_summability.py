@@ -181,7 +181,7 @@ class TestVerdict:
 
     def test_harmonic_converges_near_zero(self):
         trace = [(n, 1.0 / n) for n in ladder(4096)]
-        v = verdict(trace, tol=1e-2, window=4)
+        v = verdict(trace, VerdictPolicy(tol=1e-2, window=4))
         assert v.kind == "converges"
         assert abs(v.estimate) < 1e-2
 
@@ -198,7 +198,7 @@ class TestVerdict:
         with pytest.raises(ValueError):
             verdict([])
         with pytest.raises(ValueError):
-            verdict([(1, 0.0)], window=5)
+            verdict([(1, 0.0)], VerdictPolicy(window=0))
 
 
 class TestOrderMonotonicity:

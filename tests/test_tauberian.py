@@ -14,7 +14,7 @@ from fuzzysumm import (DegenerateWindowError, add, add_families,
                        dilation_mean_identity, distance, harmonic_crisp_family,
                        harmonicplus_weights, parse_scheme_spec, partial_leq,
                        scale, shrink_mean_identity, slowly_decreasing_check,
-                       slowly_decreasing_check_shrink, square_indicator_family,
+                       square_indicator_family,
                        tauberian_experiment, translate,
                        triangular_growing_family, uniform_grid)
 from fuzzysumm import tauberian
@@ -144,11 +144,11 @@ class TestSlowDecreaseCheck:
     def test_shrink_form_mirrors_growth_form(self):
         for fam in (harmonic_crisp_family(), crisp_index_family()):
             up = slowly_decreasing_check(fam, 1.0, 0.1, 2.0, 12, 300)
-            down = slowly_decreasing_check_shrink(fam, 1.0, 0.1, 0.5, 24, 300)
+            down = slowly_decreasing_check(fam, 1.0, 0.1, 0.5, 24, 300)
             assert up.holds and down.holds
         fam = alternating_crisp_family()
         up = slowly_decreasing_check(fam, 1.0, 0.5, 2.0, 12, 300)
-        down = slowly_decreasing_check_shrink(fam, 1.0, 0.5, 0.5, 24, 300)
+        down = slowly_decreasing_check(fam, 1.0, 0.5, 0.5, 24, 300)
         assert not up.holds and not down.holds
 
     @pytest.mark.parametrize("family", list(SCAN_FAMILIES))
@@ -172,17 +172,16 @@ class TestSlowDecreaseCheck:
     def test_blocked_scan_matches_bruteforce(self, family, lam, eps, x, bounds):
         fam = SCAN_FAMILIES[family]()
         n0, horizon = bounds
-        check = slowly_decreasing_check if lam > 1 else slowly_decreasing_check_shrink
         expect = violating_pairs(fam, x, eps, lam, n0, horizon)
         # 7-entry blocks: short rows share a block, longer ones get their own
         with mock.patch.object(tauberian, "_BLOCK", 7):
-            wit = check(fam, x, eps, lam, n0, horizon)
+            wit = slowly_decreasing_check(fam, x, eps, lam, n0, horizon)
             assert wit.count == len(expect)
             assert wit.violations == tuple(expect[:8])
             assert wit.last_bad == (expect[-1][0] if expect else None)
             assert wit.holds == (not expect)
         # row n's count is the drop from the scan after n - 1 to the one after n
-        counts = [check(fam, x, eps, lam, m, horizon).count
+        counts = [slowly_decreasing_check(fam, x, eps, lam, m, horizon).count
                   for m in range(n0, horizon)] + [0]
         for n in range(n0 + 1, horizon + 1):
             row = sum(1 for m, _ in expect if m == n)
@@ -206,7 +205,7 @@ class TestSlowDecreaseCheck:
         with pytest.raises(ValueError):
             slowly_decreasing_check(fam, 1.0, 0.1, 2.0, 60, 50)
         with pytest.raises(ValueError):
-            slowly_decreasing_check_shrink(fam, 1.0, 0.1, 2.0, 0, 50)
+            slowly_decreasing_check(fam, 1.0, 0.1, 0.0, 0, 50)
 
 
 class TestDecompositionIdentities:
