@@ -218,12 +218,20 @@ def triangular_profile_distance(c1, l1, r1, c2, l2, r2):
 
     Endpoint differences are linear in alpha, so the supremum sits at
     level 0 or 1: max(|dc|, |dc - dl|, |dc + dr|).  Works elementwise on
-    arrays, which is what the summability sweeps rely on.
+    arrays, which is what the summability sweeps rely on; scalars give a
+    scalar.  Every step writes into one of three buffers: fresh
+    temporaries per call would make the heap trim and regrow.
     """
-    dc = np.subtract(c1, c2)
-    dl = np.subtract(l1, l2)
-    dr = np.subtract(r1, r2)
-    return np.maximum(np.abs(dc), np.maximum(np.abs(dc - dl), np.abs(dc + dr)))
+    shape = np.broadcast(c1, l1, r1, c2, l2, r2).shape
+    dc, dl, dr = (np.subtract(a, b, out=np.empty(shape))
+                  for a, b in ((c1, c2), (l1, l2), (r1, r2)))
+    np.subtract(dc, dl, out=dl)
+    np.add(dc, dr, out=dr)
+    for d in (dc, dl, dr):
+        np.abs(d, out=d)
+    np.maximum(dl, dr, out=dl)
+    np.maximum(dc, dl, out=dc)
+    return dc if shape else dc[()]
 
 
 def triangular_profile_of(x: FuzzyNumber) -> tuple[float, float, float]:

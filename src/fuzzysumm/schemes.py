@@ -6,6 +6,9 @@ weight to every index.  The windowed total (sum of weights over the n-th
 window) drives every convergence transform downstream, so it is backed
 by one chunked walk over the weights that sums them piece by piece
 between the requested window ends; nothing is kept between queries.
+Constant weights (``const:c``, ``recip5``) need no walk: a window of
+width w totals p*w/q for the exact ratio p/q of the weight, correctly
+rounded.
 """
 
 from __future__ import annotations
@@ -68,20 +71,27 @@ class BetaGammaScheme:
 
 
 class WeightSequence:
-    """Positive weights t_k; window totals are summed afresh per query."""
+    """Positive weights t_k; window totals are summed afresh per query.
+
+    ``ratio`` = (p, q) marks a sequence whose every weight is the exact
+    ratio p/q of ints: its totals and piece sums come in closed form.
+    """
 
     def __init__(self, values_fn: Callable[[np.ndarray], np.ndarray], label: str,
-                 max_k: int | None = None):
+                 max_k: int | None = None, ratio: tuple[int, int] | None = None):
         self._values_fn = values_fn
         self.label = label
         self.max_k = max_k
+        self.ratio = ratio
         t1 = float(self.values(np.array([1], dtype=np.int64))[0])
         if not t1 > 0:
             raise ValueError("first weight must be positive")
 
     def values(self, ks: np.ndarray) -> np.ndarray:
-        """Weights t_k; an index past a table's end raises ValueError."""
+        """Weights t_k; an index below 1 or past a table's end raises ValueError."""
         ks = np.asarray(ks, dtype=np.int64)
+        if ks.min(initial=1) < 1:
+            raise ValueError(f"{self.label}: weight index k={ks.min()} is below 1")
         if self.max_k is not None and ks.max(initial=0) > self.max_k:
             raise ValueError(f"{self.label}: weight table ends at k={self.max_k}")
         return np.asarray(self._values_fn(ks), dtype=np.float64)
@@ -119,12 +129,22 @@ class WeightSequence:
             yield ks, t, np.append(0, inner + 1 - a), np.append(inner, ks[-1])
 
     def piece_sums(self, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Last index and weight sum of every piece of the walk over ``cuts``."""
-        ends, sums = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-        for _, t, starts, last in self.chunks(cuts):
-            ends.append(last)
-            sums.append(np.add.reduceat(t, starts))
-        return np.concatenate(ends), np.concatenate(sums)
+        """Last index and weight sum of every piece of the walk over ``cuts``.
+
+        With a ``ratio`` nothing is walked: the pieces end where the walk's
+        would (every cut and chunk end) and sum to c * width.
+        """
+        if self.ratio is None:
+            ends, sums = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+            for _, t, starts, last in self.chunks(cuts):
+                ends.append(last)
+                sums.append(np.add.reduceat(t, starts))
+            return np.concatenate(ends), np.concatenate(sums)
+        lo, hi = int(cuts[0]), int(cuts[-1])
+        self.ensure(hi)
+        ends = np.union1d(cuts[1:], np.arange(lo + _CHUNK, hi, _CHUNK))
+        p, q = self.ratio
+        return ends, p / q * np.diff(ends, prepend=lo)
 
     def window_total(self, lo: int, hi: int) -> float:
         """Sum of t_k over the closed range [lo, hi]."""
@@ -133,9 +153,12 @@ class WeightSequence:
     def window_totals(self, los: Sequence[int], his: Sequence[int]) -> np.ndarray:
         """Sums of t_k over the closed ranges [los[i], his[i]].
 
-        One walk over (min(los) - 1, max(his)] sums the weights per piece
-        between consecutive window ends, and every total is a difference
-        of the cumulative piece sums.
+        With a ``ratio`` p/q a window of width w totals p*w/q, correctly
+        rounded whatever else is asked.  Otherwise one walk over
+        (min(los) - 1, max(his)] sums the weights per piece between
+        consecutive window ends, and every total is a difference of the
+        cumulative piece sums.  A total past the float range raises
+        ValueError naming the weights.
         """
         self.ensure(max(his))  # ends past int64 must fail before np.asarray
         los = np.asarray(los, dtype=np.int64)
@@ -144,11 +167,22 @@ class WeightSequence:
         if empty.size:
             i = empty[0]
             raise DegenerateWindowError(f"empty weight window [{los[i]}, {his[i]}]")
-        ends, sums = self.piece_sums(np.union1d(los - 1, his))
-        # cum[j] sums the weights up to the j-th piece end; cum[0] = 0
-        cum = np.cumsum(np.append(0.0, sums))
-        return (cum[np.searchsorted(ends, his, side="right")]
-                - cum[np.searchsorted(ends, los - 1, side="right")])
+        if self.ratio is not None:
+            p, q = self.ratio
+            try:
+                totals = np.array([p * w / q for w in (his - los + 1).tolist()])
+            except OverflowError:  # int true division past the float range
+                totals = np.array([math.inf])
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                ends, sums = self.piece_sums(np.union1d(los - 1, his))
+                # cum[j] sums the weights up to the j-th piece end; cum[0] = 0
+                cum = np.cumsum(np.append(0.0, sums))
+                totals = (cum[np.searchsorted(ends, his, side="right")]
+                          - cum[np.searchsorted(ends, los - 1, side="right")])
+        if not np.isfinite(totals).all():
+            raise ValueError(f"{self.label}: a window total overflows a float")
+        return totals
 
     def __repr__(self):
         return f"WeightSequence({self.label!r})"
@@ -380,14 +414,26 @@ def table_scheme(path: str) -> BetaGammaScheme:
                            f"file:{path}")
 
 
+def _decimal_ratio(c: float) -> tuple[int, int]:
+    """Exact ratio (p, q) of c's shortest repr: 0.7 gives (7, 10), not
+    the binary float just below it."""
+    digits, _, exp = repr(c).partition("e")
+    whole, _, frac = digits.partition(".")
+    shift = int(exp or 0) - len(frac)
+    p = int(whole + frac)
+    return (p * 10 ** shift, 1) if shift >= 0 else (p, 10 ** -shift)
+
+
 def constant_weights(c: float) -> WeightSequence:
-    if not c > 0:
-        raise ValueError("constant weight must be positive")
-    return WeightSequence(lambda ks: np.full(len(ks), float(c)), f"const:{c:g}")
+    c = float(c)
+    if not (c > 0 and math.isfinite(c)):
+        raise ValueError(f"constant weight {c!r} is not a finite positive number")
+    return WeightSequence(lambda ks: np.full(len(ks), c), f"const:{c:g}",
+                          ratio=_decimal_ratio(c))
 
 
 def recip5_weights() -> WeightSequence:
-    return WeightSequence(lambda ks: np.full(len(ks), 0.2), "recip5")
+    return WeightSequence(lambda ks: np.full(len(ks), 0.2), "recip5", ratio=(1, 5))
 
 
 def harmonicplus_weights() -> WeightSequence:

@@ -129,6 +129,7 @@ def _stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
     reach eps: that needs an explicit limit off the claimed one and a
     finite eps.
     """
+    weights.ensure(max(cuts))  # refuse before int64 overflow or allocation
     cuts = np.unique(np.asarray(cuts, dtype=np.int64))
     if seq.exceptional is not None and seq.limit_profile is not None:
         bases = [seq.limit_profile(x) for x in xs]
@@ -155,17 +156,17 @@ def _sparse_stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
                    d0s: Sequence[float]) -> _Pieces:
     """``_stream`` for a family equal to its claimed limit off its exceptions.
 
-    One walk over the weights, with no profile, gives each piece's weight
-    sum W_j (and checks every weight in range).  Off the exceptions every
+    ``weights.piece_sums`` gives each piece's weight sum W_j with no
+    profile: one walk that checks every weight in range, or none for a
+    constant weight, checked when it was built.  Off the exceptions every
     term is the claimed limit's value ``bases[i]`` at deviation ``d0s[i]``
     from ``limits[i]``, so a piece sums to base*W_j (d0*W_j for t*dev)
     plus, from its exceptions, t*(value - base); no term off them reaches
     eps, so the hits come from the exceptions alone.
     """
-    weights.ensure(int(cuts[-1]))  # refuse the walk before the hook allocates
     ks = seq.exceptional(int(cuts[0]) + 1, int(cuts[-1]))
     ends, w = weights.piece_sums(cuts)
-    t = weights.values(ks)  # checked by the walk
+    t = weights.values(ks)  # checked by the walk or by the constant's build
     piece = np.searchsorted(ends, ks)
     sums = np.empty((len(xs), len(ends), 5))
     for i, x in enumerate(xs):

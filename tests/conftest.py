@@ -5,12 +5,14 @@ addition, subtraction, and comparison exact in binary floating point,
 which lets the algebraic identities be asserted with zero slack.  The
 oracle functions recompute the transforms index by index through the
 FuzzyNumber API, independent of the vectorized profile sweeps they
-check.
+check; given the exact value of a constant weight, they take its window
+totals exactly.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -52,30 +54,48 @@ def rng_triangular(rng: np.random.Generator, span: float = 8.0,
 # Brute-force oracles (index-by-index, FuzzyNumber space)
 # ---------------------------------------------------------------------------
 
-def oracle_absolute_partial(seq, limit, p, n, x):
+def exact_weight(spec: str):
+    """The exact value of a constant weight spec (``const:0.7`` is 7/10),
+    or None for weights that vary with k."""
+    if spec == "recip5":
+        return Fraction(1, 5)
+    if spec.startswith("const:"):
+        return Fraction(spec[6:])
+    return None
+
+
+def oracle_total(p, b, g, weight=None):
+    """Total over [b, g]: the exact ``weight`` times the width, or the
+    weights summed index by index."""
+    if weight is not None:
+        return weight * (g - b + 1)
+    return sum(p.weights.value(k) for k in range(b, g + 1))
+
+
+def oracle_absolute_partial(seq, limit, p, n, x, weight=None):
     b, g = p.scheme.window(n)
     lim = triangular(*limit_profile_fn(seq, limit)(x))
-    total = sum(p.weights.value(k) for k in range(b, g + 1))
+    total = float(oracle_total(p, b, g, weight))
     s = sum(p.weights.value(k) * distance(seq.eval(k, x), lim)
             for k in range(b, g + 1))
     return s / total ** p.theta
 
 
-def oracle_sp_density(seq, limit, p, n, x):
+def oracle_sp_density(seq, limit, p, n, x, weight=None):
     b, g = p.scheme.window(n)
     lim = triangular(*limit_profile_fn(seq, limit)(x))
-    total = sum(p.weights.value(k) for k in range(b, g + 1))
+    total = oracle_total(p, b, g, weight)
     k_max = math.floor(total)
     count = sum(
         1 for k in range(1, k_max + 1)
         if p.weights.value(k) * distance(seq.eval(k, x), lim) >= p.eps)
-    return count / total ** p.theta
+    return count / float(total) ** p.theta
 
 
-def oracle_ordinary_partial(seq, p, n, x):
+def oracle_ordinary_partial(seq, p, n, x, weight=None):
     from fuzzysumm import add, scale, zero
     b, g = p.scheme.window(n)
-    total = sum(p.weights.value(k) for k in range(b, g + 1))
+    total = float(oracle_total(p, b, g, weight))
     acc = zero()
     for k in range(b, g + 1):
         acc = add(acc, scale(p.weights.value(k), seq.eval(k, x)))

@@ -106,6 +106,23 @@ class TestRunCommand:
         assert rc == 2
         assert "const:1e+06" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weights, modes, named", [
+        ("const:1e308", "abs", "const:1e+308"),  # T_2 = 1.6e309
+        ("table", "abs", "w.txt"),               # rows of 1e308 sum to inf
+        ("const:1e20", "sp", "const:1e+20"),     # floor(T_1) past int64
+    ])
+    def test_overflowing_totals_diagnosed(self, tmp_path, capsys, weights,
+                                          modes, named):
+        if weights == "table":
+            path = tmp_path / "w.txt"
+            path.write_text("1e308\n" * 64)
+            weights = f"file:{path}"
+        rc = main(["run", "--family", "ex3.2", "--scheme", "classical",
+                   "--weights", weights, "--horizon", "64", "--modes", modes,
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RunConfig("ex4.1", "classical", "const:1", thetas=(1.5,))

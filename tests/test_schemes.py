@@ -2,9 +2,12 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fuzzysumm import (BetaGammaScheme, DegenerateWindowError, WeightSequence,
                        classical_scheme, constant_weights, dilate,
@@ -15,16 +18,62 @@ from fuzzysumm import (BetaGammaScheme, DegenerateWindowError, WeightSequence,
 from fuzzysumm import schemes
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: a window's total depends "
-                   "on the other windows summed in the same call")
 def test_single_window_total_matches_ladder_total():
-    # recip5 on classical: the ladder 1, 2, 4, ..., 32, 45 splits [1, 45]
-    # into pieces that sum to 9.000000000000002, the window alone to
-    # 8.999999999999996
+    # recip5 on classical: walked, the ladder 1, 2, 4, ..., 32, 45 split
+    # [1, 45] into pieces that summed to 9.000000000000002 and the window
+    # alone to 8.999999999999996; the closed form gives 9.0 to both
     scheme, weights = classical_scheme(), recip5_weights()
     windows = [scheme.window(n) for n in ladder(45)]
     in_ladder = weights.window_totals(*zip(*windows))[-1]
     assert in_ladder == weights.window_total(1, 45)
+
+
+class TestExactTotals:
+    def test_decimal_constant_is_not_its_binary_float(self):
+        # the float 0.7 lies below 7/10: taken exactly, ten of it total
+        # 7 - 2**-51, which floors to 6
+        total = parse_weight_spec("const:0.7").window_total(1, 10)
+        assert total == 7.0
+        assert math.floor(total) == 7
+
+    @settings(max_examples=100, deadline=None)
+    @given(c=st.one_of(st.just(None), st.floats(1e-6, 1e6)),
+           windows=st.lists(st.tuples(st.integers(1, 1 << 26),
+                                      st.integers(0, 1 << 26)),
+                            min_size=1, max_size=6))
+    @example(c=None, windows=[(1, 44), (1, 0), (1, 31)])  # recip5, n=45 ladder
+    @example(c=0.1, windows=[(1, 9), (1, 29)])
+    def test_totals_are_exact_and_alone(self, c, windows):
+        # c None stands for recip5; a window is (lo, width - 1)
+        spec = "recip5" if c is None else f"const:{c!r}"
+        weight = Fraction(1, 5) if c is None else Fraction(repr(c))
+        w = parse_weight_spec(spec)
+        los = [lo for lo, _ in windows]
+        his = [lo + d for lo, d in windows]
+        together = w.window_totals(los, his)
+        for lo, hi, total in zip(los, his, together):
+            assert total == w.window_total(lo, hi)
+            assert total == float(weight * (hi - lo + 1))
+
+    @pytest.mark.parametrize("spec", ["const:inf", "const:nan"])
+    def test_constant_must_be_finite(self, spec):
+        with pytest.raises(ValueError, match="not a finite positive number"):
+            parse_weight_spec(spec)
+
+    def test_overflowing_constant_total_named(self):
+        w = parse_weight_spec("const:1e308")
+        assert w.window_total(1, 1) == 1e308
+        with pytest.raises(ValueError, match=r"const:1e\+308: a window total "
+                                             "overflows a float"):
+            w.window_total(1, 64)
+
+    def test_overflowing_table_total_named(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("1e308\n" * 4)
+        w = parse_weight_spec(f"file:{path}")
+        assert w.window_total(2, 2) == 1e308
+        with pytest.raises(ValueError, match="w.txt: a window total overflows"):
+            w.window_total(1, 4)
 
 
 class TestValidation:
@@ -280,6 +329,20 @@ class TestBuiltinsAndSpecs:
         assert w.window_total(1, 3) == pytest.approx(4.5)
         with pytest.raises(ValueError, match="ends at"):
             w.window_total(1, 4)
+
+    @pytest.mark.parametrize("spec", ["const:1", "recip5", "harmonicplus",
+                                      "file"])
+    def test_weight_index_below_one_refused(self, spec, tmp_path):
+        # a 2-row table once wrapped: value(0) gave the last row
+        if spec == "file":
+            path = tmp_path / "w.txt"
+            path.write_text("0.5\n1.5\n")
+            spec = f"file:{path}"
+        w = parse_weight_spec(spec)
+        with pytest.raises(ValueError, match="k=0 is below 1"):
+            w.value(0)
+        with pytest.raises(ValueError, match="k=-1 is below 1"):
+            w.values(np.array([2, -1], dtype=np.int64))
 
     def test_weight_table_values_on_empty_and_past_end(self, tmp_path):
         path = tmp_path / "w.txt"

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (icbrt, oracle_absolute_partial, oracle_ordinary_partial,
-                      oracle_sp_density)
+from conftest import (exact_weight, icbrt, oracle_absolute_partial,
+                      oracle_ordinary_partial, oracle_sp_density)
 
 from fuzzysumm import (ModeParams, VerdictPolicy, XGridPolicy, absolute_partial,
                        alternating_crisp_family, classical_scheme, classify,
@@ -337,16 +337,19 @@ class TestStreamingKernel:
     """classify's one-pass sweep against the index-by-index oracles.
 
     A 7-index chunk puts chunk edges inside nearly every window, so
-    windows are summed across split pieces.  Horizons stay at 8 or less:
-    the oracles walk every index through FuzzyNumbers, and past that the
-    floor(T_n) defect pinned by test_sp_counts_up_to_an_integer_total can
-    give the library and the oracle different sp index sets (recip5 on
-    pow:2 at horizon 10 sums T_10 = 20 to 19.999999999999993).
+    windows are summed across split pieces.  The oracles walk every index
+    through FuzzyNumbers and take a constant weight's totals exactly.
+    With harmonicplus in the mix horizons stay at 8 or less: its totals
+    are still walked float sums.  Constant weights, whose totals are
+    exact, also run past 8 on the schemes with the smaller windows; walked,
+    recip5 on pow:2 at horizon 10 summed T_10 = 20 to 19.999999999999993
+    and floored it to 19.
     """
 
+    FAMILIES = ["ex3.1", "ex3.2", "ex3.3", "ex4.1", "remark3:n=16", "harmonic"]
+
     @settings(max_examples=100, deadline=None)
-    @given(family=st.sampled_from(["ex3.1", "ex3.2", "ex3.3", "ex4.1",
-                                   "remark3:n=16", "harmonic"]),
+    @given(family=st.sampled_from(FAMILIES),
            scheme=st.sampled_from(["classical", "pow:2", "pow:3", "lambda:half",
                                    "lambda:n", "lacunary:pow2"]),
            weights=st.sampled_from(["const:0.1", "const:1", "const:2.5",
@@ -363,9 +366,30 @@ class TestStreamingKernel:
              theta=1.0, eps=0.05, horizon=1, xs=[1.0])
     def test_classify_matches_oracles(self, family, scheme, weights, theta, eps,
                                       horizon, xs):
+        self.check(family, scheme, weights, theta, eps, horizon, xs)
+
+    @settings(max_examples=25, deadline=None)
+    @given(family=st.sampled_from(FAMILIES),
+           scheme=st.sampled_from(["classical", "pow:2", "lambda:half"]),
+           weights=st.sampled_from(["const:0.1", "const:0.7", "const:2.5",
+                                    "recip5"]),
+           theta=st.floats(0.2, 1.0),
+           eps=st.floats(0.05, 2.0),
+           horizon=st.integers(9, 24),
+           xs=st.lists(st.floats(1.0, 2.0), min_size=1, max_size=2, unique=True))
+    # T_10 = 20: walked, floor(T) missed k = 20, where ex4.1 deviates
+    @example(family="ex4.1", scheme="pow:2", weights="recip5",
+             theta=1.0, eps=0.1, horizon=10, xs=[1.0])
+    def test_constant_weights_past_horizon_8(self, family, scheme, weights,
+                                             theta, eps, horizon, xs):
+        self.check(family, scheme, weights, theta, eps, horizon, xs)
+
+    @staticmethod
+    def check(family, scheme, weights, theta, eps, horizon, xs):
         fam = parse_family_spec(family)
         p = ModeParams(theta=theta, eps=eps, scheme=parse_scheme_spec(scheme),
                        weights=parse_weight_spec(weights))
+        weight = exact_weight(weights)
         reps = []
         for f in (fam, dense(fam)):
             with mock.patch.object(schemes, "_CHUNK", 7):
@@ -376,13 +400,14 @@ class TestStreamingKernel:
             lim = triangular(*fam.limit_profile(t.x))
             for (n, got), (_, got_dense) in zip(t.points, t_dense.points):
                 if t.mode == "sp":
-                    want = oracle_sp_density(fam, None, p, n, t.x)
+                    want = oracle_sp_density(fam, None, p, n, t.x, weight)
                     rel = 1e-12
                 elif t.mode == "abs":
-                    want = oracle_absolute_partial(fam, None, p, n, t.x)
+                    want = oracle_absolute_partial(fam, None, p, n, t.x, weight)
                     rel = 1e-9
                 else:
-                    want = distance(oracle_ordinary_partial(fam, p, n, t.x), lim)
+                    want = distance(oracle_ordinary_partial(fam, p, n, t.x, weight),
+                                    lim)
                     rel = 1e-9
                 for value in (got, got_dense):
                     assert value == pytest.approx(want, rel=rel, abs=1e-12)
@@ -481,11 +506,9 @@ class TestSparsePath:
                     assert close(got, want), (identity.__name__, lam, n)
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: floor(T_n) is taken of a "
-                   "float sum that rounds below an integer total")
 def test_sp_counts_up_to_an_integer_total():
     # recip5 on classical at n = 45 sums 45 weights 0.2, so floor(T) = 9;
-    # the float total is 8.999999999999996
+    # a walked float total came to 8.999999999999996
     fam = alternating_crisp_family()
     p = params(eps=0.1, scheme=classical_scheme(), weights=recip5_weights())
     assert sp_density(fam, None, p, 45, 1.0) == \
