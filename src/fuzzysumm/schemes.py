@@ -428,7 +428,9 @@ def constant_weights(c: float) -> WeightSequence:
     c = float(c)
     if not (c > 0 and math.isfinite(c)):
         raise ValueError(f"constant weight {c!r} is not a finite positive number")
-    return WeightSequence(lambda ks: np.full(len(ks), c), f"const:{c:g}",
+    short = f"{c:g}"  # six digits; repr where they name another float
+    label = f"const:{short if float(short) == c else repr(c)}"
+    return WeightSequence(lambda ks: np.full(len(ks), c), label,
                           ratio=_decimal_ratio(c))
 
 

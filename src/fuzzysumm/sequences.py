@@ -20,6 +20,7 @@ from .schemes import read_table
 TriProfile = tuple[np.ndarray, np.ndarray, np.ndarray]
 LimitProfile = tuple[float, float, float]
 _ValueMap = Callable[[np.ndarray, float], np.ndarray]  # (ks, x) -> values
+_IndexMap = Callable[[np.ndarray], np.ndarray]  # ks -> values, for every x
 _Exceptions = Callable[[int, int], np.ndarray]  # (lo, hi) -> sorted int64 ks
 
 
@@ -98,14 +99,19 @@ class FuzzyFunctionSequence:
     hi)``, when present, returns the sorted int64 indices of [lo, hi] at
     which ``profile`` may differ from ``limit_profile``, for every x: extra
     indices are harmless, a missing one is a bug.  The sweeps then
-    evaluate the family only there.  Every family lives on the domain
-    [1, 2].
+    evaluate the family only there.  ``x_free`` says that neither
+    ``profile`` nor ``limit_profile`` reads x: the sweeps then stream the
+    family once per distinct limit, and the scans and ``is_bounded``
+    evaluate it at the first grid point only.  Only the constructors set
+    it; a wrong True gives wrong numbers with no error.  Every family
+    lives on the domain [1, 2].
     """
 
     label: str
     profile: Callable[[np.ndarray, float], TriProfile]
     limit_profile: Optional[Callable[[float], LimitProfile]] = None
     exceptional: Optional[_Exceptions] = None
+    x_free: bool = False
     domain: ClassVar[tuple[float, float]] = (1.0, 2.0)
 
     def check_x(self, x: float) -> float:
@@ -143,20 +149,20 @@ class FuzzyFunctionSequence:
         return triangular(c, l, r)
 
 
-def _crisp_family(label: str, center: _ValueMap, limit: Optional[float] = None,
+def _crisp_family(label: str, center: _IndexMap, limit: Optional[float] = None,
                   exceptional: Optional[_Exceptions] = None) -> FuzzyFunctionSequence:
-    """Family with values center(ks, x) and zero spreads; ``limit``, when
-    given, is the constant crisp limit it is claimed to converge to, and
-    ``exceptional`` the family's exception hook."""
+    """x-free family with values center(ks) and zero spreads; ``limit``,
+    when given, is the constant crisp limit it is claimed to converge to,
+    and ``exceptional`` the family's exception hook."""
 
     def profile(ks: np.ndarray, x: float) -> TriProfile:
         z = np.zeros(len(ks))
-        return center(ks, x), z, z
+        return center(ks), z, z
 
     return FuzzyFunctionSequence(
         label=label, profile=profile,
         limit_profile=None if limit is None else lambda x: (limit, 0.0, 0.0),
-        exceptional=exceptional)
+        exceptional=exceptional, x_free=True)
 
 
 def _symmetric_family(label: str, spread: _ValueMap,
@@ -181,7 +187,7 @@ def square_indicator_family(bound: float = 1.0) -> FuzzyFunctionSequence:
     """
     m = float(bound)
     return _crisp_family(f"square_indicator(M={m:g})",
-                         lambda ks, x: np.where(is_square(ks), 0.0, m), m,
+                         lambda ks: np.where(is_square(ks), 0.0, m), m,
                          _powers(int_sqrt, 2))
 
 
@@ -211,7 +217,7 @@ def alternating_crisp_family() -> FuzzyFunctionSequence:
     # an even k survives dropping its low bit; numpy's shift loops are
     # mapped already, while a first ``ks & 1`` maps 64 KB more of its code
     return _crisp_family("alternating_crisp",
-                         lambda ks, x: np.where(ks >> 1 << 1 == ks, -1.0, 1.0), 0.0)
+                         lambda ks: np.where(ks >> 1 << 1 == ks, -1.0, 1.0), 0.0)
 
 
 def truncated_square_indicator_family(n_trunc: int) -> FuzzyFunctionSequence:
@@ -226,19 +232,19 @@ def truncated_square_indicator_family(n_trunc: int) -> FuzzyFunctionSequence:
     squares = _powers(int_sqrt, 2)
     return _crisp_family(
         f"truncated_square_indicator(n={n_trunc}, M=1)",
-        lambda ks, x: np.where(is_square(ks) & (ks <= n_trunc), 0.0, 1.0), 1.0,
+        lambda ks: np.where(is_square(ks) & (ks <= n_trunc), 0.0, 1.0), 1.0,
         lambda lo, hi: squares(lo, min(hi, n_trunc)))
 
 
 def harmonic_crisp_family() -> FuzzyFunctionSequence:
     """Crisp 1/k, independent of x; converges to 0 and is slowly decreasing."""
     return _crisp_family("harmonic_crisp",
-                         lambda ks, x: 1.0 / ks.astype(np.float64), 0.0)
+                         lambda ks: 1.0 / ks.astype(np.float64), 0.0)
 
 
 def crisp_index_family() -> FuzzyFunctionSequence:
     """Crisp k; monotone increasing, useful as a slowly-decreasing witness."""
-    return _crisp_family("crisp_index", lambda ks, x: ks.astype(np.float64))
+    return _crisp_family("crisp_index", lambda ks: ks.astype(np.float64))
 
 
 def constant_family(center: float, left: float = 0.0,
@@ -256,6 +262,7 @@ def constant_family(center: float, left: float = 0.0,
         label=f"constant({center:g},{left:g},{right:g})",
         profile=profile,
         limit_profile=lambda x: (float(center), float(left), float(right)),
+        x_free=True,
     )
 
 
@@ -278,6 +285,7 @@ def add_families(f: FuzzyFunctionSequence, g: FuzzyFunctionSequence) -> FuzzyFun
         label=f"({f.label})+({g.label})",
         profile=profile,
         limit_profile=limit,
+        x_free=f.x_free and g.x_free,
     )
 
 
@@ -304,6 +312,7 @@ def scale_family(c: float, f: FuzzyFunctionSequence) -> FuzzyFunctionSequence:
         label=f"{c:g}*({f.label})",
         profile=profile,
         limit_profile=limit,
+        x_free=f.x_free,
     )
 
 
@@ -331,7 +340,8 @@ def table_family(path: str) -> FuzzyFunctionSequence:
             raise ValueError(f"family table {path} has no row for some requested k")
         return c_arr[pos], s_arr[pos], s_arr[pos]
 
-    return FuzzyFunctionSequence(label=f"file:{path}", profile=profile)
+    return FuzzyFunctionSequence(label=f"file:{path}", profile=profile,
+                                 x_free=True)
 
 
 def parse_family_spec(spec: str) -> FuzzyFunctionSequence:
@@ -387,15 +397,18 @@ def is_bounded(seq: FuzzyFunctionSequence, grid: XGridPolicy,
 
     Bounded when the running maximum stabilizes before the tail half of
     the index range; otherwise the index of the last new maximum is
-    reported as the growth witness.
+    reported as the growth witness.  An x-free family is evaluated at the
+    first point only.
     """
     if k_max < 1:
         raise ValueError("k_max must be a positive integer")
     ks = np.arange(1, k_max + 1, dtype=np.int64)
     dev = np.zeros(k_max)
-    for x in grid.points:
-        c, l, r = seq.values(ks, seq.check_x(x))
-        dev = np.maximum(dev, triangular_profile_distance(c, l, r, 0.0, 0.0, 0.0))
+    for i, x in enumerate(grid.points):
+        x = seq.check_x(x)
+        if i == 0 or not seq.x_free:
+            c, l, r = seq.values(ks, x)
+            dev = np.maximum(dev, triangular_profile_distance(c, l, r, 0.0, 0.0, 0.0))
     running = np.maximum.accumulate(dev)
     bound = float(running[-1])
     new_max = np.flatnonzero(np.concatenate(([True], running[1:] > running[:-1])))

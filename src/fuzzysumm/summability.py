@@ -12,8 +12,8 @@ Three finite-horizon transforms per evaluation point x:
 Traces of these along a geometric ladder feed ``verdict``; ``classify``
 assembles per-point verdicts and class membership into a report.  All
 three are reductions of one stream of (k, t_k, f_k(x)): a sweep walks
-it once per point, keeps sums between the ladder's checkpoints, and
-applies theta last.
+it once per point (per distinct limit, for a family that does not read
+x), keeps sums between the ladder's checkpoints, and applies theta last.
 """
 
 from __future__ import annotations
@@ -92,14 +92,16 @@ def limit_profile_fn(seq: FuzzyFunctionSequence, limit=None) -> Callable[[float]
 class _Pieces:
     """Sums over the pieces of one streamed index range, at every point.
 
-    Piece j covers (ends[j-1], ends[j]]; ``sums[i, j]`` holds the sums of
-    t*dev, t*c, t*l and t*r over it at the i-th point, then the count of
-    its indices with t*dev >= eps.  Windows passed to the queries must
-    start and end on checkpoints of the stream.
+    Piece j covers (ends[j-1], ends[j]]; ``sums[rows[i], j]`` holds the
+    sums of t*dev, t*c, t*l and t*r over it at the i-th point, then the
+    count of its indices with t*dev >= eps.  Points that share a row
+    share its numbers.  Windows passed to the queries must start and end
+    on checkpoints of the stream.
     """
 
     ends: np.ndarray
     sums: np.ndarray
+    rows: Sequence[int]
 
     def _span(self, lo: int, hi: int) -> slice:
         return slice(int(np.searchsorted(self.ends, lo - 1, side="right")),
@@ -107,36 +109,46 @@ class _Pieces:
 
     def window_sums(self, i: int, lo: int, hi: int) -> tuple[float, ...]:
         """Sums of t*dev, t*c, t*l and t*r over [lo, hi] at the i-th point."""
-        span = self.sums[i, self._span(lo, hi), :4]
+        span = self.sums[self.rows[i], self._span(lo, hi), :4]
         return tuple(math.fsum(col) for col in span.T)
 
     def hit_count(self, i: int, lo: int, hi: int) -> int:
         """Indices of [lo, hi] with t*dev >= eps at the i-th point."""
-        return int(self.sums[i, self._span(lo, hi), 4].sum())
+        return int(self.sums[self.rows[i], self._span(lo, hi), 4].sum())
 
 
 def _stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
             limits: Sequence[LimitProfile], xs: Sequence[float],
             cuts: Sequence[int], eps: float) -> _Pieces:
-    """Stream k over (min(cuts), max(cuts)] once for every point of ``xs``.
+    """Stream k over (min(cuts), max(cuts)] once for every distinct key.
 
-    Each chunk of ``weights.chunks`` costs one ``seq.profile`` call per
-    point and is split at the checkpoints inside it.  Every piece keeps
-    its own sums, so a window whose ends sit on checkpoints is summed by
-    ``math.fsum`` over whole pieces instead of as a difference of long
-    prefix sums.  A family with an exception hook and a claimed limit
-    takes ``_sparse_stream`` instead, unless a term off its exceptions can
+    The key of a point is its limit triple for an x-free family and the
+    pair (x, limit) otherwise; points that share a key share one row of
+    sums, computed at the first of them.  Each chunk of
+    ``weights.chunks`` costs one ``seq.profile`` call per key and is split
+    at the checkpoints inside it.  Every piece keeps its own sums, so a
+    window whose ends sit on checkpoints is summed by ``math.fsum`` over
+    whole pieces instead of as a difference of long prefix sums.  A
+    family with an exception hook and a claimed limit takes
+    ``_sparse_stream`` instead, unless a term off its exceptions can
     reach eps: that needs an explicit limit off the claimed one and a
     finite eps.
     """
     weights.ensure(max(cuts))  # refuse before int64 overflow or allocation
     cuts = np.unique(np.asarray(cuts, dtype=np.int64))
+    slot = {}
+    rows = [slot.setdefault(lim if seq.x_free else (x, lim), len(slot))
+            for x, lim in zip(xs, limits)]
+    firsts = [rows.index(j) for j in range(len(slot))]
+    xs, limits = [xs[i] for i in firsts], [limits[i] for i in firsts]
     if seq.exceptional is not None and seq.limit_profile is not None:
         bases = [seq.limit_profile(x) for x in xs]
         d0s = [float(triangular_profile_distance(*b, *lim))
                for b, lim in zip(bases, limits)]
         if eps == math.inf or (eps > 0 and not any(d0s)):
-            return _sparse_stream(seq, weights, limits, xs, cuts, eps, bases, d0s)
+            ends, sums = _sparse_stream(seq, weights, limits, xs, cuts, eps,
+                                        bases, d0s)
+            return _Pieces(ends, sums, rows)
     # empty leading blocks keep the concatenations valid for an empty range
     ends, sums = [np.zeros(0, dtype=np.int64)], [np.zeros((len(xs), 0, 5))]
     for ks, t, starts, last in weights.chunks(cuts):
@@ -147,14 +159,15 @@ def _stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
             td = t * triangular_profile_distance(c, l, r, *limits[i])
             for col, v in enumerate((td, t * c, t * l, t * r, td >= eps)):
                 sums[-1][i, :, col] = np.add.reduceat(v, starts)
-    return _Pieces(np.concatenate(ends), np.concatenate(sums, axis=1))
+    return _Pieces(np.concatenate(ends), np.concatenate(sums, axis=1), rows)
 
 
 def _sparse_stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
                    limits: Sequence[LimitProfile], xs: Sequence[float],
                    cuts: np.ndarray, eps: float, bases: Sequence[LimitProfile],
-                   d0s: Sequence[float]) -> _Pieces:
-    """``_stream`` for a family equal to its claimed limit off its exceptions.
+                   d0s: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Piece ends and sums, one row per point of ``xs``, for a family
+    equal to its claimed limit off its exceptions.
 
     ``weights.piece_sums`` gives each piece's weight sum W_j with no
     profile: one walk that checks every weight in range, or none for a
@@ -175,7 +188,7 @@ def _sparse_stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
         for col, (v, b) in enumerate(zip((dev, c, l, r), (d0s[i], *bases[i]))):
             sums[i, :, col] = b * w + np.bincount(piece, t * (v - b), len(ends))
         sums[i, :, 4] = np.bincount(piece, t * dev >= eps, len(ends))
-    return _Pieces(ends, sums)
+    return ends, sums
 
 
 def _one_window(seq: FuzzyFunctionSequence, weights: WeightSequence,
@@ -401,9 +414,9 @@ def classify_thetas(seq: FuzzyFunctionSequence, limit, scheme: BetaGammaScheme,
                     policy: VerdictPolicy = VerdictPolicy()) -> list[ConvergenceReport]:
     """One ``classify`` report per order in ``thetas``, from a single sweep.
 
-    The sweep streams k = 1 .. the largest checkpoint once per grid point
-    (checkpoints: beta(n) - 1 and gamma(n) for abs and ord, floor(T_n)
-    for sp) and keeps theta-free window sums; each theta then only
+    The sweep streams k = 1 .. the largest checkpoint once per grid point,
+    or per distinct limit for an x-free family (checkpoints: beta(n) - 1
+    and gamma(n) for abs and ord, floor(T_n) for sp) and keeps theta-free window sums; each theta then only
     divides them by T_n**theta.
     """
     check_mode_args(thetas, eps, modes)

@@ -12,7 +12,7 @@ every ingredient of that implication at desk scale.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -314,6 +314,23 @@ class TauberianReport:
         }
 
 
+def _slow_decrease_entry(seq: FuzzyFunctionSequence, x: float, eps: float,
+                         n0: int, scan_horizon: int) -> SlowDecreaseEntry:
+    """Slow decrease at x for one eps: the first lam of _LAMBDAS that works.
+
+    "Slowly decreasing" quantifies n0 and lam existentially per eps.  A
+    lam works when its violations die out early enough that the clean
+    tail (n0, scan_horizon] is itself exhaustively verified, with n0 no
+    later than half the scan (otherwise the tail is too short to trust).
+    """
+    for lam in _LAMBDAS:
+        wit = slowly_decreasing_check(seq, x, eps, lam, n0, scan_horizon)
+        # the tail (last_bad, scan_horizon] is clean by definition
+        if wit.holds or wit.last_bad <= scan_horizon // 2:
+            return SlowDecreaseEntry(x, eps, True, lam, wit.last_bad or n0, 0, ())
+    return SlowDecreaseEntry(x, eps, False, None, n0, wit.count, wit.violations)
+
+
 def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
                          scheme: BetaGammaScheme, weights: WeightSequence,
                          grid: XGridPolicy, horizon: int,
@@ -328,7 +345,8 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
     conclusion traces d(f_{gamma(n)}(x), limit(x)) along the ladder.
     Hypothesis failures are reported, never fatal: the conclusion is
     still measured so a failed hypothesis remains distinguishable from a
-    failed conclusion.
+    failed conclusion.  An x-free family is scanned, and evaluated at the
+    tops, at the first grid point only.
     """
     if not eps_ladder or any(e <= 0 for e in eps_ladder):
         raise ValueError("eps_ladder must be nonempty and positive")
@@ -344,23 +362,14 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
         except DegenerateWindowError:
             report.condition2[lam] = RatioResult(math.inf, False)
 
-    # "Slowly decreasing" quantifies n0 and lam existentially per eps.  A
-    # lam works when its violations die out early enough that the clean
-    # tail (n0, scan_horizon] is itself exhaustively verified, with n0 no
-    # later than half the scan (otherwise the tail is too short to trust).
-    for x in grid.points:
-        for eps in eps_ladder:
-            entry = None
-            for lam in _LAMBDAS:
-                wit = slowly_decreasing_check(seq, x, eps, lam, n0, scan_horizon)
-                # the tail (last_bad, scan_horizon] is clean by definition
-                if wit.holds or wit.last_bad <= scan_horizon // 2:
-                    entry = SlowDecreaseEntry(x, eps, True, lam,
-                                              wit.last_bad or n0, 0, ())
-                    break
-                entry = SlowDecreaseEntry(x, eps, False, None, n0, wit.count,
-                                          wit.violations)
-            report.slow_decrease.append(entry)
+    for i, x in enumerate(grid.points):
+        if i and seq.x_free:
+            seq.check_x(x)
+            entries = [replace(e, x=x) for e in entries]
+        else:
+            entries = [_slow_decrease_entry(seq, x, eps, n0, scan_horizon)
+                       for eps in eps_ladder]
+        report.slow_decrease += entries
 
     limit_fn = limit_profile_fn(seq, limit)
     report.summability = classify(seq, limit, scheme, weights, theta=1.0,
@@ -369,9 +378,11 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
 
     ns = ladder(horizon)
     tops = np.array([scheme.window(n)[1] for n in ns], dtype=np.int64)
-    for x in grid.points:
+    for i, x in enumerate(grid.points):
         x = seq.check_x(x)
-        dev = triangular_profile_distance(*seq.values(tops, x), *limit_fn(x))
+        if i == 0 or not seq.x_free:
+            at_tops = seq.values(tops, x)
+        dev = triangular_profile_distance(*at_tops, *limit_fn(x))
         pts = tuple(zip(ns, dev.tolist()))
         report.conclusion.append(ModeTrace(x, "tail", 1.0, pts, verdict(pts)))
 

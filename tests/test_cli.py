@@ -191,17 +191,21 @@ def test_run_function_returns_artifacts(tmp_path):
     assert result["reports"][0]["membership"]["sp"] in (True, None)
 
 
-@pytest.mark.parametrize("family, scheme, weights, sparse", [
+@pytest.mark.parametrize("family, scheme, weights, sparse, passes", [
     # largest checkpoint gamma(H); the profile sees only the squares
-    pytest.param("ex3.2", "pow:2", "recip5", True, id="ex3.2-pow:2-recip5"),
+    pytest.param("ex3.2", "pow:2", "recip5", True, 5, id="ex3.2-pow:2-recip5"),
     # the same without the exception hook: every index
-    pytest.param("ex3.2", "pow:2", "recip5", False, id="ex3.2-pow:2-recip5-dense"),
-    # largest checkpoint floor(T_H); no hook
-    pytest.param("ex4.1", "classical", "harmonicplus", False,
+    pytest.param("ex3.2", "pow:2", "recip5", False, 5,
+                 id="ex3.2-pow:2-recip5-dense"),
+    # largest checkpoint floor(T_H); no hook; x-free with one claimed
+    # limit, so the 5 points share one pass
+    pytest.param("ex4.1", "classical", "harmonicplus", False, 1,
                  id="ex4.1-classical-harmonicplus"),
 ])
-def test_run_streams_each_index_once_per_point(tmp_path, monkeypatch,
-                                               family, scheme, weights, sparse):
+def test_run_streams_each_index_once_per_point(tmp_path, monkeypatch, family,
+                                               scheme, weights, sparse, passes):
+    """Each index is streamed once per distinct limit: once per point for
+    an x-dependent family, once in all for an x-free one."""
     streamed = []
 
     def counting_family(spec):
@@ -224,7 +228,7 @@ def test_run_streams_each_index_once_per_point(tmp_path, monkeypatch,
         run(RunConfig(family, scheme, weights, thetas=thetas, eps=0.1,
                       horizon=horizon, grid_spec="1,2,5",
                       modes=("sp", "abs", "ord"), out_dir=str(tmp_path)))
-        assert sum(streamed) == 5 * (math.isqrt(k_max) if sparse else k_max)
+        assert sum(streamed) == passes * (math.isqrt(k_max) if sparse else k_max)
 
 
 @pytest.mark.parametrize("weights, horizon, named", [

@@ -55,6 +55,21 @@ class TestExactTotals:
             assert total == w.window_total(lo, hi)
             assert total == float(weight * (hi - lo + 1))
 
+    @pytest.mark.parametrize("spec, label", [
+        ("const:1", "const:1"), ("const:0.1", "const:0.1"),
+        ("const:1e6", "const:1e+06"),
+        # six digits would name both of these const:0.123457
+        ("const:0.1234567", "const:0.1234567"),
+        ("const:0.12345678", "const:0.12345678"),
+    ])
+    def test_constant_label_names_the_weight(self, spec, label):
+        assert parse_weight_spec(spec).label == label
+
+    @settings(max_examples=100, deadline=None)
+    @given(c=st.floats(1e-300, 1e300))
+    def test_constant_label_round_trips(self, c):
+        assert float(constant_weights(c).label[6:]) == c
+
     @pytest.mark.parametrize("spec", ["const:inf", "const:nan"])
     def test_constant_must_be_finite(self, spec):
         with pytest.raises(ValueError, match="not a finite positive number"):

@@ -1,11 +1,14 @@
 """Built-in families, profile/value consistency, and boundedness."""
 
+import dataclasses
 import math
 import re
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import squares_upto
 
@@ -19,7 +22,8 @@ from fuzzysumm import (add_families, alternating_crisp_family, classical_scheme,
                        triangular_profile_distance,
                        truncated_square_indicator_family, uniform_grid, zero)
 from fuzzysumm import tauberian
-from fuzzysumm.sequences import FuzzyFunctionSequence, int_cbrt, int_sqrt
+from fuzzysumm.sequences import (FuzzyFunctionSequence, XGridPolicy,
+                                 crisp_index_family, int_cbrt, int_sqrt)
 
 
 class TestIntegerRoots:
@@ -294,3 +298,89 @@ def test_bad_values_refused_on_every_path(bad):
             pytest.raises(ValueError, match=named):
         tauberian_experiment(fam, None, scheme, weights, grid, 64, n0=0,
                              scan_horizon=3)
+
+
+@pytest.fixture(scope="module")
+def family_table(tmp_path_factory):
+    path = tmp_path_factory.mktemp("family") / "table.txt"
+    path.write_text("".join(f"{k} {(-1) ** k / k} {k % 3 / 4}\n"
+                            for k in range(1, 301)))
+    return str(path)
+
+
+def built_families(table):
+    """A family from every constructor, the two x-dependent ones included."""
+    specs = ["ex3.1", "ex3.1:M=2.5", "ex3.2", "ex3.3", "ex4.1", "remark3:n=16",
+             "harmonic", f"file:{table}"]
+    return ([parse_family_spec(spec) for spec in specs]
+            + [crisp_index_family(), constant_family(1.5, 0.25, 0.5)])
+
+
+class TestXFree:
+    def test_flag_comes_from_the_constructor(self, family_table):
+        dependent = [f.label for f in built_families(family_table)
+                     if not f.x_free]
+        assert dependent == ["triangular_growing", "cube_decaying"]
+        hand_built = FuzzyFunctionSequence(
+            "hand", lambda ks, x: (np.zeros(len(ks)),) * 3)
+        assert not hand_built.x_free
+
+    @settings(max_examples=60, deadline=None)
+    @given(i=st.integers(0, 9), j=st.integers(0, 9), c=st.floats(-3.0, 3.0),
+           x1=st.floats(1.0, 2.0), x2=st.floats(1.0, 2.0))
+    def test_x_free_families_do_not_read_x(self, family_table, i, j, c, x1, x2):
+        fams = built_families(family_table)
+        f, g = fams[i], fams[j]
+        total, scaled = add_families(f, g), scale_family(c, f)
+        assert total.x_free == (f.x_free and g.x_free)
+        assert scaled.x_free == f.x_free
+        ks = np.arange(1, 301, dtype=np.int64)
+        for fam in (f, total, scaled):
+            if not fam.x_free:
+                continue
+            for a, b in zip(fam.profile(ks, x1), fam.profile(ks, x2)):
+                assert a.tobytes() == b.tobytes()
+            if fam.limit_profile is not None:
+                assert fam.limit_profile(x1) == fam.limit_profile(x2)
+
+    @pytest.mark.parametrize("spec, calls", [("ex4.1", 1), ("ex3.2", 5)])
+    def test_is_bounded_evaluates_x_free_family_once(self, spec, calls):
+        fam = parse_family_spec(spec)
+        seen = []
+
+        def profile(ks, x):
+            seen.append(x)
+            return fam.profile(ks, x)
+
+        grid = uniform_grid(1, 2, 5)
+        got = is_bounded(dataclasses.replace(fam, profile=profile), grid, 256)
+        assert len(seen) == calls
+        assert got == is_bounded(fam, grid, 256)
+        # every point is still checked against the domain
+        with pytest.raises(ValueError, match="x=2.5 outside domain"):
+            is_bounded(fam, XGridPolicy((1.0, 2.5)), 256)
+
+    def test_bad_values_named_at_the_first_point(self):
+        # an x-free spoiled family: the error names the first grid point,
+        # as a per-point pass would
+        def profile(ks, x):
+            return np.where(ks >= 4, math.nan, 0.0), np.zeros(len(ks)), \
+                np.zeros(len(ks))
+
+        fam = FuzzyFunctionSequence("spoiled", profile,
+                                    lambda x: (0.0, 0.0, 0.0), x_free=True)
+        scheme, weights = classical_scheme(), constant_weights(1)
+        grid = uniform_grid(1.5, 2, 2)
+        named = re.escape("spoiled: f_4(1.5) has a non-finite center")
+        for mode in ("sp", "abs", "ord"):
+            with pytest.raises(ValueError, match=named):
+                classify(fam, None, scheme, weights, 1.0, 0.1, grid, 64,
+                         modes=(mode,))
+        with pytest.raises(ValueError, match=named):
+            is_bounded(fam, grid, 64)
+        with pytest.raises(ValueError, match=named):
+            tauberian_experiment(fam, None, scheme, weights, grid, 64)
+        with mock.patch.object(tauberian, "classify"), \
+                pytest.raises(ValueError, match=named):
+            tauberian_experiment(fam, None, scheme, weights, grid, 64, n0=0,
+                                 scan_horizon=3)

@@ -1,6 +1,7 @@
 """Transforms, verdicts, and classification against brute-force oracles."""
 
 import dataclasses
+import json
 import math
 from unittest import mock
 
@@ -13,14 +14,15 @@ from conftest import (exact_weight, icbrt, oracle_absolute_partial,
                       oracle_ordinary_partial, oracle_sp_density)
 
 from fuzzysumm import (ModeParams, VerdictPolicy, XGridPolicy, absolute_partial,
-                       alternating_crisp_family, classical_scheme, classify,
-                       constant_family, constant_weights, crisp,
-                       cube_decaying_family, distance, harmonicplus_weights,
-                       ladder, ordinary_partial, parse_family_spec,
-                       parse_scheme_spec, parse_weight_spec, power_scheme,
-                       recip5_weights, sp_density, square_indicator_family,
-                       triangular, triangular_growing_family, uniform_grid,
-                       verdict, weighted_total, zero)
+                       add_families, alternating_crisp_family,
+                       classical_scheme, classify, constant_family,
+                       constant_weights, crisp, cube_decaying_family, distance,
+                       harmonicplus_weights, ladder, ordinary_partial,
+                       parse_family_spec, parse_scheme_spec, parse_weight_spec,
+                       power_scheme, recip5_weights, scale_family, sp_density,
+                       square_indicator_family, triangular,
+                       triangular_growing_family, uniform_grid, verdict,
+                       weighted_total, zero)
 from fuzzysumm import dilation_mean_identity, schemes, shrink_mean_identity
 from fuzzysumm.summability import _stream, classify_thetas, limit_profile_fn
 
@@ -411,6 +413,81 @@ class TestStreamingKernel:
                     rel = 1e-9
                 for value in (got, got_dense):
                     assert value == pytest.approx(want, rel=rel, abs=1e-12)
+
+
+X_FREE_FAMILIES = {
+    "ex3.1": lambda: parse_family_spec("ex3.1"),
+    "ex3.1-dense": lambda: dense(parse_family_spec("ex3.1")),
+    "ex4.1": lambda: parse_family_spec("ex4.1"),
+    "remark3": lambda: parse_family_spec("remark3:n=16"),
+    "harmonic": lambda: parse_family_spec("harmonic"),
+    "constant": lambda: constant_family(0.5, 0.25, 0.125),
+    "sum": lambda: add_families(alternating_crisp_family(),
+                                constant_family(0.0, 0.25, 0.5)),
+    "scaled": lambda: scale_family(-2.0, parse_family_spec("harmonic")),
+}
+
+
+class TestXFreeSharing:
+    """An x-free family streams once per distinct limit; the points that
+    share a limit share its rows."""
+
+    @pytest.mark.parametrize("family", X_FREE_FAMILIES)
+    @pytest.mark.parametrize("weights", ["recip5", "harmonicplus"])
+    def test_points_match_one_point_runs(self, family, weights):
+        fam = X_FREE_FAMILIES[family]()
+        assert fam.x_free
+        grid = uniform_grid(1.1, 1.9, 5)
+
+        def run(grid):
+            return classify_thetas(fam, None, power_scheme(2),
+                                   parse_weight_spec(weights), (0.5, 1.0), 0.1,
+                                   grid, 64)
+
+        shared = run(grid)
+        for x in grid.points:
+            for rep, rep_one in zip(shared, run(XGridPolicy((x,)))):
+                got = [t.to_dict() for t in rep.traces if t.x == x]
+                want = [t.to_dict() for t in rep_one.traces]
+                assert len(got) == 3
+                assert json.dumps(got) == json.dumps(want)
+
+    @settings(max_examples=20, deadline=None)
+    @given(family=st.sampled_from(["ex3.1", "ex4.1", "remark3:n=16", "harmonic"]),
+           scheme=st.sampled_from(["classical", "pow:2", "lambda:half"]),
+           weights=st.sampled_from(["const:0.7", "recip5", "harmonicplus"]),
+           theta=st.floats(0.2, 1.0),
+           eps=st.floats(0.05, 2.0),
+           horizon=st.integers(1, 8))
+    def test_x_dependent_limit_matches_oracles(self, family, scheme, weights,
+                                               theta, eps, horizon):
+        # the limit varies with x up to 1.5 and is constant from there, so
+        # the points 1.5, 1.75 and 2 share their rows and the others do not
+        fam = parse_family_spec(family)
+
+        def limit(x):
+            m = min(x, 1.5)
+            return (m - 1.0, 0.25 * m, 0.5)
+
+        p = ModeParams(theta=theta, eps=eps, scheme=parse_scheme_spec(scheme),
+                       weights=parse_weight_spec(weights))
+        weight = exact_weight(weights)
+        with mock.patch.object(schemes, "_CHUNK", 7):
+            rep = classify(fam, limit, p.scheme, p.weights, theta=theta, eps=eps,
+                           grid=uniform_grid(1, 2, 5), horizon=horizon)
+        for t in rep.traces:
+            for n, got in t.points:
+                if t.mode == "sp":
+                    want = oracle_sp_density(fam, limit, p, n, t.x, weight)
+                    rel = 1e-12
+                elif t.mode == "abs":
+                    want = oracle_absolute_partial(fam, limit, p, n, t.x, weight)
+                    rel = 1e-9
+                else:
+                    want = distance(oracle_ordinary_partial(fam, p, n, t.x, weight),
+                                    triangular(*limit(t.x)))
+                    rel = 1e-9
+                assert got == pytest.approx(want, rel=rel, abs=1e-12), (t.mode, n)
 
 
 SPARSE_FAMILIES = ["ex3.1", "ex3.1:M=2.5", "ex3.2", "ex3.3", "remark3:n=16"]

@@ -1,5 +1,6 @@
 """Slow-decrease scans, decomposition identities, and the full experiment."""
 
+import json
 import math
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fuzzysumm import (DegenerateWindowError, add, add_families,
+from fuzzysumm import (DegenerateWindowError, XGridPolicy, add, add_families,
                        classical_scheme, constant_family, constant_weights, crisp,
                        alternating_crisp_family,
                        dilation_mean_identity, distance, harmonic_crisp_family,
@@ -320,8 +321,63 @@ class TestExperiment:
         for n, v in exp.conclusion[0].points:
             assert v == 0.0
 
+    @pytest.mark.parametrize("family, limit", [
+        (alternating_crisp_family, None),  # slow decrease fails, witnesses
+        (harmonic_crisp_family, None),
+        (lambda: square_indicator_family(1.0), None),
+        # a limit that moves with x moves the conclusion trace, not the scan
+        (harmonic_crisp_family, lambda x: (x - 1.0, 0.0, 0.25 * x)),
+    ])
+    def test_x_free_points_match_one_point_runs(self, family, limit):
+        fam = family()
+        assert fam.x_free
+        grid = uniform_grid(1.1, 1.9, 5)
+
+        def run(grid):
+            with mock.patch.object(tauberian, "slowly_decreasing_check",
+                                   wraps=slowly_decreasing_check) as scan:
+                exp = tauberian_experiment(fam, limit, classical_scheme(),
+                                           constant_weights(1), grid,
+                                           horizon=256, scan_horizon=128)
+            return exp, scan.call_count
+
+        def at(entries, x):
+            return json.dumps([e.to_dict() for e in entries if e.x == x])
+
+        shared, scans = run(grid)
+        for x in grid.points:
+            one, one_scans = run(XGridPolicy((x,)))
+            assert scans == one_scans  # the 5 points are scanned once
+            assert at(shared.slow_decrease, x) == at(one.slow_decrease, x)
+            assert at(shared.conclusion, x) == at(one.conclusion, x)
+            assert (at(shared.summability.traces, x)
+                    == at(one.summability.traces, x))
+        # every point is still checked against the domain, as it is scanned
+        late = AssertionError("a point outside the domain passed the scans")
+        with mock.patch.object(tauberian, "classify", side_effect=late), \
+                pytest.raises(ValueError, match="x=2.5 outside domain"):
+            tauberian_experiment(fam, limit, classical_scheme(),
+                                 constant_weights(1), XGridPolicy((1.0, 2.5)),
+                                 horizon=256, scan_horizon=128)
+
+    def test_x_dependent_family_scanned_at_every_point(self):
+        fam = unequal_spread_family()
+        assert not fam.x_free
+        grid = uniform_grid(1.1, 1.9, 5)
+        entries, scans = [], []
+        for g in (grid, *(XGridPolicy((x,)) for x in grid.points)):
+            with mock.patch.object(tauberian, "slowly_decreasing_check",
+                                   wraps=slowly_decreasing_check) as scan:
+                exp = tauberian_experiment(fam, None, classical_scheme(),
+                                           constant_weights(1), g,
+                                           horizon=256, scan_horizon=128)
+            entries.append([e.to_dict() for e in exp.slow_decrease])
+            scans.append(scan.call_count)
+        # every point takes the scans it takes alone
+        assert scans[0] == sum(scans[1:])
+        assert entries[0] == sum(entries[1:], [])
+
     def test_report_serializes(self):
-        import json
         exp = tauberian_experiment(
             harmonic_crisp_family(), None, classical_scheme(),
             constant_weights(1), uniform_grid(1, 2, 2), horizon=1024,
