@@ -4,11 +4,13 @@ A scheme is a pair of index maps ``beta``, ``gamma`` selecting windows
 [beta(n), gamma(n)] of a sequence; a weight sequence attaches a positive
 weight to every index.  The windowed total (sum of weights over the n-th
 window) drives every convergence transform downstream, so it is backed
-by one chunked walk over the weights that sums them piece by piece
-between the requested window ends; nothing is kept between queries.
-Constant weights (``const:c``, ``recip5``) need no walk: a window of
-width w totals p*w/q for the exact ratio p/q of the weight, correctly
-rounded.
+by a closed form where the weights have one and by a chunked walk over
+them otherwise; nothing is kept between queries.  Constant weights
+(``const:c``, ``recip5``) total p*w/q over a window of width w for the
+exact ratio p/q of the weight, correctly rounded, and ``harmonicplus``
+totals w + H_g - H_{b-1} over [b, g] to within 2**-52 relative.  Only
+``file:`` and hand-built weights are walked: one walk sums them piece by
+piece between the requested window ends.
 """
 
 from __future__ import annotations
@@ -34,6 +36,12 @@ SHRINK_GAP_LIMSUP = 5
 # a chunk's float64 temporaries (64 KiB) stay under glibc's 128 KiB mmap
 # threshold, so they are reused from the heap instead of mapped anew.
 _CHUNK = 1 << 13
+# Windows of harmonicplus weights up to this width are summed term by
+# term; past it H_n takes its asymptotic series, whose totals are within
+# _HARMONIC_ERR relative of the exact ones.
+_HARMONIC_DIRECT = 64
+_HARMONIC_ERR = 2.0 ** -52
+_EULER_GAMMA = 0.5772156649015329
 # Largest index a walk over the weights may reach, checked on Python ints
 # before any index array is built; pow:2 at horizon 4096 needs 2^24.
 _MAX_INDEX = 1 << 27
@@ -70,19 +78,27 @@ class BetaGammaScheme:
         return f"BetaGammaScheme({self.label!r})"
 
 
+# A closed form of weight sums: (a, g, window) -> sums over (a[i], g[i]].
+Sums = Callable[[np.ndarray, np.ndarray, bool], np.ndarray]
+
+
 class WeightSequence:
     """Positive weights t_k; window totals are summed afresh per query.
 
-    ``ratio`` = (p, q) marks a sequence whose every weight is the exact
-    ratio p/q of ints: its totals and piece sums come in closed form.
+    ``sums`` is the closed form of a sequence that has one: given int64
+    arrays a and g and a flag ``window``, it returns the weight sums over
+    the ranges (a[i], g[i]], each alone, whatever else is asked.  With
+    ``window`` set the sums are window totals, whose floors are taken: a
+    sum must then floor right or raise ValueError naming its window.
+    Totals and piece sums of a sequence with a closed form need no walk.
     """
 
     def __init__(self, values_fn: Callable[[np.ndarray], np.ndarray], label: str,
-                 max_k: int | None = None, ratio: tuple[int, int] | None = None):
+                 max_k: int | None = None, sums: Sums | None = None):
         self._values_fn = values_fn
         self.label = label
         self.max_k = max_k
-        self.ratio = ratio
+        self.sums = sums
         t1 = float(self.values(np.array([1], dtype=np.int64))[0])
         if not t1 > 0:
             raise ValueError("first weight must be positive")
@@ -121,20 +137,21 @@ class WeightSequence:
         for a in range(lo + 1, hi + 1, _CHUNK):
             ks = np.arange(a, min(hi + 1, a + _CHUNK), dtype=np.int64)
             t = self.values(ks)
-            bad = ~(np.isfinite(t) & (t > 0))
-            if bad.any():
+            if not (t.min() > 0 and t.max() < np.inf):  # false on a NaN too
+                bad = ~(np.isfinite(t) & (t > 0))
                 raise ValueError(f"{self.label}: weight t_{ks[np.argmax(bad)]} "
                                  "is not a finite positive number")
-            inner = cuts[np.searchsorted(cuts, a):np.searchsorted(cuts, ks[-1])]
-            yield ks, t, np.append(0, inner + 1 - a), np.append(inner, ks[-1])
+            inner = cuts[slice(*np.searchsorted(cuts, (a, ks[-1])))]
+            yield (ks, t, np.concatenate(((0,), inner + 1 - a)),
+                   np.concatenate((inner, ks[-1:])))
 
     def piece_sums(self, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Last index and weight sum of every piece of the walk over ``cuts``.
 
-        With a ``ratio`` nothing is walked: the pieces end where the walk's
-        would (every cut and chunk end) and sum to c * width.
+        With a closed form ``sums`` nothing is walked: the pieces end where
+        the walk's would, at every cut and chunk end.
         """
-        if self.ratio is None:
+        if self.sums is None:
             ends, sums = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
             for _, t, starts, last in self.chunks(cuts):
                 ends.append(last)
@@ -143,8 +160,7 @@ class WeightSequence:
         lo, hi = int(cuts[0]), int(cuts[-1])
         self.ensure(hi)
         ends = np.union1d(cuts[1:], np.arange(lo + _CHUNK, hi, _CHUNK))
-        p, q = self.ratio
-        return ends, p / q * np.diff(ends, prepend=lo)
+        return ends, self.sums(np.append(lo, ends)[:-1], ends, False)
 
     def window_total(self, lo: int, hi: int) -> float:
         """Sum of t_k over the closed range [lo, hi]."""
@@ -153,12 +169,11 @@ class WeightSequence:
     def window_totals(self, los: Sequence[int], his: Sequence[int]) -> np.ndarray:
         """Sums of t_k over the closed ranges [los[i], his[i]].
 
-        With a ``ratio`` p/q a window of width w totals p*w/q, correctly
-        rounded whatever else is asked.  Otherwise one walk over
-        (min(los) - 1, max(his)] sums the weights per piece between
-        consecutive window ends, and every total is a difference of the
-        cumulative piece sums.  A total past the float range raises
-        ValueError naming the weights.
+        With a closed form ``sums`` each total is computed alone.
+        Otherwise one walk over (min(los) - 1, max(his)] sums the weights
+        per piece between consecutive window ends, and every total is a
+        difference of the cumulative piece sums.  A total past the float
+        range raises ValueError naming the weights.
         """
         self.ensure(max(his))  # ends past int64 must fail before np.asarray
         los = np.asarray(los, dtype=np.int64)
@@ -167,12 +182,8 @@ class WeightSequence:
         if empty.size:
             i = empty[0]
             raise DegenerateWindowError(f"empty weight window [{los[i]}, {his[i]}]")
-        if self.ratio is not None:
-            p, q = self.ratio
-            try:
-                totals = np.array([p * w / q for w in (his - los + 1).tolist()])
-            except OverflowError:  # int true division past the float range
-                totals = np.array([math.inf])
+        if self.sums is not None:
+            totals = self.sums(los - 1, his, True)
         else:
             with np.errstate(over="ignore", invalid="ignore"):
                 ends, sums = self.piece_sums(np.union1d(los - 1, his))
@@ -424,6 +435,22 @@ def _decimal_ratio(c: float) -> tuple[int, int]:
     return (p * 10 ** shift, 1) if shift >= 0 else (p, 10 ** -shift)
 
 
+def _ratio_sums(p: int, q: int):
+    """Closed form of the constant weight p/q: a window of width w totals
+    p*w/q, correctly rounded, so an integer total floors right; a piece
+    sums to c*w for the float c = p/q."""
+
+    def sums(a: np.ndarray, g: np.ndarray, window: bool) -> np.ndarray:
+        if not window:
+            return p / q * (g - a)
+        try:
+            return np.array([p * w / q for w in (g - a).tolist()])
+        except OverflowError:  # int true division past the float range
+            return np.array([math.inf])
+
+    return sums
+
+
 def constant_weights(c: float) -> WeightSequence:
     c = float(c)
     if not (c > 0 and math.isfinite(c)):
@@ -431,15 +458,70 @@ def constant_weights(c: float) -> WeightSequence:
     short = f"{c:g}"  # six digits; repr where they name another float
     label = f"const:{short if float(short) == c else repr(c)}"
     return WeightSequence(lambda ks: np.full(len(ks), c), label,
-                          ratio=_decimal_ratio(c))
+                          sums=_ratio_sums(*_decimal_ratio(c)))
 
 
 def recip5_weights() -> WeightSequence:
-    return WeightSequence(lambda ks: np.full(len(ks), 0.2), "recip5", ratio=(1, 5))
+    return WeightSequence(lambda ks: np.full(len(ks), 0.2), "recip5",
+                          sums=_ratio_sums(1, 5))
+
+
+def _harmonic_tail(n: np.ndarray) -> np.ndarray:
+    """H_n - ln n - gamma for n >= _HARMONIC_DIRECT, to within 1/(240 n**8)."""
+    n = n.astype(np.float64)
+    r = 1.0 / (n * n)
+    return 0.5 / n - r * (1 / 12 - r * (1 / 120 - r / 252))
+
+
+def _harmonicplus_sums(a: np.ndarray, g: np.ndarray, window: bool) -> np.ndarray:
+    """Sums of 1 + 1/k over (a, g]: the width w = g - a plus H_g - H_a.
+
+    A range of width at most _HARMONIC_DIRECT is summed term by term, and
+    so is H_a for a below it: largest term first, each addition's rounding
+    error carried along (Fast2Sum), after the width.  Otherwise H_g - H_a
+    takes the series H_n = ln n + gamma + _harmonic_tail(n), with ln g -
+    ln a as one log of g/a once a reaches the cutoff.  Every sum is
+    within _HARMONIC_ERR * sum of the exact one.  H_g - H_a is an integer
+    only for (a, g] = (0, 1] (Kurschak, 1918), so a window total taken by
+    the series within that bound of an integer has a floor in doubt and
+    raises ValueError naming its window.  Term-by-term totals are exempt:
+    their floors were checked against exact fractions.
+    """
+    w = g - a
+    near = w <= _HARMONIC_DIRECT
+    lo = np.where(near, a + 1, 1)
+    hi = np.where(near, g, np.where(a < _HARMONIC_DIRECT, a, 0))
+    s, err = np.where(near, w, 0).astype(np.float64), np.zeros(len(w))
+    for j in range(int((hi - lo).max(initial=-1)) + 1):
+        k = lo + j
+        x = np.where(k <= hi, 1.0 / k, 0.0)
+        t = s + x
+        err += (s - t) + x  # exact, as s is 0 or at least x
+        s = t
+    s += err  # the total where near, else H_a (0 when a is past the cutoff)
+    # H_g - H_a = ln(g/base) + tail(g) - offset: base 1 and offset H_a - gamma
+    # below the cutoff, base a and offset tail(a) from it
+    small = a < _HARMONIC_DIRECT
+    base = np.where(small, 1, a)
+    offset = np.where(small, s - _EULER_GAMMA,
+                      _harmonic_tail(np.maximum(a, _HARMONIC_DIRECT)))
+    with np.errstate(divide="ignore"):  # log(0) where g = 0, discarded below
+        far = w + (np.log(g / base) - offset
+                   + _harmonic_tail(np.maximum(g, _HARMONIC_DIRECT)))
+    if window:
+        doubt = np.flatnonzero(~near & (np.abs(far - np.rint(far))
+                                        <= _HARMONIC_ERR * far))
+        if doubt.size:
+            i = doubt[0]
+            raise ValueError(f"harmonicplus: the total {far[i]!r} over "
+                             f"[{a[i] + 1}, {g[i]}] lies within its error bound "
+                             "of an integer, so its floor is in doubt")
+    return np.where(near, s, far)
 
 
 def harmonicplus_weights() -> WeightSequence:
-    return WeightSequence(lambda ks: 1.0 + 1.0 / ks, "harmonicplus")
+    return WeightSequence(lambda ks: 1.0 + 1.0 / ks, "harmonicplus",
+                          sums=_harmonicplus_sums)
 
 
 def table_weights(path: str) -> WeightSequence:

@@ -157,8 +157,11 @@ def _stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
         for i, x in enumerate(xs):
             c, l, r = seq.values(ks, x)
             td = t * triangular_profile_distance(c, l, r, *limits[i])
-            for col, v in enumerate((td, t * c, t * l, t * r, td >= eps)):
-                sums[-1][i, :, col] = np.add.reduceat(v, starts)
+            out = sums[-1][i]
+            for col, v in ((0, td), (1, t * c), (2, t * l), (4, td >= eps)):
+                out[:, col] = np.add.reduceat(v, starts)
+            # the built-in families pass one array for both spreads
+            out[:, 3] = out[:, 2] if r is l else np.add.reduceat(t * r, starts)
     return _Pieces(np.concatenate(ends), np.concatenate(sums, axis=1), rows)
 
 
@@ -170,16 +173,17 @@ def _sparse_stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
     equal to its claimed limit off its exceptions.
 
     ``weights.piece_sums`` gives each piece's weight sum W_j with no
-    profile: one walk that checks every weight in range, or none for a
-    constant weight, checked when it was built.  Off the exceptions every
-    term is the claimed limit's value ``bases[i]`` at deviation ``d0s[i]``
-    from ``limits[i]``, so a piece sums to base*W_j (d0*W_j for t*dev)
-    plus, from its exceptions, t*(value - base); no term off them reaches
-    eps, so the hits come from the exceptions alone.
+    profile: one walk that checks every weight in range, or none for
+    weights with a closed form, which are positive by construction.  Off
+    the exceptions every term is the claimed limit's value ``bases[i]``
+    at deviation ``d0s[i]`` from ``limits[i]``, so a piece sums to
+    base*W_j (d0*W_j for t*dev) plus, from its exceptions, t*(value -
+    base); no term off them reaches eps, so the hits come from the
+    exceptions alone.
     """
     ks = seq.exceptional(int(cuts[0]) + 1, int(cuts[-1]))
     ends, w = weights.piece_sums(cuts)
-    t = weights.values(ks)  # checked by the walk or by the constant's build
+    t = weights.values(ks)  # checked by the walk, or positive by construction
     piece = np.searchsorted(ends, ks)
     sums = np.empty((len(xs), len(ends), 5))
     for i, x in enumerate(xs):

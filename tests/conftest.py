@@ -5,12 +5,13 @@ addition, subtraction, and comparison exact in binary floating point,
 which lets the algebraic identities be asserted with zero slack.  The
 oracle functions recompute the transforms index by index through the
 FuzzyNumber API, independent of the vectorized profile sweeps they
-check; given the exact value of a constant weight, they take its window
+check; given the exact weights of a built-in spec, they take its window
 totals exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -55,21 +56,36 @@ def rng_triangular(rng: np.random.Generator, span: float = 8.0,
 # ---------------------------------------------------------------------------
 
 def exact_weight(spec: str):
-    """The exact value of a constant weight spec (``const:0.7`` is 7/10),
-    or None for weights that vary with k."""
+    """The exact weight of a built-in spec: a Fraction for a constant
+    (``const:0.7`` is 7/10), k -> 1 + 1/k for ``harmonicplus``, and None
+    for ``file:`` weights."""
     if spec == "recip5":
         return Fraction(1, 5)
     if spec.startswith("const:"):
         return Fraction(spec[6:])
+    if spec == "harmonicplus":
+        return _harmonicplus
     return None
 
 
+def _harmonicplus(k):
+    return 1 + Fraction(1, k)
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_sum(weight, b, g):
+    return sum(map(weight, range(b, g + 1)), Fraction(0))
+
+
 def oracle_total(p, b, g, weight=None):
-    """Total over [b, g]: the exact ``weight`` times the width, or the
-    weights summed index by index."""
-    if weight is not None:
-        return weight * (g - b + 1)
-    return sum(p.weights.value(k) for k in range(b, g + 1))
+    """Total over [b, g]: the exact ``weight`` times the width, the exact
+    weights summed as fractions, or the float weights summed index by
+    index when no exact weight is given."""
+    if weight is None:
+        return sum(p.weights.value(k) for k in range(b, g + 1))
+    if callable(weight):
+        return _exact_sum(weight, b, g)
+    return weight * (g - b + 1)
 
 
 def oracle_absolute_partial(seq, limit, p, n, x, weight=None):

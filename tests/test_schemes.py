@@ -55,6 +55,73 @@ class TestExactTotals:
             assert total == w.window_total(lo, hi)
             assert total == float(weight * (hi - lo + 1))
 
+    # harmonicplus windows as (lo, width - 1), short ones summed term by term
+    HARMONIC_WINDOWS = st.lists(
+        st.tuples(st.integers(1, 1 << 26),
+                  st.one_of(st.integers(0, 100), st.integers(0, 1 << 26))),
+        min_size=1, max_size=6)
+
+    @settings(max_examples=100, deadline=None)
+    @given(windows=HARMONIC_WINDOWS)
+    @example(windows=[(1, 0), (1, 44), (1, 64), (2, 64), (64, 64), (65, 64),
+                      (2**15 + 1, 2**15 - 1)])
+    def test_harmonicplus_totals_alone(self, windows):
+        w = harmonicplus_weights()
+        los = [lo for lo, _ in windows]
+        his = [lo + d for lo, d in windows]
+        together = w.window_totals(los, his)
+        for lo, hi, total in zip(los, his, together):
+            assert total == w.window_total(lo, hi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(windows=HARMONIC_WINDOWS)
+    @example(windows=[(1, 0), (1, 64), (1, (1 << 27) - 1), (63, 1 << 26),
+                      (64, 1 << 26), ((1 << 27) - 65, 64)])
+    def test_harmonicplus_totals_within_2_ulp(self, windows):
+        mpmath = pytest.importorskip("mpmath")
+        w = harmonicplus_weights()
+        los = [lo for lo, _ in windows]
+        his = [lo + d for lo, d in windows]
+        with mpmath.workdps(40):
+            for lo, hi, total in zip(los, his, w.window_totals(los, his)):
+                exact = (hi - lo + 1 + mpmath.harmonic(hi)
+                         - mpmath.harmonic(lo - 1))
+                assert abs(mpmath.mpf(total) - exact) <= 2 * math.ulp(float(exact))
+
+    def test_harmonicplus_term_by_term_floors(self):
+        # windows of up to 64 indices are summed term by term and never
+        # refused: up to g = 300 their floors are those of exact fractions,
+        # and past it H_g - H_{b-1} lies in [1/g, 0.28], far from an integer
+        harmonic = [Fraction(0)]
+        for k in range(1, 301):
+            harmonic.append(harmonic[-1] + Fraction(1, k))
+        windows = [(b, g) for g in range(1, 301)
+                   for b in range(max(1, g - 63), g + 1)]
+        got = harmonicplus_weights().window_totals(*zip(*windows))
+        for (b, g), total in zip(windows, got):
+            exact = g - b + 1 + harmonic[g] - harmonic[b - 1]
+            assert math.floor(total) == math.floor(exact)
+            assert abs(Fraction(total) - exact) <= schemes._HARMONIC_ERR * exact
+
+    @settings(max_examples=10, deadline=None)
+    @given(a=st.integers(3_400_000, 6_600_000))
+    @example(a=0)  # H_g crosses 19 near g = 1.0e8
+    def test_harmonicplus_total_near_an_integer_named(self, a):
+        # H_g - H_a crosses an integer once for g in [2^26, 2^27] (near
+        # e^3 * a for these a), in steps of 1/g below an ulp of the total:
+        # the total nearest an integer is within its error bound of it
+        w = harmonicplus_weights()
+        coarse = np.arange(1 << 26, (1 << 27) + 1, 4096)
+        frac = w.sums(np.full(len(coarse), a), coarse, False) - (coarse - a)
+        j = np.flatnonzero(np.diff(np.floor(frac)))[0]
+        fine = np.arange(coarse[j], coarse[j + 1] + 1)
+        totals = w.sums(np.full(len(fine), a), fine, False)
+        g = int(fine[np.argmin(np.abs(totals - np.rint(totals)))])
+        with pytest.raises(ValueError, match=rf"harmonicplus: the total .* over "
+                                             rf"\[{a + 1}, {g}\] lies within its "
+                                             "error bound of an integer"):
+            w.window_totals([a + 1, a + 1], [g - 4096, g])
+
     @pytest.mark.parametrize("spec, label", [
         ("const:1", "const:1"), ("const:0.1", "const:0.1"),
         ("const:1e6", "const:1e+06"),
@@ -210,6 +277,22 @@ class TestWindowTotals:
         assert w.window_total(3, 4) == 2.0
         with pytest.raises(ValueError, match="t_2 is not a finite positive"):
             w.window_total(1, 4)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0", "-1.5"])
+    @pytest.mark.parametrize("k", [10, 14])  # mid-chunk, a chunk's last index
+    def test_bad_table_weight_named_in_its_chunk(self, tmp_path, monkeypatch,
+                                                 bad, k):
+        monkeypatch.setattr(schemes, "_CHUNK", 7)  # chunks (0, 7], (7, 14], ...
+        rows = ["1"] * 30
+        rows[k - 1] = bad
+        rows[k + 1] = "0"  # a later bad weight is not the one named
+        path = tmp_path / "w.txt"
+        path.write_text("\n".join(rows))
+        w = parse_weight_spec(f"file:{path}")
+        assert w.window_total(1, k - 1) == k - 1
+        with pytest.raises(ValueError, match=rf"w\.txt: weight t_{k} is not a "
+                                             "finite positive number$"):
+            w.window_total(1, 30)
 
 
 class TestDilate:

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from conftest import (exact_weight, icbrt, oracle_absolute_partial,
                       oracle_ordinary_partial, oracle_sp_density)
 
-from fuzzysumm import (ModeParams, VerdictPolicy, XGridPolicy, absolute_partial,
-                       add_families, alternating_crisp_family,
+from fuzzysumm import (ModeParams, VerdictPolicy, WeightSequence, XGridPolicy,
+                       absolute_partial, add_families, alternating_crisp_family,
                        classical_scheme, classify, constant_family,
                        constant_weights, crisp, cube_decaying_family, distance,
                        harmonicplus_weights, ladder, ordinary_partial,
@@ -340,10 +340,9 @@ class TestStreamingKernel:
 
     A 7-index chunk puts chunk edges inside nearly every window, so
     windows are summed across split pieces.  The oracles walk every index
-    through FuzzyNumbers and take a constant weight's totals exactly.
-    With harmonicplus in the mix horizons stay at 8 or less: its totals
-    are still walked float sums.  Constant weights, whose totals are
-    exact, also run past 8 on the schemes with the smaller windows; walked,
+    through FuzzyNumbers and take the built-in weights' totals exactly.
+    The closed-form totals run past horizon 8 on the schemes with the
+    smaller windows, both the constant ones and harmonicplus; walked,
     recip5 on pow:2 at horizon 10 summed T_10 = 20 to 19.999999999999993
     and floored it to 19.
     """
@@ -385,6 +384,20 @@ class TestStreamingKernel:
     def test_constant_weights_past_horizon_8(self, family, scheme, weights,
                                              theta, eps, horizon, xs):
         self.check(family, scheme, weights, theta, eps, horizon, xs)
+
+    @settings(max_examples=25, deadline=None)
+    @given(family=st.sampled_from(FAMILIES),
+           scheme=st.sampled_from(["classical", "pow:2", "lambda:half"]),
+           theta=st.floats(0.2, 1.0),
+           eps=st.floats(0.05, 2.0),
+           horizon=st.integers(9, 24),
+           xs=st.lists(st.floats(1.0, 2.0), min_size=1, max_size=2, unique=True))
+    # windows [1, n^2] past the 64 indices summed term by term
+    @example(family="ex4.1", scheme="pow:2", theta=1.0, eps=0.1, horizon=24,
+             xs=[1.0])
+    def test_harmonicplus_past_horizon_8(self, family, scheme, theta, eps,
+                                         horizon, xs):
+        self.check(family, scheme, "harmonicplus", theta, eps, horizon, xs)
 
     @staticmethod
     def check(family, scheme, weights, theta, eps, horizon, xs):
@@ -581,6 +594,46 @@ class TestSparsePath:
                     got, want = [identity(f, scheme, w, lam, n, 1.5)
                                  for f in (fam, dense(fam))]
                     assert close(got, want), (identity.__name__, lam, n)
+
+
+class TestOneWeightWalk:
+    """Closed-form harmonicplus totals leave the dense sweep's chunk loop
+    as the only walk over the weights, and the sparse sweep none: only the
+    exceptions' own weights are evaluated."""
+
+    @staticmethod
+    def top_cut(scheme, horizon):
+        # the sweep's last checkpoint: gamma(n) or floor(T_n), whichever is larger
+        windows = [scheme.window(n) for n in ladder(horizon)]
+        totals = harmonicplus_weights().window_totals(*zip(*windows))
+        return max(max(g for _, g in windows), max(map(math.floor, totals)))
+
+    @staticmethod
+    def count_indices(monkeypatch):
+        seen = []
+        values = WeightSequence.values
+
+        def counted(self, ks):
+            seen.append(np.size(ks))
+            return values(self, ks)
+
+        monkeypatch.setattr(WeightSequence, "values", counted)
+        return seen
+
+    @pytest.mark.parametrize("family, scheme, horizon, walked", [
+        ("ex4.1", "lambda:half", 4096, lambda top: top),
+        ("ex3.3", "pow:2", 256, icbrt),  # the cubes up to floor(T_256)
+    ])
+    def test_weights_evaluated(self, monkeypatch, family, scheme, horizon,
+                               walked):
+        scheme = parse_scheme_spec(scheme)
+        top = self.top_cut(scheme, horizon)
+        seen = self.count_indices(monkeypatch)
+        w = harmonicplus_weights()
+        assert seen == [1]  # the constructor's probe of t_1
+        classify_thetas(parse_family_spec(family), None, scheme, w, (0.5, 1.0),
+                        0.1, uniform_grid(1, 2, 3), horizon)
+        assert sum(seen) == 1 + walked(top)
 
 
 def test_sp_counts_up_to_an_integer_total():
