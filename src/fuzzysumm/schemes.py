@@ -8,9 +8,10 @@ by a closed form where the weights have one and by a chunked walk over
 them otherwise; nothing is kept between queries.  Constant weights
 (``const:c``, ``recip5``) total p*w/q over a window of width w for the
 exact ratio p/q of the weight, correctly rounded, and ``harmonicplus``
-totals w + H_g - H_{b-1} over [b, g] to within 2**-52 relative.  Only
-``file:`` and hand-built weights are walked: one walk sums them piece by
-piece between the requested window ends.
+totals w + H_g - H_{b-1} over [b, g] to within 2**-52 relative.  A
+``file:`` table totals each window as the ``math.fsum`` of its slice.
+Only hand-built weights are walked: one walk sums them piece by piece
+between the requested window ends.
 """
 
 from __future__ import annotations
@@ -48,6 +49,19 @@ _MAX_INDEX = 1 << 27
 # Steps over which lambda_scheme and lacunary_scheme check their sequence.
 _LAMBDA_CHECK = 4096
 _LACUNARY_CHECK = 64
+
+
+def unique_ints(a) -> np.ndarray:
+    """Sorted unique int64 values of ``a``, as ``np.unique`` returns them.
+
+    A sort that keeps the first of each run of equal values: ``np.unique``
+    (and ``np.union1d`` through it) checks for a masked array, and its
+    first call in a process imports ``numpy.ma``.
+    """
+    a = np.sort(np.asarray(a, dtype=np.int64), axis=None)
+    keep = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 class DegenerateWindowError(ValueError):
@@ -159,7 +173,10 @@ class WeightSequence:
             return np.concatenate(ends), np.concatenate(sums)
         lo, hi = int(cuts[0]), int(cuts[-1])
         self.ensure(hi)
-        ends = np.union1d(cuts[1:], np.arange(lo + _CHUNK, hi, _CHUNK))
+        if lo < 0:  # as the walk's values() would
+            raise ValueError(f"{self.label}: weight index k={lo + 1} is below 1")
+        ends = unique_ints(np.append(cuts[1:],
+                                     np.arange(lo + _CHUNK, hi, _CHUNK)))
         return ends, self.sums(np.append(lo, ends)[:-1], ends, False)
 
     def window_total(self, lo: int, hi: int) -> float:
@@ -169,11 +186,12 @@ class WeightSequence:
     def window_totals(self, los: Sequence[int], his: Sequence[int]) -> np.ndarray:
         """Sums of t_k over the closed ranges [los[i], his[i]].
 
-        With a closed form ``sums`` each total is computed alone.
-        Otherwise one walk over (min(los) - 1, max(his)] sums the weights
-        per piece between consecutive window ends, and every total is a
-        difference of the cumulative piece sums.  A total past the float
-        range raises ValueError naming the weights.
+        With a closed form ``sums`` (the built-in and ``file:`` weights)
+        each total is computed alone.  Otherwise one walk over
+        (min(los) - 1, max(his)] sums the weights per piece between
+        consecutive window ends, and every total is a difference of the
+        cumulative piece sums.  A total past the float range raises
+        ValueError naming the weights.
         """
         self.ensure(max(his))  # ends past int64 must fail before np.asarray
         los = np.asarray(los, dtype=np.int64)
@@ -186,7 +204,7 @@ class WeightSequence:
             totals = self.sums(los - 1, his, True)
         else:
             with np.errstate(over="ignore", invalid="ignore"):
-                ends, sums = self.piece_sums(np.union1d(los - 1, his))
+                ends, sums = self.piece_sums(unique_ints(np.append(los - 1, his)))
                 # cum[j] sums the weights up to the j-th piece end; cum[0] = 0
                 cum = np.cumsum(np.append(0.0, sums))
                 totals = (cum[np.searchsorted(ends, his, side="right")]
@@ -524,11 +542,41 @@ def harmonicplus_weights() -> WeightSequence:
                           sums=_harmonicplus_sums)
 
 
+def _table_sums(table: np.ndarray, label: str) -> Sums:
+    """Sums of a weight table over (a, g]: a window total is the
+    ``math.fsum`` of its slice, correctly rounded, and a piece sums as
+    ``np.add.reduceat`` sums it in a walk's chunk.  A range past the
+    table's end, or holding a weight that is not a finite positive
+    number, raises ValueError naming that end or the smallest such k."""
+    bad = np.append(np.flatnonzero(~(np.isfinite(table) & (table > 0))),
+                    len(table))
+
+    def sums(a: np.ndarray, g: np.ndarray, window: bool) -> np.ndarray:
+        if g.max(initial=0) > len(table):
+            raise ValueError(f"{label}: weight table ends at k={len(table)}")
+        first = bad[np.searchsorted(bad, a)]  # first bad row from a on
+        if (first < g).any():
+            raise ValueError(f"{label}: weight t_{first[first < g].min() + 1} "
+                             "is not a finite positive number")
+        ranges = zip(a.tolist(), g.tolist())
+        if window:
+            try:
+                return np.array([math.fsum(table[lo:hi].tolist())
+                                 for lo, hi in ranges])
+            except OverflowError:  # a partial sum past the float range
+                return np.array([math.inf])
+        return np.array([np.add.reduceat(table[lo:hi], [0])[0]
+                         for lo, hi in ranges])
+
+    return sums
+
+
 def table_weights(path: str) -> WeightSequence:
     """Weights from a file with one value per row; row order gives k."""
     table = np.ravel(read_table(path, float))
-    return WeightSequence(lambda ks: table[ks - 1], f"file:{path}",
-                          max_k=len(table))
+    label = f"file:{path}"
+    return WeightSequence(lambda ks: table[ks - 1], label, max_k=len(table),
+                          sums=_table_sums(table, label))
 
 
 def parse_scheme_spec(spec: str) -> BetaGammaScheme:

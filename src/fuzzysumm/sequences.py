@@ -255,8 +255,10 @@ def constant_family(center: float, left: float = 0.0,
 
     def profile(ks: np.ndarray, x: float) -> TriProfile:
         n = len(ks)
-        return (np.full(n, float(center)), np.full(n, float(left)),
-                np.full(n, float(right)))
+        lefts = np.full(n, float(left))
+        # equal spreads share one array, as in the built-in families
+        return (np.full(n, float(center)), lefts,
+                lefts if right == left else np.full(n, float(right)))
 
     return FuzzyFunctionSequence(
         label=f"constant({center:g},{left:g},{right:g})",

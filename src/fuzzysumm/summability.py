@@ -26,7 +26,8 @@ import numpy as np
 
 from .numbers import (FuzzyNumber, triangular, triangular_profile_distance,
                       triangular_profile_of)
-from .schemes import BetaGammaScheme, WeightSequence, weighted_total
+from .schemes import (BetaGammaScheme, WeightSequence, unique_ints,
+                      weighted_total)
 from .sequences import FuzzyFunctionSequence, LimitProfile, XGridPolicy
 
 MODES = ("sp", "abs", "ord")
@@ -110,7 +111,7 @@ class _Pieces:
     def window_sums(self, i: int, lo: int, hi: int) -> tuple[float, ...]:
         """Sums of t*dev, t*c, t*l and t*r over [lo, hi] at the i-th point."""
         span = self.sums[self.rows[i], self._span(lo, hi), :4]
-        return tuple(math.fsum(col) for col in span.T)
+        return tuple(math.fsum(col) for col in span.T.tolist())
 
     def hit_count(self, i: int, lo: int, hi: int) -> int:
         """Indices of [lo, hi] with t*dev >= eps at the i-th point."""
@@ -128,14 +129,17 @@ def _stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
     ``weights.chunks`` costs one ``seq.profile`` call per key and is split
     at the checkpoints inside it.  Every piece keeps its own sums, so a
     window whose ends sit on checkpoints is summed by ``math.fsum`` over
-    whole pieces instead of as a difference of long prefix sums.  A
-    family with an exception hook and a claimed limit takes
-    ``_sparse_stream`` instead, unless a term off its exceptions can
-    reach eps: that needs an explicit limit off the claimed one and a
-    finite eps.
+    whole pieces instead of as a difference of long prefix sums.  When a
+    chunk's profile passes one all-zero array for both spreads and the
+    limit has zero spreads too, the distance is |c - c0| and the spread
+    sums are 0: the chunk skips ``triangular_profile_distance`` and the
+    spread columns, with the same bits.  A family with an exception hook
+    and a claimed limit takes ``_sparse_stream`` instead, unless a term
+    off its exceptions can reach eps: that needs an explicit limit off
+    the claimed one and a finite eps.
     """
     weights.ensure(max(cuts))  # refuse before int64 overflow or allocation
-    cuts = np.unique(np.asarray(cuts, dtype=np.int64))
+    cuts = unique_ints(cuts)
     slot = {}
     rows = [slot.setdefault(lim if seq.x_free else (x, lim), len(slot))
             for x, lim in zip(xs, limits)]
@@ -156,12 +160,20 @@ def _stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
         sums.append(np.empty((len(xs), len(starts), 5)))
         for i, x in enumerate(xs):
             c, l, r = seq.values(ks, x)
-            td = t * triangular_profile_distance(c, l, r, *limits[i])
             out = sums[-1][i]
-            for col, v in ((0, td), (1, t * c), (2, t * l), (4, td >= eps)):
+            c0, l0, r0 = limits[i]
+            if r is l and not (l0 or r0 or l.any()):
+                # all spreads zero: the distance is |c - c0|, bit for bit
+                dev = np.subtract(c, c0)
+                td = t * np.abs(dev, out=dev)
+                out[:, 2:4] = 0.0
+            else:
+                td = t * triangular_profile_distance(c, l, r, c0, l0, r0)
+                out[:, 2] = np.add.reduceat(t * l, starts)
+                # the built-in families pass one array for both spreads
+                out[:, 3] = out[:, 2] if r is l else np.add.reduceat(t * r, starts)
+            for col, v in ((0, td), (1, t * c), (4, td >= eps)):
                 out[:, col] = np.add.reduceat(v, starts)
-            # the built-in families pass one array for both spreads
-            out[:, 3] = out[:, 2] if r is l else np.add.reduceat(t * r, starts)
     return _Pieces(np.concatenate(ends), np.concatenate(sums, axis=1), rows)
 
 
@@ -174,7 +186,8 @@ def _sparse_stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
 
     ``weights.piece_sums`` gives each piece's weight sum W_j with no
     profile: one walk that checks every weight in range, or none for
-    weights with a closed form, which are positive by construction.  Off
+    weights with a closed form, which are positive by construction or,
+    for a ``file:`` table, checked over the pieces' slices.  Off
     the exceptions every term is the claimed limit's value ``bases[i]``
     at deviation ``d0s[i]`` from ``limits[i]``, so a piece sums to
     base*W_j (d0*W_j for t*dev) plus, from its exceptions, t*(value -
@@ -183,7 +196,7 @@ def _sparse_stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
     """
     ks = seq.exceptional(int(cuts[0]) + 1, int(cuts[-1]))
     ends, w = weights.piece_sums(cuts)
-    t = weights.values(ks)  # checked by the walk, or positive by construction
+    t = weights.values(ks)  # checked with the piece sums, or positive
     piece = np.searchsorted(ends, ks)
     sums = np.empty((len(xs), len(ends), 5))
     for i, x in enumerate(xs):

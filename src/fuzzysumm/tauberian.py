@@ -20,7 +20,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .numbers import ATOL, triangular_profile_distance
 from .schemes import (BetaGammaScheme, DegenerateWindowError, DILATION_LIMINF,
-                      RatioResult, WeightSequence, dilate, ratio_condition)
+                      RatioResult, WeightSequence, dilate, ratio_condition,
+                      unique_ints)
 from .sequences import FuzzyFunctionSequence, XGridPolicy
 from .summability import (ConvergenceReport, ModeTrace, _stream, classify,
                           ladder, limit_profile_fn, verdict)
@@ -110,7 +111,7 @@ def slowly_decreasing_check(seq: FuzzyFunctionSequence, x: float, eps: float,
 
     # a block ends where the running window total passes a multiple of _BLOCK
     running = np.cumsum(widths)
-    edges = np.unique(np.append(np.searchsorted(
+    edges = unique_ints(np.append(np.searchsorted(
         running, np.arange(0, running[-1], _BLOCK), "right"), len(ns)))
     count, last_bad, first = 0, None, []
     for i, j in zip(edges[:-1], edges[1:]):

@@ -4,9 +4,14 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fuzzysumm
 from fuzzysumm import (VerdictPolicy, classify, cli, parse_family_spec,
                        parse_scheme_spec, parse_weight_spec, uniform_grid)
 from fuzzysumm.cli import RunConfig, main, reference_rows, reproduce, run
@@ -261,3 +266,25 @@ def test_sparse_and_dense_paths_refuse_alike(tmp_path, monkeypatch, capsys,
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert named in errors[0]
+
+
+@pytest.mark.parametrize("call", [
+    'cli.run(cli.RunConfig("ex3.2", "pow:2", "recip5", (0.25, 1.0), 0.1, 256, '
+    '"1,2,5", ("sp", "abs", "ord")))',
+    'cli.run(cli.RunConfig("ex4.1", "lambda:half", "harmonicplus", (0.5, 1.0), '
+    '0.1, 1 << 14, "1,2,5", ("sp", "abs", "ord")))',
+    'fuzzysumm.tauberian_experiment(fuzzysumm.parse_family_spec("ex4.1"), None, '
+    'fuzzysumm.parse_scheme_spec("classical"), '
+    'fuzzysumm.parse_weight_spec("const:1"), fuzzysumm.uniform_grid(1, 2, 5), '
+    'horizon=512, scan_horizon=256)',
+], ids=["sparse", "dense", "tauberian"])
+def test_runs_do_not_import_numpy_ma(tmp_path, call):
+    # np.unique and np.union1d import numpy.ma on their first call in a
+    # process, which every run would then pay for in time and memory
+    src = str(Path(fuzzysumm.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys\nimport fuzzysumm\nfrom fuzzysumm import cli\n"
+            f"{call}\nassert 'numpy.ma' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                   check=True)

@@ -16,6 +16,33 @@ from fuzzysumm import (BetaGammaScheme, DegenerateWindowError, WeightSequence,
                        parse_weight_spec, power_scheme, ratio_condition,
                        recip5_weights, validate_scheme, weighted_total)
 from fuzzysumm import schemes
+from fuzzysumm.schemes import unique_ints
+
+INT64 = st.integers(-(1 << 63), (1 << 63) - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.lists(st.one_of(st.integers(-3, 3), INT64), max_size=30),
+       b=st.lists(st.one_of(st.integers(-3, 3), INT64), max_size=30))
+@example(a=[], b=[])
+@example(a=[7], b=[])
+@example(a=[-(1 << 63), (1 << 63) - 1, -(1 << 63), 0, -1, 0],
+         b=[(1 << 63) - 1, -(1 << 63)])
+def test_unique_ints_is_np_unique(a, b):
+    a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    for got, want in ((unique_ints(a), np.unique(a)),
+                      (unique_ints(np.append(a, b)), np.union1d(a, b))):
+        assert got.dtype == want.dtype == np.int64
+        assert got.tolist() == want.tolist()
+
+
+@pytest.fixture(scope="module")
+def weight_table(tmp_path_factory):
+    """A 5,000-row ``file:`` weight table and its values."""
+    values = np.random.default_rng(11).uniform(0.01, 3.0, 5000)
+    path = tmp_path_factory.mktemp("weights") / "w.txt"
+    path.write_text("\n".join(map(repr, values.tolist())))
+    return f"file:{path}", values
 
 
 def test_single_window_total_matches_ladder_total():
@@ -54,6 +81,21 @@ class TestExactTotals:
         for lo, hi, total in zip(los, his, together):
             assert total == w.window_total(lo, hi)
             assert total == float(weight * (hi - lo + 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(windows=st.lists(st.tuples(st.integers(1, 5000), st.integers(0, 600)),
+                            min_size=1, max_size=7))
+    def test_table_totals_are_fsums_and_alone(self, weight_table, windows):
+        # a walk cut its pieces at every window end of the call, so most
+        # windows once totalled differently alone and in a 7-window call
+        spec, values = weight_table
+        w = parse_weight_spec(spec)
+        los = [lo for lo, _ in windows]
+        his = [min(lo + d, 5000) for lo, d in windows]
+        together = w.window_totals(los, his)
+        for lo, hi, total in zip(los, his, together):
+            assert total == w.window_total(lo, hi)
+            assert total == math.fsum(values[lo - 1:hi].tolist())
 
     # harmonicplus windows as (lo, width - 1), short ones summed term by term
     HARMONIC_WINDOWS = st.lists(
@@ -249,6 +291,22 @@ class TestWindowTotals:
             assert total == pytest.approx(want, rel=1e-12)
             assert w.window_total(lo, hi) == pytest.approx(want, rel=1e-12)
 
+    def test_table_piece_sums_are_the_walks(self, weight_table, monkeypatch):
+        monkeypatch.setattr(schemes, "_CHUNK", 61)
+        table = parse_weight_spec(weight_table[0])
+        walked = WeightSequence(table.values, "walked")
+        cuts = np.array([3, 40, 41, 500, 1234, 4999])
+        for got, want in zip(table.piece_sums(cuts), walked.piece_sums(cuts)):
+            assert got.tolist() == want.tolist()
+
+    def test_table_weight_checked_only_inside_the_windows(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text("1\n1\n1\nnan\n1\n0\n")
+        w = parse_weight_spec(f"file:{path}")
+        assert w.window_totals([1, 5], [3, 5]).tolist() == [3.0, 1.0]
+        with pytest.raises(ValueError, match="t_4 is not a finite positive"):
+            w.window_totals([5, 1], [6, 5])
+
     def test_total_does_not_depend_on_request_order(self):
         # lacunary:pow2 at n = 16: the base window and its dilation by 1.25,
         # whose identity value once moved when the dilated total came first
@@ -441,6 +499,9 @@ class TestBuiltinsAndSpecs:
             w.value(0)
         with pytest.raises(ValueError, match="k=-1 is below 1"):
             w.values(np.array([2, -1], dtype=np.int64))
+        # the sparse path's piece sums, walked or not
+        with pytest.raises(ValueError, match="k=0 is below 1"):
+            w.piece_sums(np.array([-1, 2], dtype=np.int64))
 
     def test_weight_table_values_on_empty_and_past_end(self, tmp_path):
         path = tmp_path / "w.txt"

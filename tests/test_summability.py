@@ -23,7 +23,8 @@ from fuzzysumm import (ModeParams, VerdictPolicy, WeightSequence, XGridPolicy,
                        square_indicator_family, triangular,
                        triangular_growing_family, uniform_grid, verdict,
                        weighted_total, zero)
-from fuzzysumm import dilation_mean_identity, schemes, shrink_mean_identity
+from fuzzysumm import (dilation_mean_identity, schemes, shrink_mean_identity,
+                       summability)
 from fuzzysumm.summability import _stream, classify_thetas, limit_profile_fn
 
 
@@ -501,6 +502,58 @@ class TestXFreeSharing:
                                     triangular(*limit(t.x)))
                     rel = 1e-9
                 assert got == pytest.approx(want, rel=rel, abs=1e-12), (t.mode, n)
+
+
+# Families whose profile passes one array for both spreads, all zero in
+# every chunk (ex3.2 and ex3.3 only in chunks without a square or cube).
+ONE_SPREAD_FAMILIES = {
+    **{spec: lambda spec=spec: parse_family_spec(spec)
+       for spec in ["ex3.1", "ex3.1:M=2.5", "ex3.2", "ex3.3", "ex4.1",
+                    "remark3:n=16", "harmonic"]},
+    "constant": lambda: constant_family(-0.75),
+    "constant-spread": lambda: constant_family(0.5, 0.25, 0.25),
+}
+
+
+def general_kernel(fam):
+    """The family on the dense path with fresh spread arrays, so no chunk
+    takes the zero-spread kernel."""
+
+    def profile(ks, x):
+        c, l, r = fam.profile(ks, x)
+        return c, l.copy(), r.copy()
+
+    return dataclasses.replace(fam, profile=profile, exceptional=None)
+
+
+class TestZeroSpreadKernel:
+    """The zero-spread chunk kernel gives the general kernel's bits."""
+
+    @pytest.mark.parametrize("family", ONE_SPREAD_FAMILIES)
+    @pytest.mark.parametrize("limit", [None, -0.75, 0.5, (0.0, 0.0, 0.25),
+                                       (0.25, 0.5, 1.0)])
+    @pytest.mark.parametrize("scheme, weights", [("pow:2", "harmonicplus"),
+                                                 ("lambda:half", "const:0.7")])
+    def test_reports_match_general_kernel(self, family, limit, scheme, weights):
+        fam = dense(ONE_SPREAD_FAMILIES[family]())
+        with mock.patch.object(schemes, "_CHUNK", 61):
+            got, want = [json.dumps([rep.to_dict() for rep in classify_thetas(
+                f, limit, parse_scheme_spec(scheme), parse_weight_spec(weights),
+                (0.5, 1.0), 0.05, uniform_grid(1, 2, 3), 32)])
+                for f in (fam, general_kernel(fam))]
+        assert got == want
+
+    @pytest.mark.parametrize("limit, lean", [(0.0, True), (0.5, True),
+                                             ((0.0, 0.0, 0.25), False)])
+    def test_kernel_taken_only_without_spreads(self, limit, lean):
+        fam = dense(parse_family_spec("ex4.1"))
+        lim = limit_profile_fn(fam, limit)(1.0)
+        for f, skips in ((fam, lean), (general_kernel(fam), False)):
+            with mock.patch.object(summability, "triangular_profile_distance",
+                                   wraps=summability.triangular_profile_distance
+                                   ) as kernel:
+                _stream(f, constant_weights(1), [lim], [1.0], [0, 500], 0.1)
+            assert kernel.called is not skips
 
 
 SPARSE_FAMILIES = ["ex3.1", "ex3.1:M=2.5", "ex3.2", "ex3.3", "remark3:n=16"]
