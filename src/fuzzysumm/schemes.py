@@ -9,7 +9,8 @@ them otherwise; nothing is kept between queries.  Constant weights
 (``const:c``, ``recip5``) total p*w/q over a window of width w for the
 exact ratio p/q of the weight, correctly rounded, and ``harmonicplus``
 totals w + H_g - H_{b-1} over [b, g] to within 2**-52 relative.  A
-``file:`` table totals each window as the ``math.fsum`` of its slice.
+``file:`` table totals each window as the exact sum of its slice,
+correctly rounded, from one pass over the span of the call.
 Only hand-built weights are walked: one walk sums them piece by piece
 between the requested window ends.
 """
@@ -37,6 +38,9 @@ SHRINK_GAP_LIMSUP = 5
 # a chunk's float64 temporaries (64 KiB) stay under glibc's 128 KiB mmap
 # threshold, so they are reused from the heap instead of mapped anew.
 _CHUNK = 1 << 13
+# file: window totals are summed exactly as integers; one pass over a
+# chunk takes the weights whose shifts share a band of _BAND bits.
+_BAND = 10
 # Windows of harmonicplus weights up to this width are summed term by
 # term; past it H_n takes its asymptotic series, whose totals are within
 # _HARMONIC_ERR relative of the exact ones.
@@ -542,14 +546,43 @@ def harmonicplus_weights() -> WeightSequence:
                           sums=_harmonicplus_sums)
 
 
+def _exact_piece_sums(t: np.ndarray, starts: np.ndarray, unit: int) -> list[int]:
+    """Exact sums of the positive floats t, each a multiple of 2**-unit,
+    over the pieces starting at ``starts``, as integers in that unit.
+
+    t = f * 2**e with f * 2**53 an integer, so t is that integer shifted
+    left by e - 53 + unit >= 0 bits.  The shift splits into a band of
+    _BAND bits and a remainder taken in int64 (below 2**62); within a
+    band, the high and low halves of those integers sum exactly in int64
+    over a chunk of up to 2**32 floats.
+    """
+    f, e = np.frexp(t)
+    e += unit - 53
+    m = (f * 2.0 ** 53).astype(np.int64) << (e % _BAND)
+    band = e // _BAND
+    sums = [0] * len(starts)
+    for b in range(int(band.min()), int(band.max()) + 1):
+        v = np.where(band == b, m, 0)
+        hi = np.add.reduceat(v >> 31, starts).tolist()
+        lo = np.add.reduceat(v & ((1 << 31) - 1), starts).tolist()
+        sums = [s + (((h << 31) + w) << (_BAND * b))
+                for s, h, w in zip(sums, hi, lo)]
+    return sums
+
+
 def _table_sums(table: np.ndarray, label: str) -> Sums:
-    """Sums of a weight table over (a, g]: a window total is the
-    ``math.fsum`` of its slice, correctly rounded, and a piece sums as
-    ``np.add.reduceat`` sums it in a walk's chunk.  A range past the
-    table's end, or holding a weight that is not a finite positive
-    number, raises ValueError naming that end or the smallest such k."""
-    bad = np.append(np.flatnonzero(~(np.isfinite(table) & (table > 0))),
-                    len(table))
+    """Sums of a weight table over (a, g]: a window total is the exact sum
+    of its slice, correctly rounded (what ``math.fsum`` gives), and a piece
+    sums as ``np.add.reduceat`` sums it in a walk's chunk.  The totals of
+    one call take one pass over (min a, max g]: exact sums up to every
+    range end, in units of the smallest weight's last significand bit,
+    whose differences are rounded once.  A range past the table's end, or
+    holding a weight that is not a finite positive number, raises
+    ValueError naming that end or the smallest such k."""
+    ok = np.isfinite(table) & (table > 0)
+    bad = np.append(np.flatnonzero(~ok), len(table))
+    least = float(table.min(where=ok, initial=np.inf))
+    unit = max(53 - math.frexp(least)[1], 0)  # every weight is k * 2**-unit
 
     def sums(a: np.ndarray, g: np.ndarray, window: bool) -> np.ndarray:
         if g.max(initial=0) > len(table):
@@ -558,15 +591,26 @@ def _table_sums(table: np.ndarray, label: str) -> Sums:
         if (first < g).any():
             raise ValueError(f"{label}: weight t_{first[first < g].min() + 1} "
                              "is not a finite positive number")
-        ranges = zip(a.tolist(), g.tolist())
-        if window:
-            try:
-                return np.array([math.fsum(table[lo:hi].tolist())
-                                 for lo, hi in ranges])
-            except OverflowError:  # a partial sum past the float range
-                return np.array([math.inf])
-        return np.array([np.add.reduceat(table[lo:hi], [0])[0]
-                         for lo, hi in ranges])
+        if not window:  # contiguous pieces, each within one chunk
+            return np.add.reduceat(table[a[0]:g[-1]], a - a[0])
+        cuts = unique_ints(np.append(a, g))
+        ends, below = [int(cuts[0])], [0]  # exact sum below each end
+        for lo in range(int(cuts[0]), int(cuts[-1]), _CHUNK):
+            hi = min(int(cuts[-1]), lo + _CHUNK)
+            t = table[lo:hi]
+            if bad[np.searchsorted(bad, lo)] < hi:  # in a gap between ranges
+                t = np.where(np.isfinite(t) & (t > 0), t, least)  # cancels
+            inner = cuts[slice(*np.searchsorted(cuts, (lo + 1, hi)))]
+            for piece in _exact_piece_sums(t, np.append(0, inner - lo), unit):
+                below.append(below[-1] + piece)
+            ends += inner.tolist() + [hi]
+        ia = np.searchsorted(ends, a).tolist()
+        ig = np.searchsorted(ends, g).tolist()
+        try:  # int true division rounds correctly
+            return np.array([(below[j] - below[i]) / (1 << unit)
+                             for i, j in zip(ia, ig)])
+        except OverflowError:  # a total past the float range
+            return np.array([math.inf])
 
     return sums
 

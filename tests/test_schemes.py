@@ -299,6 +299,37 @@ class TestWindowTotals:
         for got, want in zip(table.piece_sums(cuts), walked.piece_sums(cuts)):
             assert got.tolist() == want.tolist()
 
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.floats(5e-324, 1e306), min_size=1, max_size=60),
+           windows=st.lists(st.tuples(st.integers(0, 59), st.integers(0, 59)),
+                            min_size=1, max_size=6))
+    @example(rows=[5e-324, 1e306, 2.0 ** -1022, 1.0, 1e-300, 3.0, 1e306],
+             windows=[(0, 59), (1, 0), (2, 2), (0, 0)])
+    def test_table_totals_exact_for_any_floats(self, rows, windows):
+        # rows from the smallest subnormal to near the float range, in
+        # 7-row chunks, cross every band and chunk edge of the exact pass
+        n = len(rows)
+        a = [min(lo, n - 1) for lo, _ in windows]
+        g = [min(lo + 1 + d, n) for lo, (_, d) in zip(a, windows)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(schemes, "_CHUNK", 7)
+            got = schemes._table_sums(np.array(rows), "t")(np.array(a), np.array(g),
+                                                           True)
+        for lo, hi, total in zip(a, g, got):
+            assert total == math.fsum(rows[lo:hi])
+
+    def test_table_totals_pass_over_the_span_once(self, weight_table, monkeypatch):
+        # nested windows [1, n], as ratio_condition asks for: one pass over
+        # (0, 2000] for all of them, not one per window
+        seen, exact = [], schemes._exact_piece_sums
+        monkeypatch.setattr(schemes, "_exact_piece_sums",
+                            lambda t, *rest: seen.append(len(t)) or exact(t, *rest))
+        w = parse_weight_spec(weight_table[0])
+        tops = np.arange(1000, 2001)
+        totals = w.window_totals(np.ones_like(tops), tops)
+        assert sum(seen) == 2000
+        assert totals[-1] == math.fsum(weight_table[1][:2000].tolist())
+
     def test_table_weight_checked_only_inside_the_windows(self, tmp_path):
         path = tmp_path / "w.txt"
         path.write_text("1\n1\n1\nnan\n1\n0\n")
