@@ -8,11 +8,10 @@ by a closed form where the weights have one and by a chunked walk over
 them otherwise; nothing is kept between queries.  Constant weights
 (``const:c``, ``recip5``) total p*w/q over a window of width w for the
 exact ratio p/q of the weight, correctly rounded, and ``harmonicplus``
-totals w + H_g - H_{b-1} over [b, g] to within 2**-52 relative.  A
-``file:`` table totals each window as the exact sum of its slice,
-correctly rounded, from one pass over the span of the call.
-Only hand-built weights are walked: one walk sums them piece by piece
-between the requested window ends.
+totals w + H_g - H_{b-1} over [b, g] to within 2**-52 relative.  Every
+other weight sequence (``file:`` tables and hand-built ones) totals each
+window as the exact sum of its weights, correctly rounded, from one walk
+over the union of the windows of the call.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ SHRINK_GAP_LIMSUP = 5
 # a chunk's float64 temporaries (64 KiB) stay under glibc's 128 KiB mmap
 # threshold, so they are reused from the heap instead of mapped anew.
 _CHUNK = 1 << 13
-# file: window totals are summed exactly as integers; one pass over a
+# Walked window totals are summed exactly as integers; one pass over a
 # chunk takes the weights whose shifts share a band of _BAND bits.
 _BAND = 10
 # Windows of harmonicplus weights up to this width are summed term by
@@ -108,26 +107,24 @@ class WeightSequence:
     the ranges (a[i], g[i]], each alone, whatever else is asked.  With
     ``window`` set the sums are window totals, whose floors are taken: a
     sum must then floor right or raise ValueError naming its window.
-    Totals and piece sums of a sequence with a closed form need no walk.
+    Totals and piece sums of a sequence with a closed form need no walk;
+    without one, each window total is the correctly rounded exact sum of
+    its weights, which is also alone.
     """
 
     def __init__(self, values_fn: Callable[[np.ndarray], np.ndarray], label: str,
-                 max_k: int | None = None, sums: Sums | None = None):
+                 sums: Sums | None = None):
         self._values_fn = values_fn
         self.label = label
-        self.max_k = max_k
         self.sums = sums
-        t1 = float(self.values(np.array([1], dtype=np.int64))[0])
-        if not t1 > 0:
+        if not self.value(1) > 0:
             raise ValueError("first weight must be positive")
 
     def values(self, ks: np.ndarray) -> np.ndarray:
-        """Weights t_k; an index below 1 or past a table's end raises ValueError."""
+        """Weights t_k; an index below 1 raises ValueError."""
         ks = np.asarray(ks, dtype=np.int64)
         if ks.min(initial=1) < 1:
             raise ValueError(f"{self.label}: weight index k={ks.min()} is below 1")
-        if self.max_k is not None and ks.max(initial=0) > self.max_k:
-            raise ValueError(f"{self.label}: weight table ends at k={self.max_k}")
         return np.asarray(self._values_fn(ks), dtype=np.float64)
 
     def value(self, k: int) -> float:
@@ -188,14 +185,11 @@ class WeightSequence:
         return float(self.window_totals([lo], [hi])[0])
 
     def window_totals(self, los: Sequence[int], his: Sequence[int]) -> np.ndarray:
-        """Sums of t_k over the closed ranges [los[i], his[i]].
+        """Sums of t_k over the closed ranges [los[i], his[i]], each alone.
 
-        With a closed form ``sums`` (the built-in and ``file:`` weights)
-        each total is computed alone.  Otherwise one walk over
-        (min(los) - 1, max(his)] sums the weights per piece between
-        consecutive window ends, and every total is a difference of the
-        cumulative piece sums.  A total past the float range raises
-        ValueError naming the weights.
+        With a closed form ``sums`` (the built-in weights) each total is
+        computed by it; otherwise by ``_exact_totals``.  A total past the
+        float range raises ValueError naming the weights.
         """
         self.ensure(max(his))  # ends past int64 must fail before np.asarray
         los = np.asarray(los, dtype=np.int64)
@@ -204,18 +198,47 @@ class WeightSequence:
         if empty.size:
             i = empty[0]
             raise DegenerateWindowError(f"empty weight window [{los[i]}, {his[i]}]")
-        if self.sums is not None:
-            totals = self.sums(los - 1, his, True)
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                ends, sums = self.piece_sums(unique_ints(np.append(los - 1, his)))
-                # cum[j] sums the weights up to the j-th piece end; cum[0] = 0
-                cum = np.cumsum(np.append(0.0, sums))
-                totals = (cum[np.searchsorted(ends, his, side="right")]
-                          - cum[np.searchsorted(ends, los - 1, side="right")])
+        totals = (self._exact_totals(los - 1, his) if self.sums is None
+                  else self.sums(los - 1, his, True))
         if not np.isfinite(totals).all():
             raise ValueError(f"{self.label}: a window total overflows a float")
         return totals
+
+    def _exact_totals(self, a: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Weight sums over the nonempty ranges (a[i], g[i]]: each the exact
+        sum, correctly rounded (what ``math.fsum`` gives), so none depends
+        on the other ranges.
+
+        One walk over the union of the ranges keeps the exact sum below
+        every range end as an integer in units of 2**-unit; a chunk whose
+        least weight needs a finer unit shifts what is kept.  A weight in a
+        gap between ranges is never read.
+        """
+        order = np.argsort(a)
+        starts, tops = a[order], np.maximum.accumulate(g[order])
+        first = np.flatnonzero(np.append(True, starts[1:] > tops[:-1]))
+        cuts = unique_ints(np.append(a, g))
+        ends, below, total, unit = [], [], 0, 0
+        for lo, hi in zip(starts[first].tolist(),
+                          tops[np.append(first[1:], len(a)) - 1].tolist()):
+            ends.append(lo)
+            below.append(total)
+            span = cuts[np.searchsorted(cuts, lo):np.searchsorted(cuts, hi, "right")]
+            for _, t, pieces, last in self.chunks(span):
+                # every weight must be a multiple of 2**-unit
+                finer = 53 - math.frexp(t.min())[1] - unit
+                if finer > 0:
+                    below, total = [b << finer for b in below], total << finer
+                    unit += finer
+                for piece in _exact_piece_sums(t, pieces, unit):
+                    total += piece
+                    below.append(total)
+                ends += last.tolist()
+        try:  # int true division rounds correctly
+            return np.array([(below[j] - below[i]) / (1 << unit)
+                             for i, j in zip(*np.searchsorted(ends, (a, g)).tolist())])
+        except OverflowError:  # a total past the float range
+            return np.array([math.inf])
 
     def __repr__(self):
         return f"WeightSequence({self.label!r})"
@@ -409,14 +432,14 @@ def lacunary_scheme(k_fn: Callable[[int], int], label: str) -> BetaGammaScheme:
                            lambda r: int(k_fn(r)), label)
 
 
-def read_table(path: str, *casts: Callable[[str], object]) -> list[tuple]:
-    """Rows of a ``file:`` table, each line cast column by column.
+def read_table(path: str, *casts: Callable[[str], object]) -> list[list]:
+    """Columns of a ``file:`` table, each line cast column by column.
 
     ``#`` starts a comment, entries are separated by commas or whitespace
     and blank lines are skipped; a line with the wrong column count or an
     entry its cast rejects raises ValueError naming ``path:line``.
     """
-    rows = []
+    columns = [[] for _ in casts]
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             parts = line.split("#", 1)[0].replace(",", " ").split()
@@ -426,22 +449,23 @@ def read_table(path: str, *casts: Callable[[str], object]) -> list[tuple]:
                 raise ValueError(f"{path}:{line_no}: {len(parts)} entries, "
                                  f"expected {len(casts)}")
             try:
-                rows.append(tuple(cast(p) for cast, p in zip(casts, parts)))
+                for column, cast, part in zip(columns, casts, parts):
+                    column.append(cast(part))
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from exc
-    if not rows:
+    if not columns[0]:
         raise ValueError(f"{path}: empty table")
-    return rows
+    return columns
 
 
 def table_scheme(path: str) -> BetaGammaScheme:
     """Scheme from a file of 'beta gamma' rows; row order gives n."""
-    rows = read_table(path, int, int)
+    betas, gammas = read_table(path, int, int)
 
     def row(n: int) -> tuple[int, int]:
-        if n > len(rows):
-            raise ValueError(f"scheme table {path} ends at n={len(rows)}")
-        return rows[n - 1]
+        if n > len(betas):
+            raise ValueError(f"scheme table {path} ends at n={len(betas)}")
+        return betas[n - 1], gammas[n - 1]
 
     return BetaGammaScheme(lambda n: row(n)[0], lambda n: row(n)[1],
                            f"file:{path}")
@@ -570,57 +594,17 @@ def _exact_piece_sums(t: np.ndarray, starts: np.ndarray, unit: int) -> list[int]
     return sums
 
 
-def _table_sums(table: np.ndarray, label: str) -> Sums:
-    """Sums of a weight table over (a, g]: a window total is the exact sum
-    of its slice, correctly rounded (what ``math.fsum`` gives), and a piece
-    sums as ``np.add.reduceat`` sums it in a walk's chunk.  The totals of
-    one call take one pass over (min a, max g]: exact sums up to every
-    range end, in units of the smallest weight's last significand bit,
-    whose differences are rounded once.  A range past the table's end, or
-    holding a weight that is not a finite positive number, raises
-    ValueError naming that end or the smallest such k."""
-    ok = np.isfinite(table) & (table > 0)
-    bad = np.append(np.flatnonzero(~ok), len(table))
-    least = float(table.min(where=ok, initial=np.inf))
-    unit = max(53 - math.frexp(least)[1], 0)  # every weight is k * 2**-unit
-
-    def sums(a: np.ndarray, g: np.ndarray, window: bool) -> np.ndarray:
-        if g.max(initial=0) > len(table):
-            raise ValueError(f"{label}: weight table ends at k={len(table)}")
-        first = bad[np.searchsorted(bad, a)]  # first bad row from a on
-        if (first < g).any():
-            raise ValueError(f"{label}: weight t_{first[first < g].min() + 1} "
-                             "is not a finite positive number")
-        if not window:  # contiguous pieces, each within one chunk
-            return np.add.reduceat(table[a[0]:g[-1]], a - a[0])
-        cuts = unique_ints(np.append(a, g))
-        ends, below = [int(cuts[0])], [0]  # exact sum below each end
-        for lo in range(int(cuts[0]), int(cuts[-1]), _CHUNK):
-            hi = min(int(cuts[-1]), lo + _CHUNK)
-            t = table[lo:hi]
-            if bad[np.searchsorted(bad, lo)] < hi:  # in a gap between ranges
-                t = np.where(np.isfinite(t) & (t > 0), t, least)  # cancels
-            inner = cuts[slice(*np.searchsorted(cuts, (lo + 1, hi)))]
-            for piece in _exact_piece_sums(t, np.append(0, inner - lo), unit):
-                below.append(below[-1] + piece)
-            ends += inner.tolist() + [hi]
-        ia = np.searchsorted(ends, a).tolist()
-        ig = np.searchsorted(ends, g).tolist()
-        try:  # int true division rounds correctly
-            return np.array([(below[j] - below[i]) / (1 << unit)
-                             for i, j in zip(ia, ig)])
-        except OverflowError:  # a total past the float range
-            return np.array([math.inf])
-
-    return sums
-
-
 def table_weights(path: str) -> WeightSequence:
     """Weights from a file with one value per row; row order gives k."""
-    table = np.ravel(read_table(path, float))
+    table = np.array(read_table(path, float)[0])
     label = f"file:{path}"
-    return WeightSequence(lambda ks: table[ks - 1], label, max_k=len(table),
-                          sums=_table_sums(table, label))
+
+    def values(ks: np.ndarray) -> np.ndarray:
+        if ks.max(initial=0) > len(table):
+            raise ValueError(f"{label}: weight table ends at k={len(table)}")
+        return table[ks - 1]
+
+    return WeightSequence(values, label)
 
 
 def parse_scheme_spec(spec: str) -> BetaGammaScheme:

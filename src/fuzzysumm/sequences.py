@@ -324,7 +324,7 @@ def table_family(path: str) -> FuzzyFunctionSequence:
     Values are symmetric triangular; the table must cover every index the
     run touches (a finite table cannot stand in for the whole tail).
     """
-    ks, centers, spreads = zip(*read_table(path, int, float, float))
+    ks, centers, spreads = read_table(path, int, float, float)
     order = np.argsort(ks)
     k_arr = np.asarray(ks, dtype=np.int64)[order]
     if np.any(np.diff(k_arr) == 0):

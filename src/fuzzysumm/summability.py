@@ -185,14 +185,13 @@ def _sparse_stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
     equal to its claimed limit off its exceptions.
 
     ``weights.piece_sums`` gives each piece's weight sum W_j with no
-    profile: one walk that checks every weight in range, or none for
-    weights with a closed form, which are positive by construction or,
-    for a ``file:`` table, checked over the pieces' slices.  Off
-    the exceptions every term is the claimed limit's value ``bases[i]``
-    at deviation ``d0s[i]`` from ``limits[i]``, so a piece sums to
-    base*W_j (d0*W_j for t*dev) plus, from its exceptions, t*(value -
-    base); no term off them reaches eps, so the hits come from the
-    exceptions alone.
+    profile: one walk that checks every weight in range (a ``file:``
+    table or hand-built weights), or none for the closed-form weights,
+    which are positive by construction.  Off the exceptions every term
+    is the claimed limit's value ``bases[i]`` at deviation ``d0s[i]``
+    from ``limits[i]``, so a piece sums to base*W_j (d0*W_j for t*dev)
+    plus, from its exceptions, t*(value - base); no term off them
+    reaches eps, so the hits come from the exceptions alone.
     """
     ks = seq.exceptional(int(cuts[0]) + 1, int(cuts[-1]))
     ends, w = weights.piece_sums(cuts)

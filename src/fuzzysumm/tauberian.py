@@ -323,12 +323,14 @@ def _slow_decrease_entry(seq: FuzzyFunctionSequence, x: float, eps: float,
     lam works when its violations die out early enough that the clean
     tail (n0, scan_horizon] is itself exhaustively verified, with n0 no
     later than half the scan (otherwise the tail is too short to trust).
+    As (n, floor(lam*n)] grows with lam, so do the violations: the first
+    lam works whenever any does, and a failing entry reports the last's.
     """
-    for lam in _LAMBDAS:
-        wit = slowly_decreasing_check(seq, x, eps, lam, n0, scan_horizon)
-        # the tail (last_bad, scan_horizon] is clean by definition
-        if wit.holds or wit.last_bad <= scan_horizon // 2:
-            return SlowDecreaseEntry(x, eps, True, lam, wit.last_bad or n0, 0, ())
+    wit = slowly_decreasing_check(seq, x, eps, _LAMBDAS[0], n0, scan_horizon)
+    # the tail (last_bad, scan_horizon] is clean by definition
+    if wit.holds or wit.last_bad <= scan_horizon // 2:
+        return SlowDecreaseEntry(x, eps, True, _LAMBDAS[0], wit.last_bad or n0, 0, ())
+    wit = slowly_decreasing_check(seq, x, eps, _LAMBDAS[-1], n0, scan_horizon)
     return SlowDecreaseEntry(x, eps, False, None, n0, wit.count, wit.violations)
 
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +46,13 @@ def weight_table(tmp_path_factory):
     return f"file:{path}", values
 
 
+def table_or_hand_built(kind, spec, values):
+    """The weights of a ``file:`` table, or a hand-built sequence of them."""
+    if kind == "file":
+        return parse_weight_spec(spec)
+    return WeightSequence(lambda ks: values[ks - 1], "hand-built")
+
+
 def test_single_window_total_matches_ladder_total():
     # recip5 on classical: walked, the ladder 1, 2, 4, ..., 32, 45 split
     # [1, 45] into pieces that summed to 9.000000000000002 and the window
@@ -82,14 +90,15 @@ class TestExactTotals:
             assert total == w.window_total(lo, hi)
             assert total == float(weight * (hi - lo + 1))
 
+    @pytest.mark.parametrize("kind", ["file", "hand-built"])
     @settings(max_examples=100, deadline=None)
     @given(windows=st.lists(st.tuples(st.integers(1, 5000), st.integers(0, 600)),
                             min_size=1, max_size=7))
-    def test_table_totals_are_fsums_and_alone(self, weight_table, windows):
+    def test_table_totals_are_fsums_and_alone(self, weight_table, kind, windows):
         # a walk cut its pieces at every window end of the call, so most
         # windows once totalled differently alone and in a 7-window call
         spec, values = weight_table
-        w = parse_weight_spec(spec)
+        w = table_or_hand_built(kind, spec, values)
         los = [lo for lo, _ in windows]
         his = [min(lo + d, 5000) for lo, d in windows]
         together = w.window_totals(los, his)
@@ -311,10 +320,11 @@ class TestWindowTotals:
         n = len(rows)
         a = [min(lo, n - 1) for lo, _ in windows]
         g = [min(lo + 1 + d, n) for lo, (_, d) in zip(a, windows)]
+        table = np.array(rows)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(schemes, "_CHUNK", 7)
-            got = schemes._table_sums(np.array(rows), "t")(np.array(a), np.array(g),
-                                                           True)
+            got = WeightSequence(lambda ks: table[ks - 1], "t").window_totals(
+                np.array(a) + 1, g)
         for lo, hi, total in zip(a, g, got):
             assert total == math.fsum(rows[lo:hi])
 
@@ -330,10 +340,12 @@ class TestWindowTotals:
         assert sum(seen) == 2000
         assert totals[-1] == math.fsum(weight_table[1][:2000].tolist())
 
-    def test_table_weight_checked_only_inside_the_windows(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["file", "hand-built"])
+    def test_table_weight_checked_only_inside_the_windows(self, tmp_path, kind):
         path = tmp_path / "w.txt"
         path.write_text("1\n1\n1\nnan\n1\n0\n")
-        w = parse_weight_spec(f"file:{path}")
+        w = table_or_hand_built(kind, f"file:{path}",
+                                np.array([1, 1, 1, math.nan, 1, 0]))
         assert w.window_totals([1, 5], [3, 5]).tolist() == [3.0, 1.0]
         with pytest.raises(ValueError, match="t_4 is not a finite positive"):
             w.window_totals([5, 1], [6, 5])
@@ -558,6 +570,21 @@ class TestBuiltinsAndSpecs:
         path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(f"{path}{where}")):
             parse(f"file:{path}")
+
+    def test_weight_table_parse_memory(self, tmp_path):
+        # one tuple per row once held 120 bytes per row at the peak
+        rows = 100_000
+        path = tmp_path / "w.txt"
+        values = np.random.default_rng(3).uniform(0.01, 3.0, rows)
+        path.write_text("\n".join(map(repr, values.tolist())))
+        tracemalloc.start()
+        try:
+            w = parse_weight_spec(f"file:{path}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * rows
+        assert w.values(np.array([1, rows])).tolist() == [values[0], values[-1]]
 
     def test_unknown_tokens_named(self):
         with pytest.raises(ValueError, match="nope"):

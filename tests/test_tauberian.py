@@ -13,7 +13,8 @@ from fuzzysumm import (DegenerateWindowError, XGridPolicy, add, add_families,
                        classical_scheme, constant_family, constant_weights, crisp,
                        alternating_crisp_family,
                        dilation_mean_identity, distance, harmonic_crisp_family,
-                       harmonicplus_weights, parse_scheme_spec, partial_leq,
+                       harmonicplus_weights, parse_family_spec,
+                       parse_scheme_spec, partial_leq,
                        scale, shrink_mean_identity, slowly_decreasing_check,
                        square_indicator_family,
                        tauberian_experiment, translate,
@@ -21,6 +22,7 @@ from fuzzysumm import (DegenerateWindowError, XGridPolicy, add, add_families,
 from fuzzysumm import tauberian
 from fuzzysumm.numbers import ATOL
 from fuzzysumm.sequences import FuzzyFunctionSequence, crisp_index_family
+from fuzzysumm.tauberian import SlowDecreaseEntry
 
 
 def unequal_spread_family():
@@ -188,6 +190,24 @@ class TestSlowDecreaseCheck:
             row = sum(1 for m, _ in expect if m == n)
             assert counts[n - 1 - n0] - counts[n - n0] == row
 
+    @settings(max_examples=40, deadline=None)
+    @given(spec=st.sampled_from(["ex3.1", "ex3.2", "ex3.3", "ex4.1",
+                                 "remark3:n=30", "harmonic"]),
+           lams=st.lists(st.sampled_from([1.1, 1.25, 1.5, 2.0, 3.0]),
+                         min_size=2, max_size=2, unique=True).map(sorted),
+           eps=st.sampled_from([1e-6, 0.01, 0.1, 0.5, 3.0]),
+           x=st.floats(1.0, 2.0),
+           bounds=st.integers(2, 300).flatmap(
+               lambda h: st.tuples(st.integers(0, h - 1), st.just(h))))
+    def test_violations_grow_with_lam(self, spec, lams, eps, x, bounds):
+        # (n, floor(lam*n)] grows with lam, and so do its violations: the
+        # experiment tries the smallest lam alone unless it fails
+        fam, (n0, horizon) = parse_family_spec(spec), bounds
+        small, large = (slowly_decreasing_check(fam, x, eps, lam, n0, horizon)
+                        for lam in lams)
+        assert small.count <= large.count
+        assert (small.last_bad or 0) <= (large.last_bad or 0)
+
     def test_alternating_count_at_scale(self):
         # closed form: every odd n > 10 against each even k in (n, min(2n, 2^14)]
         fam = alternating_crisp_family()
@@ -310,6 +330,30 @@ class TestExperiment:
         # hypothesis failure reported, yet the conclusion was still measured
         assert not exp.hypotheses_pass
         assert exp.conclusion
+
+    @pytest.mark.parametrize("family, holds", [(harmonic_crisp_family, True),
+                                               (alternating_crisp_family, False)])
+    def test_slow_decrease_entries_are_the_first_lam_that_works(self, family,
+                                                                holds):
+        # every lam of the experiment tried in turn, as its definition reads
+        fam, grid, scan = family(), uniform_grid(1, 2, 2), 400
+        exp = tauberian_experiment(fam, None, classical_scheme(),
+                                   constant_weights(1), grid, horizon=1024,
+                                   scan_horizon=scan)
+        want = []
+        for x in grid.points:
+            for eps in (0.5, 0.1, 0.01):
+                for lam in (1.25, 1.5, 2.0):
+                    wit = slowly_decreasing_check(fam, x, eps, lam, 10, scan)
+                    if wit.holds or wit.last_bad <= scan // 2:
+                        want.append(SlowDecreaseEntry(
+                            x, eps, True, lam, wit.last_bad or 10, 0, ()))
+                        break
+                else:
+                    want.append(SlowDecreaseEntry(x, eps, False, None, 10,
+                                                  wit.count, wit.violations))
+        assert exp.slow_decrease == want
+        assert exp.slowly_decreasing_holds is holds
 
     def test_constant_family_trivial_pass(self):
         fam = constant_family(2.0, 0.5, 0.5)
