@@ -450,20 +450,21 @@ def classify_thetas(seq: FuzzyFunctionSequence, limit, scheme: BetaGammaScheme,
         cuts += [b - 1 for b, _ in windows] + [g for _, g in windows]
     pieces = _stream(seq, weights, limits, xs, cuts, eps)
 
-    # Theta-free numerators per mode and point: hit counts up to
-    # floor(T_n) for sp, window sums of (t*dev, t*c, t*l, t*r) otherwise.
+    # Theta-free numerators per point: hit counts up to floor(T_n) for sp,
+    # and one array of window sums of (t*dev, t*c, t*l, t*r) that abs and
+    # ord share.
     sums = {}
-    for mode in modes:
-        if mode == "sp":
-            sums[mode] = [[pieces.hit_count(i, 1, k) for k in floors]
-                          for i in range(len(xs))]
-        else:
-            sums[mode] = [[pieces.window_sums(i, b, g) for b, g in windows]
-                          for i in range(len(xs))]
+    if "sp" in modes:
+        sums["sp"] = [[pieces.hit_count(i, 1, k) for k in floors]
+                      for i in range(len(xs))]
+    if "abs" in modes or "ord" in modes:
+        sums["abs"] = sums["ord"] = [
+            np.array([pieces.window_sums(i, b, g) for b, g in windows]).T
+            for i in range(len(xs))]
 
     reports = []
     for theta in thetas:
-        scales = [total ** theta for total in totals]
+        scales = np.array([total ** theta for total in totals])
         report = ConvergenceReport(
             family=seq.label, scheme=scheme.label, weights=weights.label,
             theta=theta, eps=eps, grid=tuple(grid.points), horizon=horizon,
@@ -472,13 +473,12 @@ def classify_thetas(seq: FuzzyFunctionSequence, limit, scheme: BetaGammaScheme,
             mode_traces = []
             for x, lim, per_n in zip(xs, limits, sums[mode]):
                 if mode == "sp":
-                    vals = [count / s for count, s in zip(per_n, scales)]
+                    vals = np.divide(per_n, scales)
                 elif mode == "abs":
-                    vals = [dev / s for (dev, *_), s in zip(per_n, scales)]
+                    vals = per_n[0] / scales
                 else:
-                    vals = [float(triangular_profile_distance(c / s, l / s, r / s, *lim))
-                            for (_, c, l, r), s in zip(per_n, scales)]
-                trace = tuple(zip(ns, vals))
+                    vals = triangular_profile_distance(*per_n[1:] / scales, *lim)
+                trace = tuple(zip(ns, vals.tolist()))
                 mode_traces.append(ModeTrace(x, mode, theta, trace,
                                              verdict(trace, policy)))
             report.traces.extend(mode_traces)

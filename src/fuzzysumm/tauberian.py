@@ -60,24 +60,19 @@ _IDENTITY_TOL = 1e-9
 _LAMBDAS = (1.25, 1.5, 2.0)
 
 
-def slowly_decreasing_check(seq: FuzzyFunctionSequence, x: float, eps: float,
-                            lam: float, n0: int, horizon: int) -> SlowDecreaseWitness:
-    """Exhaustive slow-decrease scan of rows n0 < n <= horizon.
+def _violation_blocks(seq: FuzzyFunctionSequence, x: float, eps: float,
+                      lam: float, n0: int, horizon: int, backward: bool = False):
+    """Yield each block of a slow-decrease scan as (rows, starts, bad).
 
-    For lam > 1 each row n is compared with k in (n, floor(lam*n)], k <=
-    horizon, for the k-th term dropping more than eps below the n-th; for
-    0 < lam < 1 with k in (floor(lam*n), n], for the n-th term dropping
-    more than eps below the k-th.  Triangular values make the cut-wise
-    comparison equivalent to three endpoint inequalities (levels 0 and 1).
-    Rows are compared in blocks of about _BLOCK window entries, each
-    window a row of a sliding view of the endpoint arrays; a block leaves
-    only its count, its last violating row and its first pairs, so memory
-    stays O(horizon + _BLOCK).
+    ``rows`` are the block's n, ``starts`` their 0-based window starts
+    and ``bad[i, j]`` says whether the pair (rows[i], starts[i] + 1 + j)
+    violates; blocks come in row order, or from the last row down when
+    ``backward``.  Rows with an empty window are left out.
     """
     if not lam > 0 or lam == 1:
         raise ValueError("lam must be positive and not 1")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps!r}")
     if not 0 <= n0 < horizon:
         raise ValueError("need 0 <= n0 < horizon")
     x = seq.check_x(x)
@@ -88,13 +83,17 @@ def slowly_decreasing_check(seq: FuzzyFunctionSequence, x: float, eps: float,
     # 0-based window [start, stop): k in (n, min(cut, horizon)] or (cut, n]
     starts, stops = (ns, np.minimum(cut, horizon)) if grow else (cut, ns)
     keep = stops > starts
+    # For lam > 1 the kept rows are consecutive, as floor(lam*n) - n never
+    # decreases in n and the horizon empties only the last row: a block's
+    # windows are then a basic slice of the view, not a copy.
     ns, starts, widths = ns[keep], starts[keep], (stops - starts)[keep]
     if not len(ns):
-        return SlowDecreaseWitness(eps, lam, n0, horizon, (), 0, None)
+        return
 
-    # Growth asks window >= row - eps - ATOL, shrink asks row >= window -
-    # eps - ATOL: the same float operations as a per-pair comparison.
-    cmp = np.greater_equal if grow else np.less_equal
+    # Growth violates where window < row - eps - ATOL, shrink where window
+    # - eps - ATOL > row: the exact negation of a per-pair comparison, as
+    # the values are checked finite and eps is a positive number (not NaN).
+    cmp = np.less if grow else np.greater
     endpoints = [c]  # a spread that is zero throughout repeats c's inequality
     if l.any():
         endpoints.append(c - l)
@@ -113,25 +112,63 @@ def slowly_decreasing_check(seq: FuzzyFunctionSequence, x: float, eps: float,
     running = np.cumsum(widths)
     edges = unique_ints(np.append(np.searchsorted(
         running, np.arange(0, running[-1], _BLOCK), "right"), len(ns)))
+    blocks = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
+    for i, j in reversed(blocks) if backward else blocks:
+        w, narrow = int(widths[i:j].max()), int(widths[i:j].min())
+        s = slice(starts[i], starts[i] + j - i) if grow else starts[i:j]
+        (view, row), *rest = sides
+        bad = cmp(view[s, :w], row[i:j, None])
+        for view, row in rest:
+            bad |= cmp(view[s, :w], row[i:j, None])
+        if narrow < w:  # only columns past the narrowest window need the mask
+            bad[:, narrow:] &= np.arange(narrow, w) < widths[i:j, None]
+        yield ns[i:j], starts[i:j], bad
+
+
+def slowly_decreasing_check(seq: FuzzyFunctionSequence, x: float, eps: float,
+                            lam: float, n0: int, horizon: int) -> SlowDecreaseWitness:
+    """Exhaustive slow-decrease scan of rows n0 < n <= horizon.
+
+    For lam > 1 each row n is compared with k in (n, floor(lam*n)], k <=
+    horizon, for the k-th term dropping more than eps below the n-th; for
+    0 < lam < 1 with k in (floor(lam*n), n], for the n-th term dropping
+    more than eps below the k-th.  Triangular values make the cut-wise
+    comparison equivalent to three endpoint inequalities (levels 0 and 1).
+    Rows are compared in blocks of about _BLOCK window entries, each
+    window a row of a sliding view of the endpoint arrays; a block leaves
+    only its count, its last violating row and its first pairs, so memory
+    stays O(horizon + _BLOCK).  The rows of a lam > 1 block are
+    consecutive, so it compares a basic slice of the view, not a copy, and
+    only columns past the block's narrowest window are masked.
+    ``_last_violation`` walks the same blocks from the top down for the
+    last violating row alone.
+    """
     count, last_bad, first = 0, None, []
-    for i, j in zip(edges[:-1], edges[1:]):
-        w, s = int(widths[i:j].max()), starts[i:j]
-        ok = np.ones((j - i, w), dtype=bool)
-        for view, row in sides:
-            ok &= cmp(view[s, :w], row[i:j, None])
-        bad = ~ok & (np.arange(w) < widths[i:j, None])
+    for rows, starts, bad in _violation_blocks(seq, x, eps, lam, n0, horizon):
         hit = np.flatnonzero(bad.any(axis=1))
         if not hit.size:
             continue
         count += int(np.count_nonzero(bad))
-        last_bad = int(ns[i + hit[-1]])
+        last_bad = int(rows[hit[-1]])
         if len(first) < _WITNESSES:
             rr, cc = np.nonzero(bad[hit[:_WITNESSES]])
-            rr = i + hit[rr]
-            first += zip(ns[rr].tolist(), (starts[rr] + 1 + cc).tolist())
+            rr = hit[rr]
+            first += zip(rows[rr].tolist(), (starts[rr] + 1 + cc).tolist())
             del first[_WITNESSES:]
     return SlowDecreaseWitness(eps, lam, n0, horizon, tuple(first), count,
                                last_bad)
+
+
+def _last_violation(seq: FuzzyFunctionSequence, x: float, eps: float,
+                    lam: float, n0: int, horizon: int) -> Optional[int]:
+    """``slowly_decreasing_check(...).last_bad``, from the blocks walked top
+    down: it stops at the first block with a violation."""
+    for rows, _, bad in _violation_blocks(seq, x, eps, lam, n0, horizon,
+                                          backward=True):
+        hit = np.flatnonzero(bad.any(axis=1))
+        if hit.size:
+            return int(rows[hit[-1]])
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +362,13 @@ def _slow_decrease_entry(seq: FuzzyFunctionSequence, x: float, eps: float,
     later than half the scan (otherwise the tail is too short to trust).
     As (n, floor(lam*n)] grows with lam, so do the violations: the first
     lam works whenever any does, and a failing entry reports the last's.
+    The first lam needs only its last violating row, which the top-down
+    probe finds without scanning the rows below it.
     """
-    wit = slowly_decreasing_check(seq, x, eps, _LAMBDAS[0], n0, scan_horizon)
+    last_bad = _last_violation(seq, x, eps, _LAMBDAS[0], n0, scan_horizon)
     # the tail (last_bad, scan_horizon] is clean by definition
-    if wit.holds or wit.last_bad <= scan_horizon // 2:
-        return SlowDecreaseEntry(x, eps, True, _LAMBDAS[0], wit.last_bad or n0, 0, ())
+    if last_bad is None or last_bad <= scan_horizon // 2:
+        return SlowDecreaseEntry(x, eps, True, _LAMBDAS[0], last_bad or n0, 0, ())
     wit = slowly_decreasing_check(seq, x, eps, _LAMBDAS[-1], n0, scan_horizon)
     return SlowDecreaseEntry(x, eps, False, None, n0, wit.count, wit.violations)
 
@@ -349,11 +388,23 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
     Hypothesis failures are reported, never fatal: the conclusion is
     still measured so a failed hypothesis remains distinguishable from a
     failed conclusion.  An x-free family is scanned, and evaluated at the
-    tops, at the first grid point only.
+    tops, at the first grid point only.  The scans cover rows up to
+    min(horizon, scan_horizon), 1024 when scan_horizon is None, and n0 may
+    be at most half of that.
     """
-    if not eps_ladder or any(e <= 0 for e in eps_ladder):
-        raise ValueError("eps_ladder must be nonempty and positive")
-    scan_horizon = min(horizon, scan_horizon or 1024)
+    ns = ladder(horizon)
+    if not eps_ladder or not all(e > 0 for e in eps_ladder):
+        raise ValueError(f"eps_ladder must be nonempty and positive, got "
+                         f"{list(eps_ladder)}")
+    if scan_horizon is None:
+        scan_horizon = 1024
+    if scan_horizon < 1:
+        raise ValueError(f"scan_horizon must be at least 1, got {scan_horizon}")
+    scan_horizon = min(horizon, scan_horizon)
+    if not 0 <= n0 <= scan_horizon // 2:
+        raise ValueError(f"n0={n0} must lie in [0, min(horizon, scan_horizon) "
+                         f"// 2 = {scan_horizon // 2}]: a later n0 leaves too "
+                         "short a tail to verify")
     report = TauberianReport(
         family=seq.label, scheme=scheme.label, weights=weights.label,
         horizon=horizon, eps_ladder=tuple(eps_ladder))
@@ -379,7 +430,6 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
                                   eps=min(eps_ladder), grid=grid,
                                   horizon=horizon, modes=("ord",))
 
-    ns = ladder(horizon)
     tops = np.array([scheme.window(n)[1] for n in ns], dtype=np.int64)
     for i, x in enumerate(grid.points):
         x = seq.check_x(x)

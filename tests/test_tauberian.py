@@ -208,6 +208,60 @@ class TestSlowDecreaseCheck:
         assert small.count <= large.count
         assert (small.last_bad or 0) <= (large.last_bad or 0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(list(SCAN_FAMILIES)),
+           lam=st.sampled_from([0.2, 0.5, 0.8, 1.25, 1.6, 2.0, 3.0]),
+           eps=st.sampled_from([1e-6, 0.1, 0.5, 3.0]),
+           x=st.floats(1.0, 2.0),
+           bounds=st.integers(1, 300).flatmap(
+               lambda h: st.tuples(st.integers(0, h - 1), st.just(h))))
+    # no row has a nonempty window: (n, floor(1.25*n)] is empty for n <= 3
+    @example(family="alternating", lam=1.25, eps=0.5, x=1.0, bounds=(0, 3))
+    @example(family="alternating", lam=2.0, eps=0.5, x=1.0, bounds=(1, 2))
+    # a violation in the lowest row only
+    @example(family="alternating", lam=2.0, eps=0.5, x=1.0, bounds=(10, 12))
+    def test_probe_is_the_scans_last_bad(self, family, lam, eps, x, bounds):
+        fam, (n0, horizon) = SCAN_FAMILIES[family](), bounds
+        with mock.patch.object(tauberian, "_BLOCK", 7):
+            want = slowly_decreasing_check(fam, x, eps, lam, n0, horizon).last_bad
+            assert tauberian._last_violation(fam, x, eps, lam, n0,
+                                             horizon) == want
+
+    def test_probe_stops_after_the_top_block(self):
+        # the alternating family violates up to its last row, so the probe
+        # reads one block where the full scan reads them all
+        fam, rows = alternating_crisp_family(), []
+        blocks_of = tauberian._violation_blocks
+
+        def counted(*args, **kwargs):
+            for block in blocks_of(*args, **kwargs):
+                rows.append(block[0])
+                yield block
+
+        with mock.patch.object(tauberian, "_violation_blocks", counted):
+            last = tauberian._last_violation(fam, 1.0, 0.5, 1.25, 10, 2048)
+            # row 2048 has an empty window, so 2047 ends the top block
+            assert len(rows) == 1 and rows[0][-1] == 2047
+            wit = slowly_decreasing_check(fam, 1.0, 0.5, 1.25, 10, 2048)
+        assert last == wit.last_bad == 2047
+        assert len(rows) > 3
+
+    @pytest.mark.parametrize("lam", [2.0, 0.5])
+    def test_spread_family_at_several_blocks(self, lam):
+        # three endpoints per value, and about 90,000 window entries: the
+        # default _BLOCK splits the scan into several blocks
+        fam, horizon = unequal_spread_family(), 600
+        assert sum(min(math.floor(lam * n), horizon) - n if lam > 1
+                   else n - math.floor(lam * n)
+                   for n in range(1, horizon + 1)) > 2 * tauberian._BLOCK
+        for eps in (0.5, 3.0):
+            expect = violating_pairs(fam, 1.5, eps, lam, 10, horizon)
+            wit = slowly_decreasing_check(fam, 1.5, eps, lam, 10, horizon)
+            assert expect and wit.count == len(expect)
+            assert wit.violations == tuple(expect[:8])
+            assert wit.last_bad == expect[-1][0] == tauberian._last_violation(
+                fam, 1.5, eps, lam, 10, horizon)
+
     def test_alternating_count_at_scale(self):
         # closed form: every odd n > 10 against each even k in (n, min(2n, 2^14)]
         fam = alternating_crisp_family()
@@ -227,6 +281,11 @@ class TestSlowDecreaseCheck:
             slowly_decreasing_check(fam, 1.0, 0.1, 2.0, 60, 50)
         with pytest.raises(ValueError):
             slowly_decreasing_check(fam, 1.0, 0.1, 0.0, 0, 50)
+        # eps <= 0 is False for NaN: the harmonic family then reported
+        # 2,445 violations at lam 2, n0 10, horizon 100
+        for scan in (slowly_decreasing_check, tauberian._last_violation):
+            with pytest.raises(ValueError, match="eps must be positive"):
+                scan(fam, 1.0, math.nan, 2.0, 10, 100)
 
 
 class TestDecompositionIdentities:
@@ -379,11 +438,13 @@ class TestExperiment:
 
         def run(grid):
             with mock.patch.object(tauberian, "slowly_decreasing_check",
-                                   wraps=slowly_decreasing_check) as scan:
+                                   wraps=slowly_decreasing_check) as scan, \
+                    mock.patch.object(tauberian, "_last_violation",
+                                      wraps=tauberian._last_violation) as probe:
                 exp = tauberian_experiment(fam, limit, classical_scheme(),
                                            constant_weights(1), grid,
                                            horizon=256, scan_horizon=128)
-            return exp, scan.call_count
+            return exp, (scan.call_count, probe.call_count)
 
         def at(entries, x):
             return json.dumps([e.to_dict() for e in entries if e.x == x])
@@ -411,14 +472,16 @@ class TestExperiment:
         entries, scans = [], []
         for g in (grid, *(XGridPolicy((x,)) for x in grid.points)):
             with mock.patch.object(tauberian, "slowly_decreasing_check",
-                                   wraps=slowly_decreasing_check) as scan:
+                                   wraps=slowly_decreasing_check) as scan, \
+                    mock.patch.object(tauberian, "_last_violation",
+                                      wraps=tauberian._last_violation) as probe:
                 exp = tauberian_experiment(fam, None, classical_scheme(),
                                            constant_weights(1), g,
                                            horizon=256, scan_horizon=128)
             entries.append([e.to_dict() for e in exp.slow_decrease])
-            scans.append(scan.call_count)
-        # every point takes the scans it takes alone
-        assert scans[0] == sum(scans[1:])
+            scans.append(np.array([scan.call_count, probe.call_count]))
+        # every point takes the scans and probes it takes alone
+        assert (scans[0] == sum(scans[1:])).all() and scans[0][1] == 15
         assert entries[0] == sum(entries[1:], [])
 
     def test_report_serializes(self):
@@ -435,3 +498,30 @@ class TestExperiment:
                 harmonic_crisp_family(), None, classical_scheme(),
                 constant_weights(1), uniform_grid(1, 2, 2), horizon=256,
                 eps_ladder=())
+        # a NaN eps is refused before any work, not by classify afterwards
+        late = AssertionError("the experiment started before refusing")
+        with mock.patch.object(tauberian, "ratio_condition", side_effect=late), \
+                pytest.raises(ValueError, match="eps_ladder must be nonempty"):
+            tauberian_experiment(
+                harmonic_crisp_family(), None, classical_scheme(),
+                constant_weights(1), uniform_grid(1, 2, 2), horizon=256,
+                eps_ladder=(0.5, math.nan))
+
+    @pytest.mark.parametrize("n0, scan_horizon, match", [
+        (10, 0, "scan_horizon must be at least 1"),  # once read as 1024
+        (0, -5, "scan_horizon must be at least 1"),
+        (10, 11, r"n0=10 must lie in \[0, .* = 5\]"),  # compared no pair
+        (10, 10, r"n0=10 must lie in \[0, .* = 5\]"),
+        (10, 4, r"n0=10 must lie in \[0, .* = 2\]"),
+        (-1, 64, r"n0=-1 must lie in \[0, .* = 32\]"),
+        (40, 1024, r"n0=40 must lie in \[0, .* = 32\]"),  # horizon 64 caps it
+    ])
+    def test_scan_horizon_that_verifies_nothing_refused(self, n0, scan_horizon,
+                                                        match):
+        late = AssertionError("the experiment started before refusing")
+        with mock.patch.object(tauberian, "ratio_condition", side_effect=late), \
+                pytest.raises(ValueError, match=match):
+            tauberian_experiment(
+                alternating_crisp_family(), None, classical_scheme(),
+                constant_weights(1), uniform_grid(1, 2, 2), horizon=64,
+                n0=n0, scan_horizon=scan_horizon)
