@@ -173,6 +173,8 @@ def reproduce(only: Optional[str] = None, grid_spec: str = "1,2,5",
     horizons starve the asymptotics); an observation contradicting the
     expected membership is a failure.
     """
+    if horizon_cap is not None and horizon_cap < 1:
+        raise ValueError(f"horizon cap must be at least 1, got {horizon_cap}")
     out = out or sys.stdout
     grid = _parse_grid(grid_spec)
     labels = {True: "member", False: "non-member", None: "inconclusive"}
@@ -191,7 +193,7 @@ def reproduce(only: Optional[str] = None, grid_spec: str = "1,2,5",
         family = parse_family_spec(row.family_spec)
         scheme = parse_scheme_spec(row.scheme_spec)
         weights = parse_weight_spec(row.weight_spec)
-        horizon = min(row.horizon, horizon_cap) if horizon_cap else row.horizon
+        horizon = row.horizon if horizon_cap is None else min(row.horizon, horizon_cap)
         rep = classify(family, None, scheme, weights, theta=row.theta,
                        eps=row.eps, grid=grid, horizon=horizon,
                        modes=(row.mode,), policy=row.policy)

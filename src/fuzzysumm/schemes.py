@@ -307,6 +307,12 @@ def weighted_total(scheme: BetaGammaScheme, weights: WeightSequence, n: int) -> 
     return weights.window_total(b, g)
 
 
+def dilated_indices(ns: np.ndarray, lam: float, cap: int) -> np.ndarray:
+    """floor(min(lam * n, cap)) as int64 for n >= 1 and any lam > 0."""
+    with np.errstate(over="ignore"):  # a product past the float range is cut too
+        return np.floor(np.minimum(lam * ns, cap)).astype(np.int64)
+
+
 def dilate(scheme: BetaGammaScheme, lam: float) -> BetaGammaScheme:
     """Stretch the window top: gamma(n) -> floor(lam * gamma(n)).
 
@@ -314,8 +320,8 @@ def dilate(scheme: BetaGammaScheme, lam: float) -> BetaGammaScheme:
     on such windows raise DegenerateWindowError rather than passing
     silently.
     """
-    if not lam > 0:
-        raise ValueError("dilation factor must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"dilation factor must be positive and finite, got {lam}")
     base_gamma = scheme.gamma
     return BetaGammaScheme(
         beta=scheme.beta,
@@ -351,7 +357,8 @@ def ratio_condition(scheme: BetaGammaScheme, weights: WeightSequence, lam: float
 
     ns = np.arange(_tail_start(n_max), n_max + 1, dtype=np.int64)
     betas, gammas = _index_arrays(scheme, ns)
-    dil_gammas = np.floor(lam * gammas).astype(np.int64)
+    # capped where int64 still holds it, so the walk budget refuses it by name
+    dil_gammas = dilated_indices(gammas, lam, 1 << 62)
     # A shrunken top below beta leaves an empty index range, whose total
     # is the empty sum 0 (the shrink ratios then come out infinite).
     nonempty = dil_gammas >= betas

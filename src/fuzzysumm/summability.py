@@ -395,13 +395,13 @@ class ConvergenceReport:
         }
 
 
-def _membership(traces: list[ModeTrace], policy: VerdictPolicy) -> Optional[bool]:
+def _membership(traces: list[ModeTrace], limit_tol: float) -> Optional[bool]:
     saw_inconclusive = False
     for t in traces:
         v = t.verdict
         if v.kind == "diverges":
             return False
-        if v.kind == "converges" and abs(v.estimate) > policy.limit_tol:
+        if v.kind == "converges" and abs(v.estimate) > limit_tol:
             return False
         if v.kind == "inconclusive":
             saw_inconclusive = True
@@ -482,6 +482,6 @@ def classify_thetas(seq: FuzzyFunctionSequence, limit, scheme: BetaGammaScheme,
                 mode_traces.append(ModeTrace(x, mode, theta, trace,
                                              verdict(trace, policy)))
             report.traces.extend(mode_traces)
-            report.membership[mode] = _membership(mode_traces, policy)
+            report.membership[mode] = _membership(mode_traces, policy.limit_tol)
         reports.append(report)
     return reports

@@ -19,12 +19,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .numbers import ATOL, triangular_profile_distance
-from .schemes import (BetaGammaScheme, DegenerateWindowError, DILATION_LIMINF,
-                      RatioResult, WeightSequence, dilate, ratio_condition,
-                      unique_ints)
+from .schemes import (_MAX_INDEX, BetaGammaScheme, DegenerateWindowError,
+                      DILATION_LIMINF, RatioResult, WeightSequence, dilate,
+                      dilated_indices, ratio_condition, unique_ints)
 from .sequences import FuzzyFunctionSequence, XGridPolicy
-from .summability import (ConvergenceReport, ModeTrace, _stream, classify,
-                          ladder, limit_profile_fn, verdict)
+from .summability import (ConvergenceReport, ModeTrace, _membership, _stream,
+                          classify, ladder, limit_profile_fn, verdict)
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,9 @@ def _violation_blocks(seq: FuzzyFunctionSequence, x: float, eps: float,
     c, l, r = seq.values(np.arange(1, horizon + 1, dtype=np.int64), x)
     grow = lam > 1
     ns = np.arange(n0 + 1, horizon + 1, dtype=np.int64)
-    cut = np.floor(lam * ns).astype(np.int64)
-    # 0-based window [start, stop): k in (n, min(cut, horizon)] or (cut, n]
-    starts, stops = (ns, np.minimum(cut, horizon)) if grow else (cut, ns)
+    cut = dilated_indices(ns, lam, horizon)
+    # 0-based window [start, stop): k in (n, cut] or (cut, n]
+    starts, stops = (ns, cut) if grow else (cut, ns)
     keep = stops > starts
     # For lam > 1 the kept rows are consecutive, as floor(lam*n) - n never
     # decreases in n and the horizon empties only the last row: a block's
@@ -304,21 +304,11 @@ class TauberianReport:
 
     @property
     def conclusion_holds(self) -> Optional[bool]:
-        kinds = [t.verdict.kind for t in self.conclusion]
-        if any(k == "diverges" for k in kinds):
-            return False
-        if any(k == "inconclusive" for k in kinds):
-            return None
-        return True
+        """Membership of the conclusion traces, whose limit is 0, within the
+        finest eps of the ladder: a trace that converges away from 0 fails."""
+        return _membership(self.conclusion, min(self.eps_ladder))
 
-    @property
-    def sandwich_ok(self) -> Optional[bool]:
-        """When everything passes, the converged estimates must sit within
-        the finest eps of the ladder (the order-sandwich endgame)."""
-        if not self.hypotheses_pass or self.conclusion_holds is not True:
-            return None
-        finest = min(self.eps_ladder)
-        return all(abs(t.verdict.estimate) <= finest for t in self.conclusion)
+    sandwich_ok = conclusion_holds
 
     def to_dict(self) -> dict:
         return {
@@ -346,7 +336,6 @@ class TauberianReport:
             "conclusion": {
                 "holds": self.conclusion_holds,
                 "per_x": [t.to_dict() for t in self.conclusion],
-                "sandwich_ok": self.sandwich_ok,
             },
             "identity_checks": [c.to_dict() for c in self.identity_checks],
         }
@@ -390,7 +379,8 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
     failed conclusion.  An x-free family is scanned, and evaluated at the
     tops, at the first grid point only.  The scans cover rows up to
     min(horizon, scan_horizon), 1024 when scan_horizon is None, and n0 may
-    be at most half of that.
+    be at most half of that.  A window top past the walk budget is refused
+    before any work.
     """
     ns = ladder(horizon)
     if not eps_ladder or not all(e > 0 for e in eps_ladder):
@@ -405,6 +395,11 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
         raise ValueError(f"n0={n0} must lie in [0, min(horizon, scan_horizon) "
                          f"// 2 = {scan_horizon // 2}]: a later n0 leaves too "
                          "short a tail to verify")
+    limit_fn = limit_profile_fn(seq, limit)
+    tops = [scheme.window(n)[1] for n in ns]
+    if max(tops) > _MAX_INDEX:
+        raise ValueError(f"{scheme.label}: window top {max(tops)} exceeds the "
+                         f"walk budget of {_MAX_INDEX} indices")
     report = TauberianReport(
         family=seq.label, scheme=scheme.label, weights=weights.label,
         horizon=horizon, eps_ladder=tuple(eps_ladder))
@@ -416,28 +411,23 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
         except DegenerateWindowError:
             report.condition2[lam] = RatioResult(math.inf, False)
 
+    tops = np.array(tops, dtype=np.int64)
     for i, x in enumerate(grid.points):
+        x = seq.check_x(x)
         if i and seq.x_free:
-            seq.check_x(x)
             entries = [replace(e, x=x) for e in entries]
         else:
             entries = [_slow_decrease_entry(seq, x, eps, n0, scan_horizon)
                        for eps in eps_ladder]
-        report.slow_decrease += entries
-
-    limit_fn = limit_profile_fn(seq, limit)
-    report.summability = classify(seq, limit, scheme, weights, theta=1.0,
-                                  eps=min(eps_ladder), grid=grid,
-                                  horizon=horizon, modes=("ord",))
-
-    tops = np.array([scheme.window(n)[1] for n in ns], dtype=np.int64)
-    for i, x in enumerate(grid.points):
-        x = seq.check_x(x)
-        if i == 0 or not seq.x_free:
             at_tops = seq.values(tops, x)
+        report.slow_decrease += entries
         dev = triangular_profile_distance(*at_tops, *limit_fn(x))
         pts = tuple(zip(ns, dev.tolist()))
         report.conclusion.append(ModeTrace(x, "tail", 1.0, pts, verdict(pts)))
+
+    report.summability = classify(seq, limit, scheme, weights, theta=1.0,
+                                  eps=min(eps_ladder), grid=grid,
+                                  horizon=horizon, modes=("ord",))
 
     mid_x = grid.points[len(grid.points) // 2]
     identity_ns = [n for n in ns if 4 <= n <= max(8, horizon // 8)][-3:] or [ns[-1]]

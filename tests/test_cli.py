@@ -154,6 +154,14 @@ class TestReproduceCommand:
         assert "WARN" in out or "ok" in out
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one_refused(self, capsys, cap):
+        # a cap of 0 was once read as no cap: the full table replayed silently
+        assert main(["reproduce", "--horizon-cap", str(cap)]) == 2
+        assert "horizon cap must be at least 1" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="horizon cap must be at least 1"):
+            reproduce(horizon_cap=cap)
+
     def test_reference_table_is_complete(self):
         rows = reference_rows()
         assert {r.group for r in rows} == {"ex3.1", "ex3.2", "ex3.3", "ex4.1",

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -419,6 +420,12 @@ class TestDilate:
         with pytest.raises(ValueError):
             dilate(classical_scheme(), 0.0)
 
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_rejects_nonfinite_factor(self, lam):
+        # an infinite factor once failed only at window time, OverflowError
+        with pytest.raises(ValueError, match="positive and finite"):
+            dilate(classical_scheme(), lam)
+
 
 class TestRatioConditions:
     def test_classical_growth_ratios(self):
@@ -432,6 +439,20 @@ class TestRatioConditions:
         assert est4.holds and est4.estimate == pytest.approx(2.0, abs=1e-3)
         est5 = ratio_condition(s, w, 0.5, h, 5)
         assert est5.holds and math.isfinite(est5.estimate)
+
+    @pytest.mark.parametrize("lam, which, match", [
+        # once estimate 0.0 and "fails", with only a cast warning
+        (1e18, 2, "const:1: a walk .* exceeds the budget"),
+        (math.inf, 2, "const:1: a walk .* exceeds the budget"),
+        (math.nan, 2, "needs lam > 1"),
+        (math.nan, 3, "needs 0 < lam < 1"),
+    ])
+    def test_huge_or_nan_factor_refused_by_name(self, lam, which, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                ratio_condition(classical_scheme(), constant_weights(1), lam,
+                                256, which)
 
     def test_lambda_range_enforced(self):
         s, w = classical_scheme(), constant_weights(1)

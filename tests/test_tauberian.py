@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -191,6 +192,32 @@ class TestSlowDecreaseCheck:
             assert counts[n - 1 - n0] - counts[n - n0] == row
 
     @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(list(SCAN_FAMILIES)),
+           lam=st.one_of(st.floats(0, 1, exclude_min=True, exclude_max=True),
+                         st.floats(1, 1e4, exclude_min=True),
+                         st.sampled_from([1e18, 1e300, 1e308, math.inf])),
+           eps=st.sampled_from([1e-6, 0.1, 0.5, 3.0]),
+           x=st.floats(1.0, 2.0),
+           bounds=st.integers(2, 200).flatmap(
+               lambda h: st.tuples(st.integers(0, h - 1), st.just(h))))
+    # once 0 violations and "holds", where lam = 3 finds 3,342
+    @example(family="alternating", lam=1e18, eps=0.5, x=1.0, bounds=(10, 200))
+    # lam * n itself overflows the float range
+    @example(family="alternating", lam=1e308, eps=0.5, x=1.0, bounds=(10, 200))
+    @example(family="alternating", lam=math.inf, eps=0.5, x=1.0, bounds=(0, 2))
+    def test_any_lam_matches_bruteforce(self, family, lam, eps, x, bounds):
+        # a window top past the horizon is the horizon, as at lam = horizon
+        fam, (n0, horizon) = SCAN_FAMILIES[family](), bounds
+        expect = violating_pairs(fam, x, eps, min(lam, horizon), n0, horizon)
+        with warnings.catch_warnings(), mock.patch.object(tauberian, "_BLOCK", 7):
+            warnings.simplefilter("error")
+            wit = slowly_decreasing_check(fam, x, eps, lam, n0, horizon)
+            last = tauberian._last_violation(fam, x, eps, lam, n0, horizon)
+        assert wit.count == len(expect)
+        assert wit.violations == tuple(expect[:8])
+        assert wit.last_bad == last == (expect[-1][0] if expect else None)
+
+    @settings(max_examples=40, deadline=None)
     @given(spec=st.sampled_from(["ex3.1", "ex3.2", "ex3.3", "ex4.1",
                                  "remark3:n=30", "harmonic"]),
            lams=st.lists(st.sampled_from([1.1, 1.25, 1.5, 2.0, 3.0]),
@@ -286,6 +313,11 @@ class TestSlowDecreaseCheck:
         for scan in (slowly_decreasing_check, tauberian._last_violation):
             with pytest.raises(ValueError, match="eps must be positive"):
                 scan(fam, 1.0, math.nan, 2.0, 10, 100)
+
+    def test_nan_lam_refused(self):
+        for scan in (slowly_decreasing_check, tauberian._last_violation):
+            with pytest.raises(ValueError, match="lam must be positive"):
+                scan(harmonic_crisp_family(), 1.0, 0.1, math.nan, 10, 100)
 
 
 class TestDecompositionIdentities:
@@ -413,6 +445,29 @@ class TestExperiment:
                                                   wit.count, wit.violations))
         assert exp.slow_decrease == want
         assert exp.slowly_decreasing_holds is holds
+
+    @pytest.mark.parametrize("horizon", [4096, 4097])
+    def test_conclusion_away_from_the_limit_fails(self, horizon):
+        # ex4.1's distance to its limit 0 is 1 at every top: the verdict
+        # calls the plateau converged, but 1 away from the limit
+        exp = tauberian_experiment(
+            parse_family_spec("ex4.1"), None, classical_scheme(),
+            constant_weights(1), uniform_grid(1, 2, 3), horizon=horizon)
+        assert [str(t.verdict) for t in exp.conclusion] == ["converges(1)"] * 3
+        assert exp.conclusion_holds is False and exp.sandwich_ok is False
+        blob = exp.to_dict()
+        assert blob["conclusion"]["holds"] is False
+        assert "sandwich_ok" not in json.dumps(blob)
+
+    def test_window_top_past_the_walk_budget_refused_first(self):
+        # the classical top 2^28 was refused only by the ord sweep, after
+        # condition 2 had started on n_max = 2^26
+        late = AssertionError("condition 2 started before refusing")
+        with mock.patch.object(tauberian, "ratio_condition", side_effect=late), \
+                pytest.raises(ValueError, match="classical: window top 268435456"):
+            tauberian_experiment(
+                alternating_crisp_family(), None, classical_scheme(),
+                constant_weights(1), uniform_grid(1, 2, 2), horizon=1 << 28)
 
     def test_constant_family_trivial_pass(self):
         fam = constant_family(2.0, 0.5, 0.5)
