@@ -41,6 +41,10 @@ class RunConfig:
     def __post_init__(self):
         if self.horizon < 64:
             raise ValueError("horizon must be at least 64")
+        for name, values in (("theta", self.thetas), ("modes", self.modes)):
+            if not values or len(set(values)) < len(values):
+                raise ValueError(f"{name} must list one or more distinct values, "
+                                 f"got {','.join(map(str, values))!r}")
         check_mode_args(self.thetas, self.eps,
                         [m for m in self.modes if m != "tauberian"])
 

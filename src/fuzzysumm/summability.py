@@ -13,7 +13,7 @@ Traces of these along a geometric ladder feed ``verdict``; ``classify``
 assembles per-point verdicts and class membership into a report.  All
 three are reductions of one stream of (k, t_k, f_k(x)): a sweep walks
 it once per point (per distinct limit, for a family that does not read
-x), keeps sums between the ladder's checkpoints, and applies theta last.
+x), sums the windows it is asked for, and applies theta last.
 """
 
 from __future__ import annotations
@@ -89,55 +89,26 @@ def limit_profile_fn(seq: FuzzyFunctionSequence, limit=None) -> Callable[[float]
                     "triple, or a callable")
 
 
-@dataclass(frozen=True)
-class _Pieces:
-    """Sums over the pieces of one streamed index range, at every point.
-
-    Piece j covers (ends[j-1], ends[j]]; ``sums[rows[i], j]`` holds the
-    sums of t*dev, t*c, t*l and t*r over it at the i-th point, then the
-    count of its indices with t*dev >= eps.  Points that share a row
-    share its numbers.  Windows passed to the queries must start and end
-    on checkpoints of the stream.
-    """
-
-    ends: np.ndarray
-    sums: np.ndarray
-    rows: Sequence[int]
-
-    def _span(self, lo: int, hi: int) -> slice:
-        return slice(int(np.searchsorted(self.ends, lo - 1, side="right")),
-                     int(np.searchsorted(self.ends, hi, side="right")))
-
-    def window_sums(self, i: int, lo: int, hi: int) -> tuple[float, ...]:
-        """Sums of t*dev, t*c, t*l and t*r over [lo, hi] at the i-th point."""
-        span = self.sums[self.rows[i], self._span(lo, hi), :4]
-        return tuple(math.fsum(col) for col in span.T.tolist())
-
-    def hit_count(self, i: int, lo: int, hi: int) -> int:
-        """Indices of [lo, hi] with t*dev >= eps at the i-th point."""
-        return int(self.sums[self.rows[i], self._span(lo, hi), 4].sum())
-
-
 def _stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
             limits: Sequence[LimitProfile], xs: Sequence[float],
-            cuts: Sequence[int], eps: float) -> _Pieces:
-    """Stream k over (min(cuts), max(cuts)] once for every distinct key.
+            windows: Sequence[tuple[int, int]],
+            eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sums and hit counts over every window [lo, hi] at every point.
 
-    The key of a point is its limit triple for an x-free family and the
-    pair (x, limit) otherwise; points that share a key share one row of
-    sums, computed at the first of them.  Each chunk of
-    ``weights.chunks`` costs one ``seq.profile`` call per key and is split
-    at the checkpoints inside it.  Every piece keeps its own sums, so a
-    window whose ends sit on checkpoints is summed by ``math.fsum`` over
-    whole pieces instead of as a difference of long prefix sums.  When a
-    chunk's profile passes one all-zero array for both spreads and the
-    limit has zero spreads too, the distance is |c - c0| and the spread
-    sums are 0: the chunk skips ``triangular_profile_distance`` and the
-    spread columns, with the same bits.  A family with an exception hook
-    and a claimed limit takes ``_sparse_stream`` instead, unless a term
-    off its exceptions can reach eps: that needs an explicit limit off
-    the claimed one and a finite eps.
+    ``sums[i, w]`` holds the sums of t*dev, t*c, t*l and t*r over the w-th
+    window at the i-th point, and ``hits[i, w]`` the count of its indices
+    with t*dev >= eps; a window with hi < lo is empty.  k is streamed once
+    for every distinct key, cut at both ends (lo - 1 and hi) of every
+    nonempty window and at every chunk end, and a window sums to the
+    ``math.fsum`` of its pieces.  The key of a point is its limit triple
+    for an x-free family and the pair (x, limit) otherwise; points that
+    share a key share its sums, streamed and reduced once.  A family with
+    an exception hook and a claimed limit takes ``_sparse_pieces``, unless
+    a term off its exceptions can reach eps: that needs an explicit limit
+    off the claimed one and a finite eps.  Others take ``_dense_pieces``.
     """
+    # with no nonempty window the stream walks nothing: (0, 0]
+    cuts = [k for lo, hi in windows if lo <= hi for k in (lo - 1, hi)] or [0]
     weights.ensure(max(cuts))  # refuse before int64 overflow or allocation
     cuts = unique_ints(cuts)
     slot = {}
@@ -145,14 +116,39 @@ def _stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
             for x, lim in zip(xs, limits)]
     firsts = [rows.index(j) for j in range(len(slot))]
     xs, limits = [xs[i] for i in firsts], [limits[i] for i in firsts]
+    ends = None
     if seq.exceptional is not None and seq.limit_profile is not None:
         bases = [seq.limit_profile(x) for x in xs]
         d0s = [float(triangular_profile_distance(*b, *lim))
                for b, lim in zip(bases, limits)]
         if eps == math.inf or (eps > 0 and not any(d0s)):
-            ends, sums = _sparse_stream(seq, weights, limits, xs, cuts, eps,
-                                        bases, d0s)
-            return _Pieces(ends, sums, rows)
+            ends, pieces = _sparse_pieces(seq, weights, limits, xs, cuts, eps,
+                                          bases, d0s)
+    if ends is None:
+        ends, pieces = _dense_pieces(seq, weights, limits, xs, cuts, eps)
+    # a piece slice of an empty window is empty: b <= a
+    spans = np.searchsorted(ends, [(lo - 1, hi) for lo, hi in windows],
+                            side="right").tolist()
+    # one column of one key at a time as a list; the counts are small
+    # integers, so their fsum is exact
+    sums = [[math.fsum(col[a:b]) for a, b in spans]
+            for piece in pieces for col in map(np.ndarray.tolist, piece.T)]
+    sums = np.reshape(sums, (len(xs), 5, len(spans))).transpose(0, 2, 1)[rows]
+    return sums[..., :4], sums[..., 4].astype(np.int64)
+
+
+def _dense_pieces(seq: FuzzyFunctionSequence, weights: WeightSequence,
+                  limits: Sequence[LimitProfile], xs: Sequence[float],
+                  cuts: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ends of the pieces of (cuts[0], cuts[-1]] and, per point, each
+    piece's sums of t*dev, t*c, t*l and t*r, then its count of t*dev >= eps.
+
+    Piece j is (ends[j-1], ends[j]]: each chunk of ``weights.chunks`` costs
+    one ``seq.profile`` call per point and is split at the cuts inside it.
+    A chunk whose profile passes one all-zero array for both spreads, at a
+    limit with zero spreads, takes |c - c0| as the distance and 0 as the
+    spread sums, with the bits of ``triangular_profile_distance``.
+    """
     # empty leading blocks keep the concatenations valid for an empty range
     ends, sums = [np.zeros(0, dtype=np.int64)], [np.zeros((len(xs), 0, 5))]
     for ks, t, starts, last in weights.chunks(cuts):
@@ -174,15 +170,15 @@ def _stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
                 out[:, 3] = out[:, 2] if r is l else np.add.reduceat(t * r, starts)
             for col, v in ((0, td), (1, t * c), (4, td >= eps)):
                 out[:, col] = np.add.reduceat(v, starts)
-    return _Pieces(np.concatenate(ends), np.concatenate(sums, axis=1), rows)
+    return np.concatenate(ends), np.concatenate(sums, axis=1)
 
 
-def _sparse_stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
+def _sparse_pieces(seq: FuzzyFunctionSequence, weights: WeightSequence,
                    limits: Sequence[LimitProfile], xs: Sequence[float],
                    cuts: np.ndarray, eps: float, bases: Sequence[LimitProfile],
                    d0s: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Piece ends and sums, one row per point of ``xs``, for a family
-    equal to its claimed limit off its exceptions.
+    """``_dense_pieces``'s ends and sums for a family equal to its claimed
+    limit off its exceptions.
 
     ``weights.piece_sums`` gives each piece's weight sum W_j with no
     profile: one walk that checks every weight in range (a ``file:``
@@ -207,29 +203,20 @@ def _sparse_stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
     return ends, sums
 
 
-def _one_window(seq: FuzzyFunctionSequence, weights: WeightSequence,
-                lim: LimitProfile, x: float, lo: int, hi: int,
-                eps: float = math.inf) -> tuple[tuple[float, ...], int]:
-    """Window sums and hit count over [lo, hi] (empty when hi < lo)."""
-    hi = max(hi, lo - 1)
-    pieces = _stream(seq, weights, [lim], [x], [lo - 1, hi], eps)
-    return pieces.window_sums(0, lo, hi), pieces.hit_count(0, lo, hi)
-
-
 def weighted_deviation_sum(seq: FuzzyFunctionSequence, weights: WeightSequence,
                            limit_fn: Callable[[float], LimitProfile],
                            x: float, lo: int, hi: int) -> float:
     """Sum of t_k * d(f_k(x), limit(x)) over the closed range [lo, hi]."""
-    sums, _ = _one_window(seq, weights, limit_fn(x), x, lo, hi)
-    return sums[0]
+    sums, _ = _stream(seq, weights, [limit_fn(x)], [x], [(lo, hi)], math.inf)
+    return float(sums[0, 0, 0])
 
 
 def deviation_count(seq: FuzzyFunctionSequence, weights: WeightSequence,
                     limit_fn: Callable[[float], LimitProfile],
                     x: float, k_max: int, eps: float) -> int:
     """Count of k in [1, k_max] with t_k * d(f_k(x), limit(x)) >= eps."""
-    _, count = _one_window(seq, weights, limit_fn(x), x, 1, k_max, eps)
-    return count
+    _, hits = _stream(seq, weights, [limit_fn(x)], [x], [(1, k_max)], eps)
+    return int(hits[0, 0])
 
 
 def window_fuzzy_mean(seq: FuzzyFunctionSequence, weights: WeightSequence,
@@ -237,8 +224,9 @@ def window_fuzzy_mean(seq: FuzzyFunctionSequence, weights: WeightSequence,
     """(1/divisor) * sum of t_k * f_k(x) over [lo, hi], level-wise."""
     if divisor <= 0:
         raise ValueError("divisor must be positive")
-    (_, csum, lsum, rsum), _ = _one_window(seq, weights, (0.0, 0.0, 0.0), x,
-                                           lo, hi)
+    sums, _ = _stream(seq, weights, [(0.0, 0.0, 0.0)], [x], [(lo, hi)],
+                      math.inf)
+    _, csum, lsum, rsum = sums[0, 0].tolist()
     return triangular(csum / divisor, lsum / divisor, rsum / divisor)
 
 
@@ -309,14 +297,16 @@ def verdict(trace: Sequence[tuple[int, float]],
     """Call a trace: converged plateau, monotone blow-up, or inconclusive.
 
     The plateau and monotonicity tests read the last ``policy.window``
-    values, or the whole trace when it is shorter.
+    values; a trace shorter than that is inconclusive.
     """
     vals = [float(v) for _, v in trace]
     if not vals:
         raise ValueError("empty trace")
     if policy.window < 1:
         raise ValueError("window must be a positive integer")
-    tail = vals[-min(policy.window, len(vals)):]
+    if len(vals) < policy.window:
+        return Verdict("inconclusive")
+    tail = vals[-policy.window:]
     mean = sum(tail) / len(tail)
     if all(abs(v - mean) <= policy.tol for v in tail):
         return Verdict("converges", mean)
@@ -430,10 +420,10 @@ def classify_thetas(seq: FuzzyFunctionSequence, limit, scheme: BetaGammaScheme,
                     policy: VerdictPolicy = VerdictPolicy()) -> list[ConvergenceReport]:
     """One ``classify`` report per order in ``thetas``, from a single sweep.
 
-    The sweep streams k = 1 .. the largest checkpoint once per grid point,
-    or per distinct limit for an x-free family (checkpoints: beta(n) - 1
-    and gamma(n) for abs and ord, floor(T_n) for sp) and keeps theta-free window sums; each theta then only
-    divides them by T_n**theta.
+    The sweep streams k once per grid point, or per distinct limit for an
+    x-free family, and sums the windows [1, floor(T_n)] for sp and
+    [beta(n), gamma(n)] for abs and ord; each theta then only divides the
+    theta-free sums by T_n**theta.
     """
     check_mode_args(thetas, eps, modes)
     limit_fn = limit_profile_fn(seq, limit)
@@ -442,25 +432,13 @@ def classify_thetas(seq: FuzzyFunctionSequence, limit, scheme: BetaGammaScheme,
     limits = [limit_fn(x) for x in xs]
     windows = [scheme.window(n) for n in ns]
     totals = weights.window_totals(*zip(*windows)).tolist()
-    floors = [math.floor(total) for total in totals]
-    cuts = [0]
-    if "sp" in modes:
-        cuts += floors
+    asked = [(1, math.floor(total)) for total in totals] if "sp" in modes else []
     if "abs" in modes or "ord" in modes:
-        cuts += [b - 1 for b, _ in windows] + [g for _, g in windows]
-    pieces = _stream(seq, weights, limits, xs, cuts, eps)
-
-    # Theta-free numerators per point: hit counts up to floor(T_n) for sp,
-    # and one array of window sums of (t*dev, t*c, t*l, t*r) that abs and
-    # ord share.
-    sums = {}
-    if "sp" in modes:
-        sums["sp"] = [[pieces.hit_count(i, 1, k) for k in floors]
-                      for i in range(len(xs))]
-    if "abs" in modes or "ord" in modes:
-        sums["abs"] = sums["ord"] = [
-            np.array([pieces.window_sums(i, b, g) for b, g in windows]).T
-            for i in range(len(xs))]
+        asked += windows
+    # sp reads the hits of the first len(ns) windows, abs and ord the sums
+    # (t*dev, t*c, t*l, t*r) of the last len(ns)
+    sums, hits = _stream(seq, weights, limits, xs, asked, eps)
+    hits, sums = hits[:, :len(ns)], sums[:, -len(ns):]
 
     reports = []
     for theta in thetas:
@@ -471,13 +449,14 @@ def classify_thetas(seq: FuzzyFunctionSequence, limit, scheme: BetaGammaScheme,
             policy=policy)
         for mode in modes:
             mode_traces = []
-            for x, lim, per_n in zip(xs, limits, sums[mode]):
+            for x, lim, count, per_n in zip(xs, limits, hits, sums):
                 if mode == "sp":
-                    vals = np.divide(per_n, scales)
+                    vals = count / scales
                 elif mode == "abs":
-                    vals = per_n[0] / scales
+                    vals = per_n[:, 0] / scales
                 else:
-                    vals = triangular_profile_distance(*per_n[1:] / scales, *lim)
+                    vals = triangular_profile_distance(*per_n[:, 1:].T / scales,
+                                                       *lim)
                 trace = tuple(zip(ns, vals.tolist()))
                 mode_traces.append(ModeTrace(x, mode, theta, trace,
                                              verdict(trace, policy)))

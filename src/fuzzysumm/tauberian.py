@@ -184,7 +184,7 @@ def _mean_identity(seq: FuzzyFunctionSequence, scheme: BetaGammaScheme,
     lam, the inner one the shorter; both start at beta(n), so the outer
     total T_o is the inner T_i plus the gap, and the tail mean runs over
     the indices between the two tops.  The means are (center, left, right)
-    triples, all three summed in one stream cut at both tops.
+    triples, all three summed in one stream.
     """
     x = seq.check_x(x)
     moved = dilate(scheme, lam)
@@ -196,11 +196,9 @@ def _mean_identity(seq: FuzzyFunctionSequence, scheme: BetaGammaScheme,
     g_i, g_o = sorted((g, g_moved))
     t_i, t_o = weights.window_totals((b, b), (g_i, g_o)).tolist()
     gap = t_o - t_i
-    pieces = _stream(seq, weights, [(0.0, 0.0, 0.0)], [x], [b - 1, g_i, g_o],
-                     math.inf)
-    s_i, s_o, tail = (np.array(pieces.window_sums(0, lo, hi)[1:]) / t
-                      for lo, hi, t in ((b, g_i, t_i), (b, g_o, t_o),
-                                        (g_i + 1, g_o, gap)))
+    sums, _ = _stream(seq, weights, [(0.0, 0.0, 0.0)], [x],
+                      [(b, g_i), (b, g_o), (g_i + 1, g_o)], math.inf)
+    s_i, s_o, tail = (s[1:] / t for s, t in zip(sums[0], (t_i, t_o, gap)))
     if lam > 1:
         r = t_o / gap
         lhs, rhs = r * s_o + s_i, r * s_i + tail

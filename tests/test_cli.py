@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -134,6 +135,19 @@ class TestRunCommand:
         with pytest.raises(ValueError):
             RunConfig("ex4.1", "classical", "const:1", modes=("bogus",))
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--theta", "", "theta"), ("--modes", ",", "modes"),
+        ("--theta", "1,1", "theta"), ("--modes", "sp,sp", "modes"),
+    ])
+    def test_empty_or_repeated_lists_refused(self, tmp_path, capsys, flag,
+                                             value, named):
+        rc = main(["run", "--family", "ex3.2", "--horizon", "64", flag, value,
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert f"{named} must list one or more distinct values" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestReproduceCommand:
     def test_single_group_filter(self, capsys):
@@ -161,6 +175,11 @@ class TestReproduceCommand:
         assert "horizon cap must be at least 1" in capsys.readouterr().err
         with pytest.raises(ValueError, match="horizon cap must be at least 1"):
             reproduce(horizon_cap=cap)
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_short_ladders_are_inconclusive(self, cap):
+        # a ladder shorter than the verdict window settles no row
+        assert reproduce(horizon_cap=cap, out=io.StringIO()) == 0
 
     def test_reference_table_is_complete(self):
         rows = reference_rows()

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (exact_weight, icbrt, oracle_absolute_partial,
@@ -25,7 +25,9 @@ from fuzzysumm import (ModeParams, VerdictPolicy, WeightSequence, XGridPolicy,
                        weighted_total, zero)
 from fuzzysumm import (dilation_mean_identity, schemes, shrink_mean_identity,
                        summability)
-from fuzzysumm.summability import _stream, classify_thetas, limit_profile_fn
+from fuzzysumm.numbers import triangular_profile_distance
+from fuzzysumm.summability import (_dense_pieces, _sparse_pieces, _stream,
+                                   classify_thetas, limit_profile_fn)
 
 
 def dense(fam):
@@ -196,6 +198,11 @@ class TestVerdict:
         # monotone but neither settled nor past the divergence bar
         trace = [(n, math.log(n + 1)) for n in ladder(256)]
         assert verdict(trace).kind == "inconclusive"
+
+    @pytest.mark.parametrize("ns", [(1,), (1, 2, 4)])
+    def test_trace_shorter_than_window_inconclusive(self, ns):
+        # equal values agree, but fewer than policy.window of them settle nothing
+        assert verdict([(n, 0.5) for n in ns]).kind == "inconclusive"
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -552,7 +559,7 @@ class TestZeroSpreadKernel:
             with mock.patch.object(summability, "triangular_profile_distance",
                                    wraps=summability.triangular_profile_distance
                                    ) as kernel:
-                _stream(f, constant_weights(1), [lim], [1.0], [0, 500], 0.1)
+                _stream(f, constant_weights(1), [lim], [1.0], [(1, 500)], 0.1)
             assert kernel.called is not skips
 
 
@@ -583,13 +590,18 @@ class TestSparsePath:
     def test_piece_sums_match_dense(self, family, weights, limit, cuts, eps, xs):
         fam, w = parse_family_spec(family), parse_weight_spec(weights)
         limits = [limit_profile_fn(fam, limit)(x) for x in xs]
+        bases = [fam.limit_profile(x) for x in xs]
+        d0s = [float(triangular_profile_distance(*b, *lim))
+               for b, lim in zip(bases, limits)]
+        assume(eps == math.inf or not any(d0s))  # where _stream takes it
+        cuts = schemes.unique_ints(cuts)
         with mock.patch.object(schemes, "_CHUNK", 61):
-            got, want = [_stream(f, w, limits, xs, cuts, eps)
-                         for f in (fam, dense(fam))]
-        assert np.array_equal(got.ends, want.ends)
-        assert np.array_equal(got.sums[..., 4], want.sums[..., 4])
-        sums = want.sums[..., :4]
-        assert np.all(np.abs(got.sums[..., :4] - sums)
+            ends, got = _sparse_pieces(fam, w, limits, xs, cuts, eps, bases, d0s)
+            want_ends, want = _dense_pieces(fam, w, limits, xs, cuts, eps)
+        assert np.array_equal(ends, want_ends)
+        assert np.array_equal(got[..., 4], want[..., 4])
+        sums = want[..., :4]
+        assert np.all(np.abs(got[..., :4] - sums)
                       <= 1e-12 * np.maximum(1.0, np.abs(sums)))
 
     @settings(max_examples=40, deadline=None)
@@ -631,7 +643,7 @@ class TestSparsePath:
 
         counted = dataclasses.replace(fam, profile=profile)
         lim = limit_profile_fn(fam, limit)(1.5)
-        _stream(counted, constant_weights(1), [lim], [1.5], [0, 1000], eps)
+        _stream(counted, constant_weights(1), [lim], [1.5], [(1, 1000)], eps)
         assert sum(evaluated) == seen
 
     @pytest.mark.parametrize("family", ["ex3.1", "ex3.2"])
@@ -647,6 +659,52 @@ class TestSparsePath:
                     got, want = [identity(f, scheme, w, lam, n, 1.5)
                                  for f in (fam, dense(fam))]
                     assert close(got, want), (identity.__name__, lam, n)
+
+
+class TestStreamWindows:
+    """``_stream`` sums any windows it is asked for, each against an
+    index-by-index ``math.fsum`` over the window.
+
+    A 61-index chunk puts several chunk edges inside the longer windows.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(SPARSE_FAMILIES + ["ex4.1", "harmonic"]),
+           drop_hook=st.booleans(),
+           weights=st.sampled_from(["const:0.1", "const:2.5", "recip5",
+                                    "harmonicplus"]),
+           limit=st.sampled_from(LIMITS),
+           windows=st.lists(st.tuples(st.integers(1, 3000),
+                                      st.integers(0, 3000)), max_size=8),
+           eps=st.sampled_from([0.05, 0.5, 2.0, math.inf]),
+           xs=st.lists(st.floats(1.0, 2.0), min_size=1, max_size=3))
+    @example(family="ex3.2", drop_hook=False, weights="harmonicplus",
+             limit=None, windows=[(5, 900), (1, 3000), (5, 900), (2000, 10),
+                                  (40, 41), (300, 2500), (7, 7), (1, 0)],
+             eps=0.05, xs=[1.0, 1.5]).via("overlapping, nested, repeated, "
+                                          "empty and unsorted windows")
+    def test_windows_match_index_sums(self, family, drop_hook, weights, limit,
+                                      windows, eps, xs):
+        fam, w = parse_family_spec(family), parse_weight_spec(weights)
+        if drop_hook:
+            fam = dense(fam)
+        limits = [limit_profile_fn(fam, limit)(x) for x in xs]
+        with mock.patch.object(schemes, "_CHUNK", 61):
+            sums, hits = _stream(fam, w, limits, xs, windows, eps)
+        assert sums.shape == (len(xs), len(windows), 4)
+        assert hits.shape == (len(xs), len(windows))
+        ks = np.arange(1, 3001)
+        t = w.values(ks)
+        for i, (x, lim) in enumerate(zip(xs, limits)):
+            c, l, r = fam.values(ks, x)
+            td = t * triangular_profile_distance(c, l, r, *lim)
+            for j, (lo, hi) in enumerate(windows):
+                want = [math.fsum(v[lo - 1:hi]) for v in (td, t * c, t * l, t * r)]
+                assert all(close(g, v) for g, v in zip(sums[i, j], want)), (lo, hi)
+                assert hits[i, j] == np.count_nonzero(td[lo - 1:hi] >= eps)
+            if fam.x_free:
+                assert np.array_equal(sums[i], sums[0])
+                assert np.array_equal(hits[i], hits[0])
 
 
 class TestOneWeightWalk:
