@@ -27,8 +27,8 @@ from .tauberian import tauberian_experiment
 @dataclass
 class RunConfig:
     family_spec: str
-    scheme_spec: str
-    weight_spec: str
+    scheme_spec: str = "classical"
+    weight_spec: str = "const:1"
     thetas: tuple[float, ...] = (1.0,)
     eps: float = 0.1
     horizon: int = 4096
@@ -169,8 +169,8 @@ def reference_rows() -> list[ReferenceRow]:
     ]
 
 
-def reproduce(only: Optional[str] = None, grid_spec: str = "1,2,5",
-              horizon_cap: Optional[int] = None, out=None) -> int:
+def reproduce(only: Optional[str] = None, horizon_cap: Optional[int] = None,
+              out=None) -> int:
     """Replay the reference table; return the number of contradictions.
 
     Inconclusive observations count as warnings, not failures (small
@@ -180,7 +180,7 @@ def reproduce(only: Optional[str] = None, grid_spec: str = "1,2,5",
     if horizon_cap is not None and horizon_cap < 1:
         raise ValueError(f"horizon cap must be at least 1, got {horizon_cap}")
     out = out or sys.stdout
-    grid = _parse_grid(grid_spec)
+    grid = uniform_grid(1, 2, 5)
     labels = {True: "member", False: "non-member", None: "inconclusive"}
     failures = 0
     warnings = 0
@@ -229,57 +229,52 @@ def _build_parser() -> argparse.ArgumentParser:
                     "function sequences.")
     sub = parser.add_subparsers(dest="command")
 
-    runp = sub.add_parser("run", help="classify one family/scheme/weights setup")
-    runp.add_argument("--family", required=True, help="family spec, e.g. ex3.2")
-    runp.add_argument("--scheme", default="classical", help="scheme spec")
-    runp.add_argument("--weights", default="const:1", help="weight spec")
-    runp.add_argument("--theta", default="1", help="comma list of orders in (0,1]")
-    runp.add_argument("--eps", type=float, default=0.1)
-    runp.add_argument("--grid", default="1,2,5", help="a,b,count")
-    runp.add_argument("--horizon", type=int, default=4096)
-    runp.add_argument("--modes", default="sp,abs,ord",
-                      help="subset of sp,abs,ord,tauberian")
-    runp.add_argument("--out-dir", default=".")
-    runp.add_argument("--json", dest="json_path", default=None)
-    runp.add_argument("--csv", dest="csv_path", default=None)
+    # an option not given stays out of the namespace: the defaults live in
+    # RunConfig and reproduce()
+    runp = sub.add_parser("run", argument_default=argparse.SUPPRESS,
+                          help="classify one family/scheme/weights setup")
+    runp.add_argument("--family", dest="family_spec", required=True,
+                      help="family spec, e.g. ex3.2")
+    runp.add_argument("--scheme", dest="scheme_spec", help="scheme spec")
+    runp.add_argument("--weights", dest="weight_spec", help="weight spec")
+    runp.add_argument("--theta", dest="thetas",
+                      help="comma list of orders in (0,1]")
+    runp.add_argument("--eps", type=float)
+    runp.add_argument("--grid", dest="grid_spec", help="a,b,count")
+    runp.add_argument("--horizon", type=int)
+    runp.add_argument("--modes", help="subset of sp,abs,ord,tauberian")
+    runp.add_argument("--out-dir")
+    runp.add_argument("--json", dest="json_path")
+    runp.add_argument("--csv", dest="csv_path")
 
-    repp = sub.add_parser("reproduce",
+    repp = sub.add_parser("reproduce", argument_default=argparse.SUPPRESS,
                           help="replay the built-in reference table")
-    repp.add_argument("--only", default=None, help="single reference group id")
-    repp.add_argument("--grid", default="1,2,5")
-    repp.add_argument("--horizon-cap", type=int, default=None,
+    repp.add_argument("--only", help="single reference group id")
+    repp.add_argument("--horizon-cap", type=int,
                       help="cap every canned horizon (smoke runs)")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
+    options = vars(parser.parse_args(argv))
+    command = options.pop("command")
+    if command is None:
         parser.print_usage()
         return 2
     try:
-        if args.command == "run":
-            config = RunConfig(
-                family_spec=args.family,
-                scheme_spec=args.scheme,
-                weight_spec=args.weights,
-                thetas=tuple(float(t) for t in args.theta.split(",") if t),
-                eps=args.eps,
-                horizon=args.horizon,
-                grid_spec=args.grid,
-                modes=tuple(m.strip() for m in args.modes.split(",") if m.strip()),
-                out_dir=args.out_dir,
-                json_path=args.json_path,
-                csv_path=args.csv_path,
-            )
-            result = run(config)
+        if command == "run":
+            if "thetas" in options:
+                options["thetas"] = tuple(
+                    float(t) for t in options["thetas"].split(",") if t)
+            if "modes" in options:
+                options["modes"] = tuple(
+                    m.strip() for m in options["modes"].split(",") if m.strip())
+            result = run(RunConfig(**options))
             print(f"wrote {result['artifacts']['csv']} and "
                   f"{result['artifacts']['json']}")
             return 0
-        failures = reproduce(only=args.only, grid_spec=args.grid,
-                             horizon_cap=args.horizon_cap)
-        return 1 if failures else 0
+        return 1 if reproduce(**options) else 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -198,11 +198,14 @@ class WeightSequence:
         if empty.size:
             i = empty[0]
             raise DegenerateWindowError(f"empty weight window [{los[i]}, {his[i]}]")
-        totals = (self._exact_totals(los - 1, his) if self.sums is None
-                  else self.sums(los - 1, his, True))
-        if not np.isfinite(totals).all():
-            raise ValueError(f"{self.label}: a window total overflows a float")
-        return totals
+        try:
+            totals = (self._exact_totals(los - 1, his) if self.sums is None
+                      else self.sums(los - 1, his, True))
+            if np.isfinite(totals).all():
+                return totals
+        except OverflowError:  # an int true division past the float range
+            pass
+        raise ValueError(f"{self.label}: a window total overflows a float")
 
     def _exact_totals(self, a: np.ndarray, g: np.ndarray) -> np.ndarray:
         """Weight sums over the nonempty ranges (a[i], g[i]]: each the exact
@@ -234,11 +237,9 @@ class WeightSequence:
                     total += piece
                     below.append(total)
                 ends += last.tolist()
-        try:  # int true division rounds correctly
-            return np.array([(below[j] - below[i]) / (1 << unit)
-                             for i, j in zip(*np.searchsorted(ends, (a, g)).tolist())])
-        except OverflowError:  # a total past the float range
-            return np.array([math.inf])
+        # int true division rounds correctly
+        return np.array([(below[j] - below[i]) / (1 << unit)
+                         for i, j in zip(*np.searchsorted(ends, (a, g)).tolist())])
 
     def __repr__(self):
         return f"WeightSequence({self.label!r})"
@@ -496,10 +497,7 @@ def _ratio_sums(p: int, q: int):
     def sums(a: np.ndarray, g: np.ndarray, window: bool) -> np.ndarray:
         if not window:
             return p / q * (g - a)
-        try:
-            return np.array([p * w / q for w in (g - a).tolist()])
-        except OverflowError:  # int true division past the float range
-            return np.array([math.inf])
+        return np.array([p * w / q for w in (g - a).tolist()])
 
     return sums
 

@@ -98,13 +98,13 @@ def _stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
     ``sums[i, w]`` holds the sums of t*dev, t*c, t*l and t*r over the w-th
     window at the i-th point, and ``hits[i, w]`` the count of its indices
     with t*dev >= eps; a window with hi < lo is empty.  k is streamed once
-    for every distinct key, cut at both ends (lo - 1 and hi) of every
-    nonempty window and at every chunk end, and a window sums to the
-    ``math.fsum`` of its pieces.  The key of a point is its limit triple
+    per distinct key, cut at both ends of every nonempty window and at
+    every chunk end, and a window sums to the ``math.fsum`` of its pieces
+    (ValueError past the float range).  A point's key is its limit triple
     for an x-free family and the pair (x, limit) otherwise; points that
-    share a key share its sums, streamed and reduced once.  A family with
-    an exception hook and a claimed limit takes ``_sparse_pieces``, unless
-    a term off its exceptions can reach eps: that needs an explicit limit
+    share a key share one stream and one reduction.  A family with an
+    exception hook and a claimed limit takes ``_sparse_pieces``, unless a
+    term off its exceptions can reach eps: that needs an explicit limit
     off the claimed one and a finite eps.  Others take ``_dense_pieces``.
     """
     # with no nonempty window the stream walks nothing: (0, 0]
@@ -131,10 +131,17 @@ def _stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
                             side="right").tolist()
     # one column of one key at a time as a list; the counts are small
     # integers, so their fsum is exact
-    sums = [[math.fsum(col[a:b]) for a, b in spans]
-            for piece in pieces for col in map(np.ndarray.tolist, piece.T)]
-    sums = np.reshape(sums, (len(xs), 5, len(spans))).transpose(0, 2, 1)[rows]
-    return sums[..., :4], sums[..., 4].astype(np.int64)
+    try:
+        sums = [[math.fsum(col[a:b]) for a, b in spans]
+                for piece in pieces for col in map(np.ndarray.tolist, piece.T)]
+        sums = np.reshape(sums, (len(xs), 5, len(spans)))
+        if np.isfinite(sums).all():
+            sums = sums.transpose(0, 2, 1)[rows]
+            return sums[..., :4], sums[..., 4].astype(np.int64)
+    except OverflowError:  # an intermediate sum past the float range
+        pass
+    raise ValueError(f"{seq.label}: a window sum over {weights.label} weights "
+                     "overflows a float")
 
 
 def _dense_pieces(seq: FuzzyFunctionSequence, weights: WeightSequence,

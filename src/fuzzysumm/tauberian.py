@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .numbers import ATOL, triangular_profile_distance
 from .schemes import (_MAX_INDEX, BetaGammaScheme, DegenerateWindowError,
-                      DILATION_LIMINF, RatioResult, WeightSequence, dilate,
+                      DILATION_LIMINF, RatioResult, WeightSequence,
                       dilated_indices, ratio_condition, unique_ints)
 from .sequences import FuzzyFunctionSequence, XGridPolicy
 from .summability import (ConvergenceReport, ModeTrace, _membership, _stream,
@@ -183,19 +183,20 @@ def _mean_identity(seq: FuzzyFunctionSequence, scheme: BetaGammaScheme,
     The outer window is the longer of the base window and its dilation by
     lam, the inner one the shorter; both start at beta(n), so the outer
     total T_o is the inner T_i plus the gap, and the tail mean runs over
-    the indices between the two tops.  The means are (center, left, right)
-    triples, all three summed in one stream.
+    the indices between the two tops; an empty tail or a gap that rounds
+    to 0 raises DegenerateWindowError.  The means are (center, left,
+    right) triples, all three summed in one stream.
     """
     x = seq.check_x(x)
-    moved = dilate(scheme, lam)
     b, g = scheme.window(n)
-    _, g_moved = moved.window(n)
-    if g_moved == g:
-        raise DegenerateWindowError(
-            f"{moved.label}: moved top {g} equals the window top at n={n}")
-    g_i, g_o = sorted((g, g_moved))
-    t_i, t_o = weights.window_totals((b, b), (g_i, g_o)).tolist()
+    g_i, g_o = sorted((g, math.floor(lam * g)))  # dilate()'s top
+    t_i, t_o = (weights.window_totals((b, b), (g_i, g_o)).tolist()
+                if b <= g_i < g_o else (0.0, 0.0))
     gap = t_o - t_i
+    if not gap > 0:
+        raise DegenerateWindowError(
+            f"{scheme.label}|x{lam:g}: the window [{b}, {g}] at n={n} and its "
+            "moved top leave no tail or no total gap")
     sums, _ = _stream(seq, weights, [(0.0, 0.0, 0.0)], [x],
                       [(b, g_i), (b, g_o), (g_i + 1, g_o)], math.inf)
     s_i, s_o, tail = (s[1:] / t for s, t in zip(sums[0], (t_i, t_o, gap)))
@@ -220,8 +221,8 @@ def dilation_mean_identity(seq: FuzzyFunctionSequence, scheme: BetaGammaScheme,
     distance (an algebraic rearrangement, so anything above rounding
     noise indicates an arithmetic bug).
     """
-    if not lam > 1:
-        raise ValueError("lam must exceed 1")
+    if not 1 < lam < math.inf:
+        raise ValueError(f"lam must be finite and exceed 1, got {lam!r}")
     return _mean_identity(seq, scheme, weights, lam, n, x)
 
 
@@ -365,7 +366,7 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
                          grid: XGridPolicy, horizon: int,
                          eps_ladder: Sequence[float] = (0.5, 0.1, 0.01),
                          n0: int = 10,
-                         scan_horizon: Optional[int] = None) -> TauberianReport:
+                         scan_horizon: int = 1024) -> TauberianReport:
     """Measure hypotheses and conclusion of the windowed-mean Tauber test.
 
     Hypotheses: the dilation growth condition on window totals, slow
@@ -374,18 +375,16 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
     conclusion traces d(f_{gamma(n)}(x), limit(x)) along the ladder.
     Hypothesis failures are reported, never fatal: the conclusion is
     still measured so a failed hypothesis remains distinguishable from a
-    failed conclusion.  An x-free family is scanned, and evaluated at the
-    tops, at the first grid point only.  The scans cover rows up to
-    min(horizon, scan_horizon), 1024 when scan_horizon is None, and n0 may
-    be at most half of that.  A window top past the walk budget is refused
-    before any work.
+    failed conclusion, but a window that cannot be formed is a named
+    error, never an estimate.  An x-free family is scanned, and evaluated
+    at the tops, at the first grid point only.  The scans cover rows up
+    to min(horizon, scan_horizon), and n0 may be at most half of that.  A
+    window top past the walk budget is refused before any work.
     """
     ns = ladder(horizon)
     if not eps_ladder or not all(e > 0 for e in eps_ladder):
         raise ValueError(f"eps_ladder must be nonempty and positive, got "
                          f"{list(eps_ladder)}")
-    if scan_horizon is None:
-        scan_horizon = 1024
     if scan_horizon < 1:
         raise ValueError(f"scan_horizon must be at least 1, got {scan_horizon}")
     scan_horizon = min(horizon, scan_horizon)
@@ -400,15 +399,10 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
                          f"walk budget of {_MAX_INDEX} indices")
     report = TauberianReport(
         family=seq.label, scheme=scheme.label, weights=weights.label,
-        horizon=horizon, eps_ladder=tuple(eps_ladder))
-
-    for lam in _LAMBDAS:
-        try:
-            report.condition2[lam] = ratio_condition(
-                scheme, weights, lam, max(horizon // 4, 8), DILATION_LIMINF)
-        except DegenerateWindowError:
-            report.condition2[lam] = RatioResult(math.inf, False)
-
+        horizon=horizon, eps_ladder=tuple(eps_ladder),
+        condition2={lam: ratio_condition(scheme, weights, lam,
+                                         max(horizon // 4, 8), DILATION_LIMINF)
+                    for lam in _LAMBDAS})
     tops = np.array(tops, dtype=np.int64)
     for i, x in enumerate(grid.points):
         x = seq.check_x(x)

@@ -129,6 +129,29 @@ class TestRunCommand:
         assert rc == 2
         assert named in capsys.readouterr().err
 
+    def test_window_sum_past_float_range_diagnosed(self, tmp_path, capsys):
+        # every window total is finite (T_4096 = 1.7e307); the sum of t*dev
+        # over a window is not, and math.fsum raised OverflowError
+        rc = main(["run", "--family", "ex3.2", "--scheme", "pow:2",
+                   "--weights", "const:1e300", "--modes", "abs",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "triangular_growing" in err and "const:1e+300" in err
+        assert "overflows a float" in err
+
+    def test_empty_condition2_window_refused(self, tmp_path, capsys):
+        # condition 2 at H = 4096 reads n = 512 .. 1024; row 700 is the
+        # window [0, 700], whose ratio was once reported as Infinity
+        path = tmp_path / "s.txt"
+        path.write_text("".join("0 700\n" if n == 700 else f"1 {n}\n"
+                                for n in range(1, 5000)))
+        rc = main(["run", "--family", "ex4.1", "--scheme", f"file:{path}",
+                   "--modes", "tauberian", "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "empty weight window [0, 700]" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RunConfig("ex4.1", "classical", "const:1", thetas=(1.5,))
@@ -180,6 +203,15 @@ class TestReproduceCommand:
     def test_short_ladders_are_inconclusive(self, cap):
         # a ladder shorter than the verdict window settles no row
         assert reproduce(horizon_cap=cap, out=io.StringIO()) == 0
+
+    def test_contradiction_fails_the_replay(self, monkeypatch, capsys):
+        rows = reference_rows()
+        rows[6] = dataclasses.replace(rows[6], expect_member=False)  # ex4.1 ord
+        monkeypatch.setattr(cli, "reference_rows", lambda: rows)
+        assert reproduce() == 1
+        out = capsys.readouterr().out
+        assert out.count("FAIL") == 1 and "1 contradiction(s)" in out
+        assert main(["reproduce"]) == 1
 
     def test_reference_table_is_complete(self):
         rows = reference_rows()

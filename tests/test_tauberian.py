@@ -22,8 +22,15 @@ from fuzzysumm import (DegenerateWindowError, XGridPolicy, add, add_families,
                        triangular_growing_family, uniform_grid)
 from fuzzysumm import tauberian
 from fuzzysumm.numbers import ATOL
+from fuzzysumm.schemes import WeightSequence
 from fuzzysumm.sequences import FuzzyFunctionSequence, crisp_index_family
 from fuzzysumm.tauberian import SlowDecreaseEntry
+
+
+def spike_weights():
+    """1e20, then weights of 1 that it absorbs: every window [1, g] with
+    g < 8193 totals exactly 1e20, so the gap between two of them is 0."""
+    return WeightSequence(lambda ks: np.where(ks == 1, 1e20, 1.0), "spike")
 
 
 def unequal_spread_family():
@@ -365,6 +372,20 @@ class TestDecompositionIdentities:
             with pytest.raises(DegenerateWindowError):
                 identity(fam, classical_scheme(), constant_weights(1), lam, 1, 1.0)
 
+    def test_infinite_lam_refused_by_name(self):
+        with pytest.raises(ValueError, match="finite"):
+            dilation_mean_identity(alternating_crisp_family(), classical_scheme(),
+                                   constant_weights(1), math.inf, 8, 1.0)
+
+    def test_zero_total_gap_is_degenerate(self):
+        # the gap T_o - T_i was divided by: ZeroDivisionError, or a
+        # RuntimeWarning under -W error
+        fam = alternating_crisp_family()
+        for identity, lam in ((dilation_mean_identity, 2.0),
+                              (shrink_mean_identity, 0.5)):
+            with pytest.raises(DegenerateWindowError, match="no total gap"):
+                identity(fam, classical_scheme(), spike_weights(), lam, 16, 1.0)
+
 
 class TestExperiment:
     def test_harmonic_passes_everything(self):
@@ -458,6 +479,29 @@ class TestExperiment:
         blob = exp.to_dict()
         assert blob["conclusion"]["holds"] is False
         assert "sandwich_ok" not in json.dumps(blob)
+
+    def test_zero_total_gaps_skip_every_identity(self):
+        exp = tauberian_experiment(
+            parse_family_spec("ex4.1"), None, classical_scheme(),
+            spike_weights(), uniform_grid(1, 2, 5), horizon=4096)
+        assert exp.identity_checks == []
+        # every total of condition 2 is 1e20 too: its ratios are all 1
+        assert [tuple(r) for r in exp.condition2.values()] == [(1.0, False)] * 3
+
+    def test_collapsed_shrinks_skipped_on_a_valid_scheme(self):
+        # lambda:half windows are [n/2 + 1, n] at even n, so halving the top
+        # drops it below beta at each identity n = 8, 16, 32
+        exp = tauberian_experiment(
+            parse_family_spec("ex4.1"), None, parse_scheme_spec("lambda:half"),
+            harmonicplus_weights(), uniform_grid(1, 2, 5), horizon=256)
+        kept = {(c.kind, c.lam, c.n) for c in exp.identity_checks}
+        every = {(kind, lam, n) for n in (8, 16, 32)
+                 for kind, lams in (("dilation", (1.25, 1.5, 2.0)),
+                                    ("shrink", (0.8, 0.666667, 0.5)))
+                 for lam in lams}
+        assert len(exp.identity_checks) == 15
+        assert every - kept == {("shrink", 0.5, n) for n in (8, 16, 32)}
+        assert all(c.ok for c in exp.identity_checks)
 
     def test_window_top_past_the_walk_budget_refused_first(self):
         # the classical top 2^28 was refused only by the ord sweep, after
