@@ -17,6 +17,7 @@ over the union of the windows of the call.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -37,6 +38,8 @@ SHRINK_GAP_LIMSUP = 5
 # a chunk's float64 temporaries (64 KiB) stay under glibc's 128 KiB mmap
 # threshold, so they are reused from the heap instead of mapped anew.
 _CHUNK = 1 << 13
+_FIRST = np.zeros(1, dtype=np.int64)  # starts of a chunk with no cut inside
+_FIRST.flags.writeable = False  # shared by every walk
 # Walked window totals are summed exactly as integers; one pass over a
 # chunk takes the weights whose shifts share a band of _BAND bits.
 _BAND = 10
@@ -142,23 +145,31 @@ class WeightSequence:
         ``cuts`` must be sorted and unique.  Pieces end at every cut and at
         every chunk end; each chunk yields its indices ``ks``, their weights
         ``t``, the offsets in ``ks`` where its pieces start (so
-        ``np.add.reduceat(v, starts)`` sums v per piece) and the pieces'
-        last indices.  A walk that ``ensure`` refuses raises before its first
-        chunk; a weight past a table's end, or one that is not a finite
-        positive number, raises ValueError naming it.
+        ``np.add.reduceat(v, starts)`` sums v per piece; a shared read-only
+        ``[0]`` when no cut lies inside) and the pieces' last indices, never
+        a view that would keep ``ks`` alive.  A walk that ``ensure`` refuses
+        raises before its first chunk; a weight past a table's end, or one
+        that is not a finite positive number, raises ValueError naming it.
         """
         lo, hi = int(cuts[0]), int(cuts[-1])
         self.ensure(hi)
+        marks, j = cuts.tolist(), 1  # cuts[j] is the first cut past a - 1
         for a in range(lo + 1, hi + 1, _CHUNK):
-            ks = np.arange(a, min(hi + 1, a + _CHUNK), dtype=np.int64)
+            b = min(hi, a + _CHUNK - 1)
+            ks = np.arange(a, b + 1, dtype=np.int64)
             t = self.values(ks)
             if not (t.min() > 0 and t.max() < np.inf):  # false on a NaN too
                 bad = ~(np.isfinite(t) & (t > 0))
                 raise ValueError(f"{self.label}: weight t_{ks[np.argmax(bad)]} "
                                  "is not a finite positive number")
-            inner = cuts[slice(*np.searchsorted(cuts, (a, ks[-1])))]
-            yield (ks, t, np.concatenate(((0,), inner + 1 - a)),
-                   np.concatenate((inner, ks[-1:])))
+            end = bisect_left(marks, b, j)  # cuts[j:end] lie inside the chunk
+            if end == j:
+                yield ks, t, _FIRST, np.array([b])
+            else:
+                inner = cuts[j:end]
+                yield (ks, t, np.concatenate(((0,), inner + 1 - a)),
+                       np.concatenate((inner, (b,))))
+            j = end + (end < len(marks) and marks[end] == b)
 
     def piece_sums(self, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Last index and weight sum of every piece of the walk over ``cuts``.

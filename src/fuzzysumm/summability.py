@@ -24,6 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import schemes
 from .numbers import (FuzzyNumber, triangular, triangular_profile_distance,
                       triangular_profile_of)
 from .schemes import (BetaGammaScheme, WeightSequence, unique_ints,
@@ -152,31 +153,49 @@ def _dense_pieces(seq: FuzzyFunctionSequence, weights: WeightSequence,
 
     Piece j is (ends[j-1], ends[j]]: each chunk of ``weights.chunks`` costs
     one ``seq.profile`` call per point and is split at the cuts inside it.
-    A chunk whose profile passes one all-zero array for both spreads, at a
-    limit with zero spreads, takes |c - c0| as the distance and 0 as the
-    spread sums, with the bits of ``triangular_profile_distance``.
+    Only when a spread's min or max, or a piece's sum of t*dev >= 0, is out
+    of range does ``seq.values`` run, to raise its error naming the first
+    bad k.  A chunk whose profile passes one all-zero array for both
+    spreads, at a limit with zero spreads, takes |c - c0| as the distance
+    (|t*c| at c0 = 0, as t > 0) and 0 as the spread sums, with the bits of
+    ``triangular_profile_distance``.
     """
     # empty leading blocks keep the concatenations valid for an empty range
     ends, sums = [np.zeros(0, dtype=np.int64)], [np.zeros((len(xs), 0, 5))]
+    size = min(int(cuts[-1] - cuts[0]), schemes._CHUNK)  # buffers for the walk
+    tds, tcs, hits = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
     for ks, t, starts, last in weights.chunks(cuts):
         ends.append(last)
         sums.append(np.empty((len(xs), len(starts), 5)))
+        td, tc, hit = tds[:len(ks)], tcs[:len(ks)], hits[:len(ks)]
         for i, x in enumerate(xs):
-            c, l, r = seq.values(ks, x)
+            c, l, r = seq.profile(ks, x)
+            # the built-in families pass one array for both spreads
+            bounds = [(s.min(), s.max()) for s in ((l,) if r is l else (l, r))]
+            if not all(0 <= a and b < np.inf for a, b in bounds):  # NaN fails
+                seq.values(ks, x)
             out = sums[-1][i]
             c0, l0, r0 = limits[i]
-            if r is l and not (l0 or r0 or l.any()):
+            np.multiply(t, c, out=tc)
+            if r is l and not (l0 or r0 or bounds[0][1]):
                 # all spreads zero: the distance is |c - c0|, bit for bit
-                dev = np.subtract(c, c0)
-                td = t * np.abs(dev, out=dev)
+                if c0 == 0:
+                    np.abs(tc, out=td)
+                else:
+                    np.abs(np.subtract(c, c0, out=td), out=td)
+                    td *= t
                 out[:, 2:4] = 0.0
             else:
-                td = t * triangular_profile_distance(c, l, r, c0, l0, r0)
+                np.multiply(t, triangular_profile_distance(c, l, r, c0, l0, r0),
+                            out=td)
                 out[:, 2] = np.add.reduceat(t * l, starts)
-                # the built-in families pass one array for both spreads
                 out[:, 3] = out[:, 2] if r is l else np.add.reduceat(t * r, starts)
-            for col, v in ((0, td), (1, t * c), (4, td >= eps)):
-                out[:, col] = np.add.reduceat(v, starts)
+            np.add.reduceat(td, starts, out=out[:, 0])
+            if not out[:, 0].max() < np.inf:  # NaN fails
+                seq.values(ks, x)
+            np.add.reduceat(tc, starts, out=out[:, 1])
+            np.add.reduceat(np.greater_equal(td, eps, out=hit), starts,
+                            out=out[:, 4])
     return np.concatenate(ends), np.concatenate(sums, axis=1)
 
 

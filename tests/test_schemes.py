@@ -54,6 +54,38 @@ def table_or_hand_built(kind, spec, values):
     return WeightSequence(lambda ks: values[ks - 1], "hand-built")
 
 
+@settings(max_examples=200, deadline=None)
+@given(cuts=st.lists(st.integers(0, 60), min_size=1, max_size=10),
+       spec=st.sampled_from(["harmonicplus", "const:0.7", "hand-built"]))
+@example(cuts=[0, 7, 14, 21, 35, 36], spec="hand-built").via("cuts on chunk ends")
+@example(cuts=[0, 7, 14, 21, 35, 36], spec="harmonicplus").via("the same, closed")
+@example(cuts=[5, 6], spec="const:0.7").via("a one-index walk")
+@example(cuts=[3], spec="hand-built").via("an empty walk")
+@example(cuts=[3], spec="harmonicplus").via("an empty closed-form walk")
+def test_chunk_pieces_are_the_piece_sums(cuts, spec):
+    # 7-index chunks: the walk's pieces end where piece_sums says, each
+    # chunk's starts give its pieces' first indices, and no yielded end is
+    # a view that keeps a chunk's indices alive
+    cuts = unique_ints(cuts)
+    w = (WeightSequence(lambda ks: 1.0 + 1.0 / ks, "hand-built")
+         if spec == "hand-built" else parse_weight_spec(spec))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schemes, "_CHUNK", 7)
+        walked = list(w.chunks(cuts))
+        ends, _ = w.piece_sums(cuts)
+    lasts = np.concatenate([np.zeros(0, dtype=np.int64)]
+                           + [last for *_, last in walked])
+    assert lasts.dtype == np.int64 and lasts.tolist() == ends.tolist()
+    firsts = (np.append(cuts[0], lasts)[:-1] + 1).tolist()
+    assert np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        starts + ks[0] for ks, _, starts, _ in walked]).tolist() == firsts
+    for ks, t, starts, last in walked:
+        assert last.base is None
+        assert ks.tolist() == list(range(int(ks[0]), int(last[-1]) + 1))
+        assert len(ks) <= 7 and t.tolist() == w.values(ks).tolist()
+    assert sum(map(len, (ks for ks, *_ in walked))) == cuts[-1] - cuts[0]
+
+
 def test_single_window_total_matches_ladder_total():
     # recip5 on classical: walked, the ladder 1, 2, 4, ..., 32, 45 split
     # [1, 45] into pieces that summed to 9.000000000000002 and the window

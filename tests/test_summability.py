@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from conftest import (exact_weight, icbrt, oracle_absolute_partial,
                       oracle_ordinary_partial, oracle_sp_density)
 
-from fuzzysumm import (ModeParams, VerdictPolicy, WeightSequence, XGridPolicy,
-                       absolute_partial, add_families, alternating_crisp_family,
+from fuzzysumm import (FuzzyFunctionSequence, ModeParams, VerdictPolicy,
+                       WeightSequence, XGridPolicy, absolute_partial,
+                       add_families, alternating_crisp_family,
                        classical_scheme, classify, constant_family,
                        constant_weights, crisp, cube_decaying_family, distance,
                        harmonicplus_weights, ladder, ordinary_partial,
@@ -745,6 +746,162 @@ class TestOneWeightWalk:
         classify_thetas(parse_family_spec(family), None, scheme, w, (0.5, 1.0),
                         0.1, uniform_grid(1, 2, 3), horizon)
         assert sum(seen) == 1 + walked(top)
+
+
+BAD_K = 25  # in (21, 28], the fourth chunk of 7 indices
+
+
+def spoiled(bad, spread=0.0, at_x=None):
+    """1/k with both spreads ``spread`` (one array), claimed to converge to
+    crisp 0, except that f_k is the (center, spread) pair ``bad[k]``: at
+    every x, or at ``at_x`` only, when given."""
+
+    def profile(ks, x):
+        c, s = 1.0 / ks, np.full(len(ks), spread)
+        if at_x is None or x == at_x:
+            for k, (center, k_spread) in bad.items():
+                c[ks == k], s[ks == k] = center, k_spread
+        return c, s, s
+
+    return FuzzyFunctionSequence("spoiled", profile, lambda x: (0.0, 0.0, 0.0),
+                                 x_free=at_x is None)
+
+
+class TestProfileChecksOnSums:
+    """A dense walk refuses a bad profile value past its third chunk with
+    ``FuzzyFunctionSequence.values``'s error naming k and x, on either
+    kernel: zero spreads against c0 = 0 and c0 = 0.5, and spreads 0.25."""
+
+    MODES = {
+        "sp": lambda f, lim, p: sp_density(f, lim, p, 40, 1.5),
+        "abs": lambda f, lim, p: absolute_partial(f, lim, p, 40, 1.5),
+        "ord": lambda f, lim, p: ordinary_partial(f, p, 40, 1.5),
+    }
+    CASES = pytest.mark.parametrize("mode", MODES)
+    KERNELS = pytest.mark.parametrize("spread, limit", [(0.0, 0.0), (0.0, 0.5),
+                                                        (0.25, 0.0)])
+
+    def refused(self, fam, mode, limit, match, weights=None):
+        with mock.patch.object(schemes, "_CHUNK", 7):
+            with pytest.raises(ValueError, match=match):
+                self.MODES[mode](fam, limit, params(weights=weights))
+
+    @CASES
+    @KERNELS
+    def test_nan_center_named(self, mode, spread, limit):
+        fam = spoiled({BAD_K: (math.nan, spread)}, spread)
+        self.refused(fam, mode, limit,
+                     r"^spoiled: f_25\(1\.5\) has a non-finite center")
+
+    @CASES
+    @KERNELS
+    def test_opposite_infinities_in_one_piece_named(self, mode, spread, limit):
+        # t*c sums to inf - inf = NaN over the piece (21, 28]
+        fam = spoiled({24: (math.inf, spread), BAD_K: (-math.inf, spread)},
+                      spread)
+        self.refused(fam, mode, limit, r"^spoiled: f_24\(1\.5\) has")
+
+    @CASES
+    @KERNELS
+    def test_negative_spread_in_a_later_chunk_refused(self, mode, spread, limit):
+        fam = spoiled({BAD_K: (1.0 / BAD_K, -0.5)}, spread)
+        self.refused(fam, mode, limit,
+                     r"^spoiled: f_25\(1\.5\) .* or a negative spread$")
+
+    @pytest.mark.parametrize("bad", [(math.nan, 0.0), (1.0, -0.5),
+                                     (math.inf, 0.0)])
+    @pytest.mark.parametrize("spread", [0.0, 0.25])
+    def test_x_dependent_family_names_the_bad_point(self, bad, spread):
+        fam = spoiled({BAD_K: bad}, spread, at_x=1.5)
+        with mock.patch.object(schemes, "_CHUNK", 7):
+            with pytest.raises(ValueError, match=r"^spoiled: f_25\(1\.5\) has"):
+                classify_thetas(fam, None, classical_scheme(),
+                                constant_weights(1), (0.5, 1.0), 0.1,
+                                uniform_grid(1, 2, 5), 40)
+
+    @CASES
+    @KERNELS
+    def test_finite_center_overflowing_its_product_is_a_sum_error(
+            self, mode, spread, limit):
+        # t*c = 10 * 1e308 is inf; numpy's overflow warning is not the error
+        fam = spoiled({BAD_K: (1e308, spread)}, spread)
+        with np.errstate(over="ignore"):
+            self.refused(fam, mode, limit, r"^spoiled: a window sum over "
+                         "const:10 weights overflows a float$",
+                         constant_weights(10))
+
+
+class TestZeroLimitShortcut:
+    """At a crisp zero limit a zero-spread chunk's t*dev is |t*c|: the bits
+    of t*|c - 0|, as t > 0."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(centers=st.lists(st.one_of(
+               st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.0 ** -1022,
+                                -(2.0 ** -1040), 1e308, -1e308]),
+               st.floats(allow_nan=False, allow_infinity=False)),
+               min_size=1, max_size=40),
+           weights=st.sampled_from(["const:0.1", "const:3", "const:1e10",
+                                    "recip5", "harmonicplus"]),
+           cuts=st.lists(st.integers(0, 200), min_size=1, max_size=6))
+    @example(centers=[-0.0, 5e-324, 1e308, -1e308, -5e-324, 1e308, -1e308],
+             weights="harmonicplus", cuts=[0, 5, 31, 90])
+    def test_piece_sums_have_the_bits_of_the_product(self, centers, weights,
+                                                    cuts):
+        table = np.array(centers)
+
+        def profile(ks, x):
+            z = np.zeros(len(ks))
+            return table[(ks - 1) % len(table)], z, z
+
+        fam = FuzzyFunctionSequence("table", profile, x_free=True)
+        w, cuts = parse_weight_spec(weights), schemes.unique_ints(cuts)
+        # 1e308 * 1e10 overflows, and +inf and -inf may share a piece
+        with mock.patch.object(schemes, "_CHUNK", 7), \
+                np.errstate(over="ignore", invalid="ignore"):
+            _, got = _dense_pieces(fam, w, [(0.0, 0.0, 0.0)], [1.0], cuts, 0.1)
+            want = [np.zeros(0)] + [
+                np.add.reduceat(t * np.abs(profile(ks, 1.0)[0] - 0.0), starts)
+                for ks, t, starts, _ in w.chunks(cuts)]
+        assert np.array_equal(got[0, :, 0], np.concatenate(want))
+        assert got[0, :, 0].tobytes() == np.concatenate(want).tobytes()
+
+
+class TestTracedCounts:
+    """A dense walk over N indices in m chunks with p keys evaluates the
+    weights m times over N indices and the profile m*p times over N*p, and
+    the distance kernel m*p times over N*p elements, or never when every
+    spread is zero: the counts a per-layer tracer reads."""
+
+    N, CHUNK = 1000, 61  # m = 17 chunks
+
+    @pytest.mark.parametrize("family, limits, kernel_runs", [
+        # x-free, three distinct limits: three keys
+        (alternating_crisp_family(), [0.0, 0.5, -1.0], False),
+        # read as x-dependent: one key per point
+        (dataclasses.replace(constant_family(0.5, 0.25, 0.25), x_free=False),
+         [None] * 3, True),
+    ])
+    def test_counts(self, monkeypatch, family, limits, kernel_runs):
+        w = harmonicplus_weights()
+        weights_seen, profile_seen, kernel_seen = [], [], []
+        values = WeightSequence.values
+        monkeypatch.setattr(WeightSequence, "values", lambda self, ks: (
+            weights_seen.append(len(ks)) or values(self, ks)))
+        kernel = summability.triangular_profile_distance
+        monkeypatch.setattr(summability, "triangular_profile_distance",
+                            lambda *a: kernel_seen.append(len(a[0])) or kernel(*a))
+        monkeypatch.setattr(schemes, "_CHUNK", self.CHUNK)
+        fam = dataclasses.replace(family, profile=lambda ks, x: (
+            profile_seen.append(len(ks)) or family.profile(ks, x)))
+        xs = [1.0, 1.5, 2.0]
+        lims = [limit_profile_fn(fam, lim)(x) for lim, x in zip(limits, xs)]
+        _stream(fam, w, lims, xs, [(1, self.N), (200, 700), (13, 13)], 0.1)
+        m, p = math.ceil(self.N / self.CHUNK), 3
+        assert (len(weights_seen), sum(weights_seen)) == (m, self.N)
+        assert (len(profile_seen), sum(profile_seen)) == (m * p, self.N * p)
+        assert (len(kernel_seen), sum(kernel_seen)) == (
+            (m * p, self.N * p) if kernel_runs else (0, 0))
 
 
 def test_sp_counts_up_to_an_integer_total():
