@@ -113,26 +113,30 @@ class FuzzyNumber:
 
 def crisp(r: float, levels: int = DEFAULT_LEVEL_COUNT) -> FuzzyNumber:
     """Embed a real number: every cut is the degenerate interval [r, r]."""
-    if not math.isfinite(r):
-        raise ValueError("crisp value must be finite")
-    alphas = uniform_alphas(levels)
-    ends = np.full(levels, float(r))
-    return FuzzyNumber(alphas, ends, ends, check=False)
+    return triangular(r, 0.0, 0.0, levels)
 
 
 def zero(levels: int = DEFAULT_LEVEL_COUNT) -> FuzzyNumber:
     return crisp(0.0, levels)
 
 
+NOT_TRIANGULAR = "non-finite center or spread, or a negative spread"
+
+
+def is_triangular(c, l, r):
+    """Whether center c and spreads l, r form a triangular value: all finite
+    and l, r >= 0, NaN failing every test.  Elementwise on arrays."""
+    return ((abs(c) < np.inf) & (0 <= l) & (l < np.inf)
+            & (0 <= r) & (r < np.inf))
+
+
 def triangular(center: float, left_spread: float, right_spread: float,
                levels: int = DEFAULT_LEVEL_COUNT) -> FuzzyNumber:
     """Triangular number: cut at alpha is
     [center - (1-alpha)*left_spread, center + (1-alpha)*right_spread]."""
-    if not (math.isfinite(center) and math.isfinite(left_spread)
-            and math.isfinite(right_spread)):
-        raise ValueError("triangular parameters must be finite")
-    if left_spread < 0 or right_spread < 0:
-        raise ValueError("spreads must be nonnegative")
+    if not is_triangular(center, left_spread, right_spread):
+        raise ValueError(f"triangular({center:g}, {left_spread:g}, "
+                         f"{right_spread:g}) has a {NOT_TRIANGULAR}")
     alphas = uniform_alphas(levels)
     slack = 1.0 - alphas
     return FuzzyNumber(alphas, center - slack * left_spread,

@@ -14,7 +14,8 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .numbers import FuzzyNumber, triangular, triangular_profile_distance
+from .numbers import (NOT_TRIANGULAR, FuzzyNumber, is_triangular, triangular,
+                      triangular_profile_distance)
 from .schemes import read_table
 
 TriProfile = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -121,17 +122,13 @@ class FuzzyFunctionSequence:
         return float(x)
 
     def values(self, ks: np.ndarray, x: float) -> TriProfile:
-        """``profile(ks, x)``, refused when a center or spread is not finite
-        or a spread is negative: the ValueError names the first such k."""
+        """``profile(ks, x)``, refused where it is not ``is_triangular``:
+        the ValueError names the first such k."""
         c, l, r = self.profile(ks, x)
-        spreads = (l,) if r is l else (l, r)  # built-ins pass one array for both
-        if not (np.isfinite(c).all()
-                and all(0 <= s.min(initial=0.0) and s.max(initial=0.0) < np.inf
-                        for s in spreads)):
-            bad = ~(np.isfinite(c) & np.isfinite(l) & np.isfinite(r)
-                    & (l >= 0) & (r >= 0))
-            raise ValueError(f"{self.label}: f_{ks[np.argmax(bad)]}({x:g}) has a "
-                             "non-finite center or spread, or a negative spread")
+        good = is_triangular(c, l, r)
+        if not good.all():
+            k = ks[np.argmin(good)]
+            raise ValueError(f"{self.label}: f_{k}({x:g}) has a {NOT_TRIANGULAR}")
         return c, l, r
 
     def eval(self, k: int, x: float) -> FuzzyNumber:
@@ -145,8 +142,7 @@ class FuzzyFunctionSequence:
     def claimed_limit(self, x: float) -> FuzzyNumber:
         if self.limit_profile is None:
             raise ValueError(f"{self.label}: no claimed limit recorded")
-        c, l, r = self.limit_profile(self.check_x(x))
-        return triangular(c, l, r)
+        return triangular(*self.limit_profile(self.check_x(x)))
 
 
 def _crisp_family(label: str, center: _IndexMap, limit: Optional[float] = None,
@@ -250,8 +246,9 @@ def crisp_index_family() -> FuzzyFunctionSequence:
 def constant_family(center: float, left: float = 0.0,
                     right: float = 0.0) -> FuzzyFunctionSequence:
     """The constant family f_k = triangular(center, left, right)."""
-    if left < 0 or right < 0:
-        raise ValueError("spreads must be nonnegative")
+    label = f"constant({center:g},{left:g},{right:g})"
+    if not is_triangular(center, left, right):
+        raise ValueError(f"{label}: the value has a {NOT_TRIANGULAR}")
 
     def profile(ks: np.ndarray, x: float) -> TriProfile:
         n = len(ks)
@@ -261,7 +258,7 @@ def constant_family(center: float, left: float = 0.0,
                 lefts if right == left else np.full(n, float(right)))
 
     return FuzzyFunctionSequence(
-        label=f"constant({center:g},{left:g},{right:g})",
+        label=label,
         profile=profile,
         limit_profile=lambda x: (float(center), float(left), float(right)),
         x_free=True,
@@ -301,19 +298,11 @@ def scale_family(c: float, f: FuzzyFunctionSequence) -> FuzzyFunctionSequence:
             return c * center, c * left, c * right
         return c * center, -c * right, -c * left
 
-    def profile(ks: np.ndarray, x: float) -> TriProfile:
-        return scaled(f.profile(ks, x))
-
-    limit = None
-    if f.limit_profile is not None:
-        def limit(x: float) -> LimitProfile:
-            lc, ll, lr = scaled(f.limit_profile(x))
-            return float(lc), float(ll), float(lr)
-
     return FuzzyFunctionSequence(
         label=f"{c:g}*({f.label})",
-        profile=profile,
-        limit_profile=limit,
+        profile=lambda ks, x: scaled(f.profile(ks, x)),
+        limit_profile=None if f.limit_profile is None else
+        lambda x: scaled(f.limit_profile(x)),
         x_free=f.x_free,
     )
 
@@ -331,10 +320,9 @@ def table_family(path: str) -> FuzzyFunctionSequence:
         raise ValueError(f"{path}: duplicate index k")
     c_arr = np.asarray(centers)[order]
     s_arr = np.asarray(spreads)[order]
-    if not (np.all(np.isfinite(c_arr)) and np.all(np.isfinite(s_arr))):
-        raise ValueError(f"{path}: non-finite center or spread")
-    if np.any(s_arr < 0):
-        raise ValueError(f"{path}: negative spread")
+    good = is_triangular(c_arr, s_arr, s_arr)
+    if not good.all():
+        raise ValueError(f"{path}: {NOT_TRIANGULAR}, at k={k_arr[np.argmin(good)]}")
 
     def profile(qs: np.ndarray, x: float) -> TriProfile:
         pos = np.searchsorted(k_arr, qs)

@@ -25,8 +25,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import schemes
-from .numbers import (FuzzyNumber, triangular, triangular_profile_distance,
-                      triangular_profile_of)
+from .numbers import (NOT_TRIANGULAR, FuzzyNumber, is_triangular, triangular,
+                      triangular_profile_distance, triangular_profile_of)
 from .schemes import (BetaGammaScheme, WeightSequence, unique_ints,
                       weighted_total)
 from .sequences import FuzzyFunctionSequence, LimitProfile, XGridPolicy
@@ -61,33 +61,41 @@ class ModeParams:
         check_mode_args((self.theta,), self.eps)
 
 
-def _limit_triple(v) -> LimitProfile:
-    if isinstance(v, FuzzyNumber):
-        return triangular_profile_of(v)
-    if isinstance(v, (int, float)):
-        return (float(v), 0.0, 0.0)
-    return (float(v[0]), float(v[1]), float(v[2]))
-
-
 def limit_profile_fn(seq: FuzzyFunctionSequence, limit=None) -> Callable[[float], LimitProfile]:
     """Normalize a limit argument to a callable x -> (center, left, right).
 
     Accepts None (use the family's claimed limit), a real, a FuzzyNumber
     with triangular cuts, a profile triple, or a callable producing any
-    of those.
+    of those.  A limit whose value at x is not ``is_triangular`` is a
+    ValueError naming the family, the limit and x.
     """
     if limit is None:
         if seq.limit_profile is None:
             raise ValueError(f"{seq.label}: no limit given and none claimed")
-        return seq.limit_profile
-    if isinstance(limit, (FuzzyNumber, int, float)) or (
+        given, what = seq.limit_profile, "claimed limit"
+    elif isinstance(limit, (FuzzyNumber, int, float)) or (
             isinstance(limit, tuple) and len(limit) == 3):
-        trip = _limit_triple(limit)
-        return lambda x: trip
-    if callable(limit):
-        return lambda x: _limit_triple(limit(x))
-    raise TypeError("limit must be None, a real, a FuzzyNumber, a profile "
-                    "triple, or a callable")
+        given, what = (lambda x: limit), "limit"
+    elif callable(limit):
+        given, what = limit, "limit"
+    else:
+        raise TypeError("limit must be None, a real, a FuzzyNumber, a profile "
+                        "triple, or a callable")
+
+    def checked(x: float) -> LimitProfile:
+        v = given(x)
+        if isinstance(v, FuzzyNumber):
+            trip = triangular_profile_of(v)
+        elif isinstance(v, (int, float)):
+            trip = (float(v), 0.0, 0.0)
+        else:
+            trip = (float(v[0]), float(v[1]), float(v[2]))
+        if not is_triangular(*trip):
+            raise ValueError(f"{seq.label}: the {what} {trip} at x={x:g} has a "
+                             f"{NOT_TRIANGULAR}")
+        return trip
+
+    return checked
 
 
 def _stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
@@ -118,15 +126,17 @@ def _stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
     firsts = [rows.index(j) for j in range(len(slot))]
     xs, limits = [xs[i] for i in firsts], [limits[i] for i in firsts]
     ends = None
-    if seq.exceptional is not None and seq.limit_profile is not None:
-        bases = [seq.limit_profile(x) for x in xs]
-        d0s = [float(triangular_profile_distance(*b, *lim))
-               for b, lim in zip(bases, limits)]
-        if eps == math.inf or (eps > 0 and not any(d0s)):
-            ends, pieces = _sparse_pieces(seq, weights, limits, xs, cuts, eps,
-                                          bases, d0s)
-    if ends is None:
-        ends, pieces = _dense_pieces(seq, weights, limits, xs, cuts, eps)
+    # a product or sum past the float range is named below, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        if seq.exceptional is not None and seq.limit_profile is not None:
+            bases = list(map(limit_profile_fn(seq), xs))
+            d0s = [float(triangular_profile_distance(*b, *lim))
+                   for b, lim in zip(bases, limits)]
+            if eps == math.inf or (eps > 0 and not any(d0s)):
+                ends, pieces = _sparse_pieces(seq, weights, limits, xs, cuts,
+                                              eps, bases, d0s)
+        if ends is None:
+            ends, pieces = _dense_pieces(seq, weights, limits, xs, cuts, eps)
     # a piece slice of an empty window is empty: b <= a
     spans = np.searchsorted(ends, [(lo - 1, hi) for lo, hi in windows],
                             side="right").tolist()
@@ -139,7 +149,7 @@ def _stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
         if np.isfinite(sums).all():
             sums = sums.transpose(0, 2, 1)[rows]
             return sums[..., :4], sums[..., 4].astype(np.int64)
-    except OverflowError:  # an intermediate sum past the float range
+    except (OverflowError, ValueError):  # past the float range, or inf - inf
         pass
     raise ValueError(f"{seq.label}: a window sum over {weights.label} weights "
                      "overflows a float")
@@ -248,7 +258,7 @@ def deviation_count(seq: FuzzyFunctionSequence, weights: WeightSequence,
 def window_fuzzy_mean(seq: FuzzyFunctionSequence, weights: WeightSequence,
                       lo: int, hi: int, x: float, divisor: float) -> FuzzyNumber:
     """(1/divisor) * sum of t_k * f_k(x) over [lo, hi], level-wise."""
-    if divisor <= 0:
+    if not divisor > 0:  # NaN fails
         raise ValueError("divisor must be positive")
     sums, _ = _stream(seq, weights, [(0.0, 0.0, 0.0)], [x], [(lo, hi)],
                       math.inf)

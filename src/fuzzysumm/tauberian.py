@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -58,6 +58,8 @@ _WITNESSES = 8
 _IDENTITY_TOL = 1e-9
 # Dilation factors the experiment tries, for slow decrease and condition 2.
 _LAMBDAS = (1.25, 1.5, 2.0)
+# Slow-decrease eps; the finest is also the ord sweep's eps and tolerance.
+_EPS_LADDER = (0.5, 0.1, 0.01)
 
 
 def _violation_blocks(seq: FuzzyFunctionSequence, x: float, eps: float,
@@ -364,13 +366,12 @@ def _slow_decrease_entry(seq: FuzzyFunctionSequence, x: float, eps: float,
 def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
                          scheme: BetaGammaScheme, weights: WeightSequence,
                          grid: XGridPolicy, horizon: int,
-                         eps_ladder: Sequence[float] = (0.5, 0.1, 0.01),
                          n0: int = 10,
                          scan_horizon: int = 1024) -> TauberianReport:
     """Measure hypotheses and conclusion of the windowed-mean Tauber test.
 
     Hypotheses: the dilation growth condition on window totals, slow
-    decrease at every grid point for every eps of the ladder (some tested
+    decrease at every grid point for every eps of _EPS_LADDER (some tested
     lam > 1 must work), and ordinary summability to the limit.  The
     conclusion traces d(f_{gamma(n)}(x), limit(x)) along the ladder.
     Hypothesis failures are reported, never fatal: the conclusion is
@@ -382,9 +383,6 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
     window top past the walk budget is refused before any work.
     """
     ns = ladder(horizon)
-    if not eps_ladder or not all(e > 0 for e in eps_ladder):
-        raise ValueError(f"eps_ladder must be nonempty and positive, got "
-                         f"{list(eps_ladder)}")
     if scan_horizon < 1:
         raise ValueError(f"scan_horizon must be at least 1, got {scan_horizon}")
     scan_horizon = min(horizon, scan_horizon)
@@ -399,7 +397,7 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
                          f"walk budget of {_MAX_INDEX} indices")
     report = TauberianReport(
         family=seq.label, scheme=scheme.label, weights=weights.label,
-        horizon=horizon, eps_ladder=tuple(eps_ladder),
+        horizon=horizon, eps_ladder=_EPS_LADDER,
         condition2={lam: ratio_condition(scheme, weights, lam,
                                          max(horizon // 4, 8), DILATION_LIMINF)
                     for lam in _LAMBDAS})
@@ -410,7 +408,7 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
             entries = [replace(e, x=x) for e in entries]
         else:
             entries = [_slow_decrease_entry(seq, x, eps, n0, scan_horizon)
-                       for eps in eps_ladder]
+                       for eps in _EPS_LADDER]
             at_tops = seq.values(tops, x)
         report.slow_decrease += entries
         dev = triangular_profile_distance(*at_tops, *limit_fn(x))
@@ -418,7 +416,7 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
         report.conclusion.append(ModeTrace(x, "tail", 1.0, pts, verdict(pts)))
 
     report.summability = classify(seq, limit, scheme, weights, theta=1.0,
-                                  eps=min(eps_ladder), grid=grid,
+                                  eps=min(_EPS_LADDER), grid=grid,
                                   horizon=horizon, modes=("ord",))
 
     mid_x = grid.points[len(grid.points) // 2]

@@ -12,6 +12,7 @@ from conftest import DYADIC_LEVELS, dyadic, fuzzy_numbers
 from fuzzysumm import (FuzzyNumber, add, closeness_check, crisp, distance,
                        partial_leq, resample, scale, translate, triangular,
                        triangular_profile_of, uniform_alphas, zero)
+from fuzzysumm.numbers import is_triangular
 
 
 class TestConstructors:
@@ -28,6 +29,23 @@ class TestConstructors:
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError):
                 crisp(bad)
+
+    @pytest.mark.parametrize("bad", [
+        (math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0), (-math.inf, 1.0, 1.0),
+        (0.0, math.nan, 0.0), (0.0, 0.0, math.nan), (0.0, math.inf, 0.0),
+        (0.0, 0.0, -math.inf), (0.0, -0.5, 0.0), (0.0, 0.0, -1e-300)])
+    def test_one_rule_for_a_triangular_value(self, bad):
+        # NaN fails every test: scalars, arrays and the constructor agree
+        assert not is_triangular(*bad)
+        good = (1.5, 0.0, 2.0)
+        arrays = [np.array([g, b, g]) for g, b in zip(good, bad)]
+        assert is_triangular(*arrays).tolist() == [True, False, True]
+        with pytest.raises(ValueError, match="has a non-finite center or "
+                                             "spread, or a negative spread$"):
+            triangular(*bad)
+
+    def test_signed_zeros_and_huge_finite_values_are_triangular(self):
+        assert is_triangular(-0.0, -0.0, 0.0) and is_triangular(1e308, 1e308, 0)
 
     def test_triangular_zero_spread_is_crisp(self):
         assert distance(triangular(0, 0, 0), crisp(0)) == 0.0

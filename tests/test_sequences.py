@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -241,6 +242,26 @@ class TestSpecStrings:
         path.write_text(f"{row}\n2 0.0 1.0\n")
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: non-finite"):
             parse_family_spec(f"file:{path}")
+
+    @pytest.mark.parametrize("rows", ["1 0 1\n3 0 -0.5\n2 0 nan\n",
+                                      "3 0 1\n2 -inf 0\n1 0 2\n"])
+    def test_table_family_names_the_first_bad_row(self, tmp_path, rows):
+        path = tmp_path / "fam.txt"
+        path.write_text(rows)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: non-finite center or spread, or a negative spread, "
+                "at k=2")):
+            parse_family_spec(f"file:{path}")
+
+    @pytest.mark.parametrize("value", [(math.nan,), (math.inf,), (0, math.inf),
+                                       (0, 0, math.nan), (0, -0.5), (0, 0, -1)])
+    def test_constant_family_refuses_what_is_not_triangular(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^constant\(.*\): the value "
+                               "has a non-finite center or spread, or a "
+                               "negative spread$"):
+                constant_family(*value)
 
 
 class TestBoundedness:

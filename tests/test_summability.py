@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -18,17 +20,19 @@ from fuzzysumm import (FuzzyFunctionSequence, ModeParams, VerdictPolicy,
                        add_families, alternating_crisp_family,
                        classical_scheme, classify, constant_family,
                        constant_weights, crisp, cube_decaying_family, distance,
-                       harmonicplus_weights, ladder, ordinary_partial,
-                       parse_family_spec, parse_scheme_spec, parse_weight_spec,
-                       power_scheme, recip5_weights, scale_family, sp_density,
-                       square_indicator_family, triangular,
+                       harmonic_crisp_family, harmonicplus_weights, ladder,
+                       ordinary_partial, parse_family_spec, parse_scheme_spec,
+                       parse_weight_spec, power_scheme, recip5_weights,
+                       scale_family, sp_density, square_indicator_family,
+                       tauberian_experiment, triangular,
                        triangular_growing_family, uniform_grid, verdict,
-                       weighted_total, zero)
+                       weighted_total, window_fuzzy_mean, zero)
 from fuzzysumm import (dilation_mean_identity, schemes, shrink_mean_identity,
                        summability)
-from fuzzysumm.numbers import triangular_profile_distance
+from fuzzysumm.numbers import is_triangular, triangular_profile_distance
 from fuzzysumm.summability import (_dense_pieces, _sparse_pieces, _stream,
-                                   classify_thetas, limit_profile_fn)
+                                   classify_thetas, deviation_count,
+                                   limit_profile_fn, weighted_deviation_sum)
 
 
 def dense(fam):
@@ -920,3 +924,178 @@ def test_mode_params_validation():
         params(theta=1.5)
     with pytest.raises(ValueError):
         params(eps=0.0)
+
+
+class TestLimitRule:
+    """A limit that is no triangular value, explicit, returned by a
+    callable or claimed, is a ValueError naming the family and the limit,
+    with no numpy warning first."""
+
+    BAD = [(math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0), (-math.inf, 0.0, 0.0),
+           (0.0, -1.0, 0.0), (0.0, 0.0, math.inf), (0.0, math.nan, 0.25)]
+    NAMED = (r"^harmonic_crisp: the (claimed )?limit \(.*\) at x=1\.5 has "
+             r"a non-finite center or spread, or a negative spread$")
+
+    @staticmethod
+    def forms(bad):
+        fam = harmonic_crisp_family()
+        yield fam, bad
+        yield fam, lambda x: bad
+        yield fam, lambda x: list(bad)
+        if not (bad[1] or bad[2]):
+            yield fam, bad[0]
+        yield dataclasses.replace(fam, limit_profile=lambda x: bad), None
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_refused_by_name_on_every_path(self, bad):
+        grid = XGridPolicy((1.5, 2.0))
+        for fam, limit in self.forms(bad):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for mode in ("sp", "abs"):
+                    with pytest.raises(ValueError, match=self.NAMED):
+                        TestProfileChecksOnSums.MODES[mode](fam, limit, params())
+                for mode in ("sp", "abs", "ord"):
+                    with pytest.raises(ValueError, match=self.NAMED):
+                        classify(fam, limit, classical_scheme(),
+                                 constant_weights(1), 1.0, 0.1, grid, 64,
+                                 modes=(mode,))
+                with pytest.raises(ValueError, match=self.NAMED):
+                    tauberian_experiment(fam, limit, classical_scheme(),
+                                         constant_weights(1), grid, 64)
+
+    def test_negative_spread_limit_gives_no_number(self):
+        # this once returned 0.918
+        p = ModeParams(1.0, 0.1, classical_scheme(), constant_weights(1))
+        with pytest.raises(ValueError, match=re.escape(
+                "harmonic_crisp: the limit (0.0, -1.0, 0.0) at x=1.5 has a "
+                "non-finite")):
+            absolute_partial(harmonic_crisp_family(), (0.0, -1.0, 0.0), p,
+                             40, 1.5)
+
+    def test_limit_refused_before_any_stream(self):
+        fam = dataclasses.replace(harmonic_crisp_family(), profile=None)
+        late = AssertionError("the stream started before refusing")
+        with mock.patch.object(summability, "_stream", side_effect=late), \
+                pytest.raises(ValueError, match="the limit"):
+            classify(fam, (0.0, 0.0, -0.5), classical_scheme(),
+                     constant_weights(1), 1.0, 0.1, XGridPolicy((1.5,)), 64)
+
+    @pytest.mark.parametrize("m", [math.inf, -math.inf, math.nan])
+    def test_claimed_limit_named_on_the_sparse_path(self, m):
+        # an explicit finite limit at eps = inf still reads the claimed one
+        # off the exceptions
+        fam = square_indicator_family(m)
+        named = (rf"^square_indicator\(M={m:g}\): the claimed limit "
+                 rf"\({m}, 0\.0, 0\.0\) at x=1\.5 has a non-finite")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=named):
+                absolute_partial(fam, 0.0, params(), 40, 1.5)
+            with pytest.raises(ValueError, match=named):
+                classify(fam, None, classical_scheme(), constant_weights(1),
+                         1.0, 0.1, XGridPolicy((1.5,)), 64)
+
+    def test_good_limits_pass_unchanged(self):
+        fam = harmonic_crisp_family()
+        for limit in (0.5, (0.5, 0.0, 0.25), crisp(0.5), lambda x: (x, 0, 1),
+                      lambda x: triangular(x, 0.5, 0.0)):
+            trip = limit_profile_fn(fam, limit)(1.5)
+            assert is_triangular(*trip) and all(type(v) is float for v in trip)
+
+
+class TestOverflowNamed:
+    """A product or sum past the float range is the named window-sum
+    error on the dense and sparse paths alike, with no numpy warning
+    first."""
+
+    NAMED = r"a window sum over const:(10|1) weights overflows a float$"
+
+    @pytest.mark.parametrize("fam, weights", [
+        (constant_family(1e308), constant_weights(10)),  # dense: t*c
+        (square_indicator_family(1e308), constant_weights(1)),  # sparse: c*W
+        (square_indicator_family(1e308), constant_weights(10)),
+    ])
+    @pytest.mark.parametrize("mode", ["abs", "ord"])
+    def test_named_without_warning(self, fam, weights, mode):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=self.NAMED):
+                classify(fam, None, classical_scheme(), weights, 1.0, 0.1,
+                         uniform_grid(1, 2, 2), 64, modes=(mode,))
+
+    def test_opposite_infinities_in_two_pieces_named(self):
+        # t*c overflows to +inf up to k = 20 and to -inf past it; a window
+        # over both once raised math.fsum's "-inf + inf in fsum"
+        def profile(ks, x):
+            z = np.zeros(len(ks))
+            return np.where(ks <= 20, 1e308, -1e308), z, z
+
+        fam = FuzzyFunctionSequence("pm", profile, lambda x: (0.0, 0.0, 0.0),
+                                    x_free=True)
+        with warnings.catch_warnings(), \
+                mock.patch.object(schemes, "_CHUNK", 7):
+            warnings.simplefilter("error")
+            for mode in ("abs", "ord"):
+                with pytest.raises(ValueError, match=r"^pm: " + self.NAMED):
+                    classify(fam, None, classical_scheme(), constant_weights(10),
+                             1.0, 0.1, uniform_grid(1, 2, 2), 64, modes=(mode,))
+
+
+class TestSingleWindowHelpers:
+    """``weighted_deviation_sum``, ``deviation_count`` and
+    ``window_fuzzy_mean`` on one window [lo, hi], empty when hi < lo, on
+    the dense and the sparse path, against an index-by-index
+    ``math.fsum``."""
+
+    TOP = 600
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(SPARSE_FAMILIES + ["ex4.1", "harmonic"]),
+           drop_hook=st.booleans(),
+           weights=st.sampled_from(["const:0.1", "const:2.5", "recip5",
+                                    "harmonicplus"]),
+           limit=st.sampled_from(LIMITS),
+           lo=st.integers(1, TOP // 2), width=st.integers(-2, TOP // 2),
+           eps=st.sampled_from([0.05, 0.5, 2.0]),
+           divisor=st.sampled_from([1.0, 3.5, 0.25]),
+           x=st.floats(1.0, 2.0))
+    @example(family="ex3.2", drop_hook=False, weights="harmonicplus",
+             limit=None, lo=16, width=1, eps=0.05, divisor=1.0,
+             x=1.5).via("one index, a square")
+    @example(family="ex3.2", drop_hook=False, weights="harmonicplus",
+             limit=None, lo=16, width=0, eps=0.05, divisor=1.0,
+             x=1.5).via("the empty window [16, 15]")
+    @example(family="ex4.1", drop_hook=False, weights="recip5",
+             limit=0.5, lo=9, width=-2, eps=0.05, divisor=3.5,
+             x=1.0).via("hi two below lo")
+    def test_match_index_sums(self, family, drop_hook, weights, limit, lo,
+                              width, eps, divisor, x):
+        fam, w = parse_family_spec(family), parse_weight_spec(weights)
+        if drop_hook:
+            fam = dense(fam)
+        hi = lo + width - 1
+        lim_fn = limit_profile_fn(fam, limit)
+        with mock.patch.object(schemes, "_CHUNK", 61):
+            got_sum = weighted_deviation_sum(fam, w, lim_fn, x, lo, hi)
+            got_count = deviation_count(fam, w, lim_fn, x, hi, eps)
+            got_mean = window_fuzzy_mean(fam, w, lo, hi, x, divisor)
+        ks = np.arange(1, self.TOP + 1)
+        t = w.values(ks)
+        c, l, r = fam.values(ks, x)
+        td = t * triangular_profile_distance(c, l, r, *lim_fn(x))
+        window = slice(lo - 1, max(hi, lo - 1))
+        assert close(got_sum, math.fsum(td[window]))
+        assert got_count == np.count_nonzero(td[:max(hi, 0)] >= eps)
+        cs, ls, rs = (math.fsum(v[window]) / divisor
+                      for v in (t * c, t * l, t * r))
+        ends = (got_mean.lower[-1], got_mean.lower[0], got_mean.upper[0])
+        assert all(close(g, v) for g, v in zip(ends, (cs, cs - ls, cs + rs)))
+        if hi < lo:
+            assert got_sum == 0.0 and distance(got_mean, zero()) == 0.0
+
+    @pytest.mark.parametrize("divisor", [0.0, -0.0, -1.0, -math.inf, math.nan])
+    def test_divisor_must_be_positive(self, divisor):
+        with pytest.raises(ValueError, match="divisor must be positive"):
+            window_fuzzy_mean(harmonic_crisp_family(), constant_weights(1), 1,
+                              10, 1.5, divisor)

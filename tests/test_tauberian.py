@@ -591,21 +591,6 @@ class TestExperiment:
         blob = json.dumps(exp.to_dict())
         assert "hypotheses" in blob and "conclusion" in blob
 
-    def test_eps_ladder_validation(self):
-        with pytest.raises(ValueError):
-            tauberian_experiment(
-                harmonic_crisp_family(), None, classical_scheme(),
-                constant_weights(1), uniform_grid(1, 2, 2), horizon=256,
-                eps_ladder=())
-        # a NaN eps is refused before any work, not by classify afterwards
-        late = AssertionError("the experiment started before refusing")
-        with mock.patch.object(tauberian, "ratio_condition", side_effect=late), \
-                pytest.raises(ValueError, match="eps_ladder must be nonempty"):
-            tauberian_experiment(
-                harmonic_crisp_family(), None, classical_scheme(),
-                constant_weights(1), uniform_grid(1, 2, 2), horizon=256,
-                eps_ladder=(0.5, math.nan))
-
     @pytest.mark.parametrize("n0, scan_horizon, match", [
         (10, 0, "scan_horizon must be at least 1"),  # once read as 1024
         (0, -5, "scan_horizon must be at least 1"),
