@@ -19,8 +19,7 @@ from typing import Optional, Sequence
 
 from .schemes import parse_scheme_spec, parse_weight_spec
 from .sequences import parse_family_spec, uniform_grid
-from .summability import (VerdictPolicy, check_mode_args, classify,
-                          classify_thetas)
+from .summability import check_mode_args, classify, classify_thetas
 from .tauberian import tauberian_experiment
 
 
@@ -129,20 +128,10 @@ class ReferenceRow:
     horizon: int
     expect_member: bool
     note: str
-    policy: VerdictPolicy = VerdictPolicy()
 
 
 def reference_rows() -> list[ReferenceRow]:
-    """The built-in expected-outcome table.
-
-    Rows run under the default ``VerdictPolicy`` unless pinned.  Two are:
-    the slowest diverging trace grows like T**(2/15), so its divergence
-    factor is 2, and the truncated-squares trace decays like n**-0.25, so
-    its plateau and membership windows are wide.  Under the default both
-    come out inconclusive at any feasible horizon.
-    """
-    slow_growth = VerdictPolicy(divergence_factor=2.0)
-    slow_decay = VerdictPolicy(tol=0.2, limit_tol=0.5)
+    """The built-in expected-outcome table, read under ``VerdictPolicy()``."""
     return [
         ReferenceRow("ex3.1", "ex3.1:M=1", "classical", "const:1", "abs", 0.75,
                      0.1, 1 << 21, True, "mean deviation falls like n**-0.25"),
@@ -155,15 +144,14 @@ def reference_rows() -> list[ReferenceRow]:
         ReferenceRow("ex3.3", "ex3.3", "pow:2", "harmonicplus", "abs", 1.0,
                      1e-9, 1 << 8, True, "cube-index deviations are summable"),
         ReferenceRow("ex3.3", "ex3.3", "pow:2", "harmonicplus", "sp", 0.2,
-                     1e-9, 1 << 8, False,
-                     "density grows like T**(2/15); pinned factor 2", slow_growth),
+                     1e-9, 1 << 8, False, "density grows like T**(2/15)"),
         ReferenceRow("ex4.1", "ex4.1", "classical", "const:1", "ord", 1.0,
                      0.1, 1 << 12, True, "window means alternate 0 and 1/n"),
         ReferenceRow("ex4.1", "ex4.1", "classical", "const:1", "abs", 1.0,
                      0.1, 1 << 12, False, "term deviations are constantly 1"),
         ReferenceRow("remark3", "remark3:n=16", "classical", "const:1", "abs", 0.25,
                      0.1, 1 << 20, True,
-                     "finite perturbation: trace decays like n**-0.25", slow_decay),
+                     "finite perturbation: trace decays like n**-0.25"),
         ReferenceRow("remark3", "ex3.1:M=1", "classical", "const:1", "abs", 0.25,
                      0.1, 1 << 20, False, "pointwise limit family keeps diverging"),
     ]
@@ -200,7 +188,7 @@ def reproduce(only: Optional[str] = None, horizon_cap: Optional[int] = None,
         horizon = row.horizon if horizon_cap is None else min(row.horizon, horizon_cap)
         rep = classify(family, None, scheme, weights, theta=row.theta,
                        eps=row.eps, grid=grid, horizon=horizon,
-                       modes=(row.mode,), policy=row.policy)
+                       modes=(row.mode,))
         observed = rep.membership[row.mode]
         if observed is None:
             status = "WARN (inconclusive)"

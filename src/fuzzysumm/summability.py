@@ -19,6 +19,7 @@ x), sums the windows it is asked for, and applies theta last.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -64,32 +65,31 @@ class ModeParams:
 def limit_profile_fn(seq: FuzzyFunctionSequence, limit=None) -> Callable[[float], LimitProfile]:
     """Normalize a limit argument to a callable x -> (center, left, right).
 
-    Accepts None (use the family's claimed limit), a real, a FuzzyNumber
-    with triangular cuts, a profile triple, or a callable producing any
-    of those.  A limit whose value at x is not ``is_triangular`` is a
-    ValueError naming the family, the limit and x.
+    Accepts None (the family's claimed limit), a FuzzyNumber with
+    triangular cuts, a real (numpy scalars included), a tuple or list of
+    three reals, or a callable giving one of those at x.  A value of any
+    other type is a TypeError, and one that is not ``is_triangular`` a
+    ValueError, each naming the family, the limit and x.
     """
     if limit is None:
         if seq.limit_profile is None:
             raise ValueError(f"{seq.label}: no limit given and none claimed")
         given, what = seq.limit_profile, "claimed limit"
-    elif isinstance(limit, (FuzzyNumber, int, float)) or (
-            isinstance(limit, tuple) and len(limit) == 3):
-        given, what = (lambda x: limit), "limit"
-    elif callable(limit):
-        given, what = limit, "limit"
     else:
-        raise TypeError("limit must be None, a real, a FuzzyNumber, a profile "
-                        "triple, or a callable")
+        given, what = (limit if callable(limit) else lambda x: limit), "limit"
 
     def checked(x: float) -> LimitProfile:
         v = given(x)
         if isinstance(v, FuzzyNumber):
             trip = triangular_profile_of(v)
-        elif isinstance(v, (int, float)):
+        elif isinstance(v, numbers.Real):
             trip = (float(v), 0.0, 0.0)
+        elif (isinstance(v, (tuple, list)) and len(v) == 3
+              and all(isinstance(e, numbers.Real) for e in v)):
+            trip = tuple(float(e) for e in v)
         else:
-            trip = (float(v[0]), float(v[1]), float(v[2]))
+            raise TypeError(f"{seq.label}: the {what} {v!r} at x={x:g} is not "
+                            f"a FuzzyNumber, a real or a triple of reals")
         if not is_triangular(*trip):
             raise ValueError(f"{seq.label}: the {what} {trip} at x={x:g} has a "
                              f"{NOT_TRIANGULAR}")
@@ -316,10 +316,11 @@ class Verdict:
 class VerdictPolicy:
     """Explicit thresholds for finite-horizon trend calls.
 
-    ``tol``/``window`` govern the converged-plateau test, the divergence
-    call fires when a monotone tail exceeds divergence_factor * (first
-    value + 1), and ``limit_tol`` is how close a converged estimate must
-    sit to the target for class membership.
+    A call reads the last ``window`` values, and ``tol`` bounds how far
+    the rate test's limits, or a plateau's values, may spread; the
+    divergence call fires when a monotone tail exceeds divergence_factor
+    * (first value + 1), and ``limit_tol`` is how close a converged
+    estimate must sit to the target for class membership.
     """
 
     tol: float = 1e-2
@@ -330,10 +331,17 @@ class VerdictPolicy:
 
 def verdict(trace: Sequence[tuple[int, float]],
             policy: VerdictPolicy = VerdictPolicy()) -> Verdict:
-    """Call a trace: converged plateau, monotone blow-up, or inconclusive.
+    """Call a trace: converged, diverging, or inconclusive.
 
-    The plateau and monotonicity tests read the last ``policy.window``
-    values; a trace shorter than that is inconclusive.
+    Every test reads the last ``policy.window`` values; a shorter trace
+    is inconclusive.  A tail whose steps share one sign and shrink by
+    ratios q < 1 converges if the Aitken limits ``v + d*q/(1-q)`` of its
+    runs of three agree within ``tol``: at the last one, clipped at 0
+    for a nonnegative tail (a power law ``c + a*n**-p`` moves by the
+    exact ratio 2**-p on the doubling ladder).  Else a tail within
+    ``tol`` of its mean is a plateau, so rounding noise is not growth;
+    only then does a tail rising by ratios q >= 1, or monotone past the
+    divergence factor, diverge.
     """
     vals = [float(v) for _, v in trace]
     if not vals:
@@ -343,9 +351,20 @@ def verdict(trace: Sequence[tuple[int, float]],
     if len(vals) < policy.window:
         return Verdict("inconclusive")
     tail = vals[-policy.window:]
+    steps = [b - a for a, b in zip(tail, tail[1:])]
+    one_sign = all(d > 0 for d in steps) or all(d < 0 for d in steps)
+    ratios = [b / a for a, b in zip(steps, steps[1:])] if one_sign else []
+    if ratios and max(ratios) < 1:
+        limits = [v + d * q / (1 - q)
+                  for v, d, q in zip(tail[2:], steps[1:], ratios)]
+        if max(limits) - min(limits) <= policy.tol:
+            return Verdict("converges",
+                           max(limits[-1], 0.0) if min(tail) >= 0 else limits[-1])
     mean = sum(tail) / len(tail)
     if all(abs(v - mean) <= policy.tol for v in tail):
         return Verdict("converges", mean)
+    if ratios and steps[0] > 0 and min(ratios) >= 1:
+        return Verdict("diverges")
     if (all(b >= a for a, b in zip(tail, tail[1:]))
             and vals[-1] > policy.divergence_factor * (vals[0] + 1.0)):
         return Verdict("diverges")

@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 import fuzzysumm
-from fuzzysumm import (VerdictPolicy, classify, cli, parse_family_spec,
-                       parse_scheme_spec, parse_weight_spec, uniform_grid)
+from fuzzysumm import (cli, parse_family_spec, parse_scheme_spec,
+                       parse_weight_spec)
 from fuzzysumm.cli import RunConfig, main, reference_rows, reproduce, run
 from fuzzysumm.schemes import WeightSequence
 
@@ -223,13 +223,7 @@ class TestReproduceCommand:
         # a ladder shorter than the verdict window settles no row
         assert reproduce(horizon_cap=cap, out=io.StringIO()) == 0
 
-    @pytest.mark.parametrize("cap", [
-        pytest.param(2 ** k, marks=pytest.mark.xfail(
-            strict=True, reason="ROADMAP item 10: remark3's pinned slow_decay "
-            "row reads a tail that is still falling as a plateau, "
-            "converges(0.661) at 4096 and converges(0.556) at 8192"))
-        if k in (12, 13) else 2 ** k
-        for k in range(21)])
+    @pytest.mark.parametrize("cap", [2 ** k for k in range(21)])
     def test_every_power_of_two_cap_contradicts_nothing(self, cap):
         assert reproduce(horizon_cap=cap, out=io.StringIO()) == 0
 
@@ -247,18 +241,6 @@ class TestReproduceCommand:
         assert {r.group for r in rows} == {"ex3.1", "ex3.2", "ex3.3", "ex4.1",
                                            "remark3"}
         assert len(rows) == 10
-
-    def test_pinned_rows_need_their_pins(self):
-        # under the default policy each pinned row is inconclusive at its horizon
-        pinned = [r for r in reference_rows() if r.policy != VerdictPolicy()]
-        assert [(r.group, r.mode, r.theta, r.expect_member) for r in pinned] == [
-            ("ex3.3", "sp", 0.2, False), ("remark3", "abs", 0.25, True)]
-        for row in pinned:
-            rep = classify(parse_family_spec(row.family_spec), None,
-                           parse_scheme_spec(row.scheme_spec),
-                           parse_weight_spec(row.weight_spec), row.theta, row.eps,
-                           uniform_grid(1, 2, 5), row.horizon, modes=(row.mode,))
-            assert rep.membership[row.mode] is None
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 from conftest import (exact_weight, icbrt, oracle_absolute_partial,
                       oracle_ordinary_partial, oracle_sp_density)
 
-from fuzzysumm import (FuzzyFunctionSequence, ModeParams, VerdictPolicy,
-                       WeightSequence, XGridPolicy, absolute_partial,
-                       add_families, alternating_crisp_family,
+from fuzzysumm import (FuzzyFunctionSequence, ModeParams, Verdict,
+                       VerdictPolicy, WeightSequence, XGridPolicy,
+                       absolute_partial, add_families,
+                       alternating_crisp_family,
                        classical_scheme, classify, constant_family,
                        constant_weights, crisp, cube_decaying_family, distance,
                        harmonic_crisp_family, harmonicplus_weights, ladder,
@@ -199,10 +200,72 @@ class TestVerdict:
         v = verdict([(n, 1.0) for n in ladder(512)])
         assert v.kind == "converges" and v.estimate == 1.0
 
-    def test_slow_drift_inconclusive(self):
-        # monotone but neither settled nor past the divergence bar
+    def test_slow_drift_diverges(self):
+        # log(n+1) is far from the divergence bar, but its steps along the
+        # ladder grow toward log 2: step ratios >= 1
         trace = [(n, math.log(n + 1)) for n in ladder(256)]
+        assert verdict(trace).kind == "diverges"
+
+    def test_sign_changing_steps_inconclusive(self):
+        # no steady rate, no plateau, not monotone
+        trace = list(zip(ladder(16), (0.3, 0.2, 0.5, 0.1, 0.4)))
         assert verdict(trace).kind == "inconclusive"
+
+    @pytest.mark.parametrize("fn, policy, limit", [
+        (lambda n: 0.3 + n**-0.5, VerdictPolicy(), 0.3),
+        (lambda n: 1 - n**-0.5, VerdictPolicy(), 1.0),
+        # the remark3 shape: the plateau test once read its last four values
+        # 0.841 .. 0.5 as converged at their mean 0.661
+        (lambda n: 4 * n**-0.25, VerdictPolicy(), 0.0),
+        (lambda n: 4 * n**-0.25, VerdictPolicy(tol=0.2, limit_tol=0.5), 0.0),
+    ])
+    def test_steady_ratio_tail_extrapolated(self, fn, policy, limit):
+        v = verdict([(n, fn(n)) for n in ladder(4096)], policy)
+        assert v.kind == "converges" and abs(v.estimate - limit) <= 1e-9
+        if limit == 0.0:
+            assert v.estimate >= 0.0
+
+    @pytest.mark.parametrize("fn, tol, want", [
+        (lambda n: 4 * n**-0.25, 1e-2, Verdict("inconclusive")),
+        (lambda n: 4 * n**-0.25, 0.2,
+         Verdict("converges", (4 * 2048**-0.25 + 4 * 4096**-0.25) / 2)),
+        (lambda n: 1.0 / n, 1e-2,
+         Verdict("converges", (1 / 2048 + 1 / 4096) / 2)),
+        (lambda n: math.log(n + 1), 1e-2, Verdict("inconclusive")),
+    ])
+    def test_window_two_has_no_rate(self, fn, tol, want):
+        # a triple does not fit a window of 2: the plateau and factor tests
+        trace = [(n, fn(n)) for n in ladder(4096)]
+        assert verdict(trace, VerdictPolicy(tol=tol, window=2)) == want
+
+    def test_nonnegative_tail_clipped_at_zero(self):
+        # ex3.3's abs trace at order 0.2: the last Aitken limit is -0.00204
+        rep = classify(cube_decaying_family(), None, power_scheme(2),
+                       harmonicplus_weights(), 0.2, 1e-9, XGridPolicy((1.0,)),
+                       256, modes=("abs",))
+        trace = rep.trace(1.0, "abs").points
+        u, v, w = (val for _, val in trace[-3:])
+        q = (w - v) / (v - u)
+        assert -0.0021 < w + (w - v) * q / (1 - q) < -0.002
+        assert rep.trace(1.0, "abs").verdict == Verdict("converges", 0.0)
+
+    def test_rounding_noise_rising_on_a_plateau_converges(self):
+        # the window means of a constant family sit on its value; their
+        # distances to it rise 0, 1, 2, 3 times 2**-54, by step ratios 1
+        rep = classify(constant_family(0.3, 0.5, 0.25), None,
+                       parse_scheme_spec("lambda:half"), recip5_weights(), 1.0,
+                       0.1, XGridPolicy((1.5,)), 4096, modes=("ord",))
+        tail = [v for _, v in rep.trace(1.5, "ord").points[-4:]]
+        assert tail == [k * 2.0**-54 for k in range(4)]
+        assert rep.membership["ord"] is True
+
+    @settings(max_examples=500, deadline=None)
+    @given(c=st.floats(0, 10), a=st.floats(0, 10, exclude_min=True),
+           p=st.floats(0.1, 2), sign=st.sampled_from([1, -1]))
+    def test_power_law_tails_converge_to_their_limit(self, c, a, p, sign):
+        assume(sign > 0 or c > a)
+        v = verdict([(n, c + sign * a * n**-p) for n in ladder(1 << 20)])
+        assert v.kind == "converges" and abs(v.estimate - c) <= 1e-6
 
     @pytest.mark.parametrize("ns", [(1,), (1, 2, 4)])
     def test_trace_shorter_than_window_inconclusive(self, ns):
@@ -1002,6 +1065,45 @@ class TestLimitRule:
                       lambda x: triangular(x, 0.5, 0.0)):
             trip = limit_profile_fn(fam, limit)(1.5)
             assert is_triangular(*trip) and all(type(v) is float for v in trip)
+
+
+class TestLimitTypes:
+    """One normalizer types an explicit limit and a callable's value
+    alike: a FuzzyNumber, a real (numpy scalars included) or a tuple or
+    list of three reals; anything else is a TypeError naming the family,
+    the limit and x."""
+
+    GOOD = [(np.float32(0.5), (0.5, 0.0, 0.0)), (np.int64(0), (0.0, 0.0, 0.0)),
+            ([0, 0, 0], (0.0, 0.0, 0.0)),
+            ((np.float32(0.5), np.int64(0), 1), (0.5, 0.0, 1.0)),
+            ([np.float64(2.0), 0.25, 0.5], (2.0, 0.25, 0.5))]
+    BAD = [(0, 0), [0.0, 0.0, 0.0, 0.0], "0.5", np.array([0.0, 0.0, 0.0]),
+           (0, 0, "1"), {"c": 0.0}, 1j]
+
+    @pytest.mark.parametrize("value, trip", GOOD)
+    def test_accepted_explicit_or_returned(self, value, trip):
+        fam = harmonic_crisp_family()
+        for limit in (value, lambda x: value):
+            got = limit_profile_fn(fam, limit)(1.5)
+            assert got == trip and all(type(v) is float for v in got)
+        p = ModeParams(1.0, 0.1, classical_scheme(), constant_weights(1))
+        assert absolute_partial(fam, lambda x: value, p, 40, 1.5) == \
+            absolute_partial(fam, trip, p, 40, 1.5)
+
+    @pytest.mark.parametrize("value", BAD + [None])
+    def test_refused_by_name_explicit_or_returned(self, value):
+        fam = harmonic_crisp_family()
+        named = (rf"^harmonic_crisp: the limit {re.escape(repr(value))} at "
+                 rf"x=1\.5 is not a FuzzyNumber, a real or a triple of reals$")
+        p = ModeParams(1.0, 0.1, classical_scheme(), constant_weights(1))
+        # None given explicitly asks for the claimed limit
+        for limit in ([lambda x: value] if value is None
+                      else [value, lambda x: value]):
+            with pytest.raises(TypeError, match=named):
+                absolute_partial(fam, limit, p, 40, 1.5)
+            with pytest.raises(TypeError, match=named):
+                classify(fam, limit, classical_scheme(), constant_weights(1),
+                         1.0, 0.1, XGridPolicy((1.5,)), 64)
 
 
 class TestOverflowNamed:
