@@ -173,7 +173,7 @@ def reproduce(only: Optional[str] = None, horizon_cap: Optional[int] = None,
     failures = 0
     warnings = 0
     rows = reference_rows()
-    if only:
+    if only is not None:
         rows = [r for r in rows if r.group == only]
         if not rows:
             raise ValueError(f"unknown reference group: {only!r}")

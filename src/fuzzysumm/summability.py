@@ -9,7 +9,7 @@ Three finite-horizon transforms per evaluation point x:
                          window, normalized by T_n**theta.
 * ``ordinary_partial``-- the fuzzy-valued weighted window mean itself.
 
-Traces of these along a geometric ladder feed ``verdict``; ``classify``
+Traces of these along ``ladder(horizon)`` feed ``verdict``; ``classify``
 assembles per-point verdicts and class membership into a report.  All
 three are reductions of one stream of (k, t_k, f_k(x)): a sweep walks
 it once per point (per distinct limit, for a family that does not read
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -338,7 +339,7 @@ def verdict(trace: Sequence[tuple[int, float]],
     ratios q < 1 converges if the Aitken limits ``v + d*q/(1-q)`` of its
     runs of three agree within ``tol``: at the last one, clipped at 0
     for a nonnegative tail (a power law ``c + a*n**-p`` moves by the
-    exact ratio 2**-p on the doubling ladder).  Else a tail within
+    exact ratio 2**-p between doubling rungs).  Else a tail within
     ``tol`` of its mean is a plateau, so rounding noise is not growth;
     only then does a tail rising by ratios q >= 1, or monotone past the
     divergence factor, diverge.
@@ -372,17 +373,12 @@ def verdict(trace: Sequence[tuple[int, float]],
 
 
 def ladder(horizon: int) -> list[int]:
-    """Geometric index ladder 1, 2, 4, ... capped and topped by horizon."""
+    """The horizon halved, rungs ``horizon >> j`` from 1: all doublings at
+    a power of 2, the last four whenever 8 divides the horizon."""
+    horizon = operator.index(horizon)
     if horizon < 1:
         raise ValueError("horizon must be a positive integer")
-    ns = []
-    n = 1
-    while n <= horizon:
-        ns.append(n)
-        n *= 2
-    if ns[-1] != horizon:
-        ns.append(horizon)
-    return ns
+    return [horizon >> j for j in reversed(range(horizon.bit_length()))]
 
 
 @dataclass(frozen=True)
@@ -500,7 +496,7 @@ def classify_thetas(seq: FuzzyFunctionSequence, limit, scheme: BetaGammaScheme,
         scales = np.array([total ** theta for total in totals])
         report = ConvergenceReport(
             family=seq.label, scheme=scheme.label, weights=weights.label,
-            theta=theta, eps=eps, grid=tuple(grid.points), horizon=horizon,
+            theta=theta, eps=eps, grid=tuple(grid.points), horizon=ns[-1],
             policy=policy)
         for mode in modes:
             mode_traces = []

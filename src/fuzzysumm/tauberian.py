@@ -383,6 +383,7 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
     window top past the walk budget is refused before any work.
     """
     ns = ladder(horizon)
+    horizon = ns[-1]  # a Python int for the report, whatever integer came in
     if scan_horizon < 1:
         raise ValueError(f"scan_horizon must be at least 1, got {scan_horizon}")
     scan_horizon = min(horizon, scan_horizon)

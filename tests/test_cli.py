@@ -202,6 +202,11 @@ class TestReproduceCommand:
         assert main(["reproduce", "--only", "ex9.9"]) == 2
         assert "ex9.9" in capsys.readouterr().err
 
+    def test_empty_group_rejected(self, capsys):
+        # an empty --only was once read as no filter: all rows replayed
+        assert main(["reproduce", "--only", ""]) == 2
+        assert "unknown reference group: ''" in capsys.readouterr().err
+
     def test_small_horizon_warns_not_fails(self, capsys):
         # starving the asymptotics must downgrade rows to warnings
         rc = main(["reproduce", "--only", "ex3.1", "--horizon-cap", "64"])
@@ -226,6 +231,17 @@ class TestReproduceCommand:
     @pytest.mark.parametrize("cap", [2 ** k for k in range(21)])
     def test_every_power_of_two_cap_contradicts_nothing(self, cap):
         assert reproduce(horizon_cap=cap, out=io.StringIO()) == 0
+
+    @pytest.mark.parametrize("cap", [3 * 2 ** k for k in range(20)])
+    def test_three_times_power_of_two_cap_contradicts_nothing(self, cap):
+        assert reproduce(horizon_cap=cap, out=io.StringIO()) == 0
+
+    def test_odd_cap_settles_every_row(self):
+        # at a cap that is no power of 2 the ex3.1 and remark3 rows once
+        # read inconclusive: their last rung was no doubling
+        out = io.StringIO()
+        assert reproduce(horizon_cap=12345, out=out) == 0
+        assert "0 contradiction(s), 0 inconclusive" in out.getvalue()
 
     def test_contradiction_fails_the_replay(self, monkeypatch, capsys):
         rows = reference_rows()

@@ -87,9 +87,10 @@ def test_chunk_pieces_are_the_piece_sums(cuts, spec):
 
 
 def test_single_window_total_matches_ladder_total():
-    # recip5 on classical: walked, the ladder 1, 2, 4, ..., 32, 45 split
-    # [1, 45] into pieces that summed to 9.000000000000002 and the window
-    # alone to 8.999999999999996; the closed form gives 9.0 to both
+    # recip5 on classical: walked, the ladder's rungs (then 1, 2, 4, ...,
+    # 32, 45; now 1, 2, 5, 11, 22, 45) split [1, 45] into pieces that
+    # summed to 9.000000000000002 and the window alone to
+    # 8.999999999999996; the closed form gives 9.0 to both
     scheme, weights = classical_scheme(), recip5_weights()
     windows = [scheme.window(n) for n in ladder(45)]
     in_ladder = weights.window_totals(*zip(*windows))[-1]

@@ -261,10 +261,13 @@ class TestVerdict:
 
     @settings(max_examples=500, deadline=None)
     @given(c=st.floats(0, 10), a=st.floats(0, 10, exclude_min=True),
-           p=st.floats(0.1, 2), sign=st.sampled_from([1, -1]))
-    def test_power_law_tails_converge_to_their_limit(self, c, a, p, sign):
+           p=st.floats(0.1, 2), sign=st.sampled_from([1, -1]),
+           horizon=st.sampled_from([1 << 20, 100000, 3 << 15]))
+    def test_power_law_tails_converge_to_their_limit(self, c, a, p, sign,
+                                                     horizon):
+        # 8 divides each horizon, so the last four rungs are exact doublings
         assume(sign > 0 or c > a)
-        v = verdict([(n, c + sign * a * n**-p) for n in ladder(1 << 20)])
+        v = verdict([(n, c + sign * a * n**-p) for n in ladder(horizon)])
         assert v.kind == "converges" and abs(v.estimate - c) <= 1e-6
 
     @pytest.mark.parametrize("ns", [(1,), (1, 2, 4)])
@@ -277,6 +280,42 @@ class TestVerdict:
             verdict([])
         with pytest.raises(ValueError):
             verdict([(1, 0.0)], VerdictPolicy(window=0))
+
+
+class TestLadder:
+    @given(horizon=st.integers(1, 1 << 62))
+    def test_rungs_halve_the_horizon(self, horizon):
+        ns = ladder(horizon)
+        assert ns[0] == 1 and ns[-1] == horizon
+        assert len(ns) == horizon.bit_length()
+        assert all(lo == hi >> 1 for lo, hi in zip(ns, ns[1:]))
+
+    def test_power_of_two_is_the_doubling_ladder(self):
+        for k in range(63):
+            assert ladder(2**k) == [2**j for j in range(k + 1)]
+
+    def test_numpy_horizon_gives_python_ints(self):
+        # an np.int64 top rung once left the report unserializable
+        assert all(type(n) is int for n in ladder(np.int64(100)))
+        fam, scheme, weights = (alternating_crisp_family(), classical_scheme(),
+                                constant_weights(1))
+        rep = classify(fam, None, scheme, weights, theta=1.0, eps=0.1,
+                       grid=uniform_grid(1, 2, 2), horizon=np.int64(100),
+                       modes=("ord",))
+        exp = tauberian_experiment(fam, None, scheme, weights,
+                                   uniform_grid(1, 2, 2), np.int64(100))
+        for d in (rep.to_dict(), exp.to_dict()):
+            assert json.loads(json.dumps(d))["horizon"] == 100
+
+    def test_non_integer_horizon_refused(self):
+        # 100.5 was once the top rung
+        with pytest.raises(TypeError):
+            ladder(100.5)
+
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_horizon_below_one_refused(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be a positive integer"):
+            ladder(horizon)
 
 
 class TestOrderMonotonicity:
