@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+from .numbers import integer_at_least
 from .schemes import parse_scheme_spec, parse_weight_spec
 from .sequences import parse_family_spec, uniform_grid
 from .summability import check_mode_args, classify, classify_thetas
@@ -38,8 +39,7 @@ class RunConfig:
     csv_path: Optional[str] = None
 
     def __post_init__(self):
-        if self.horizon < 64:
-            raise ValueError("horizon must be at least 64")
+        self.horizon = integer_at_least(self.horizon, 64, "horizon")
         for name, values in (("theta", self.thetas), ("modes", self.modes)):
             if not values or len(set(values)) < len(values):
                 raise ValueError(f"{name} must list one or more distinct values, "
@@ -165,8 +165,8 @@ def reproduce(only: Optional[str] = None, horizon_cap: Optional[int] = None,
     horizons starve the asymptotics); an observation contradicting the
     expected membership is a failure.
     """
-    if horizon_cap is not None and horizon_cap < 1:
-        raise ValueError(f"horizon cap must be at least 1, got {horizon_cap}")
+    if horizon_cap is not None:
+        horizon_cap = integer_at_least(horizon_cap, 1, "horizon cap")
     out = out or sys.stdout
     grid = uniform_grid(1, 2, 5)
     labels = {True: "member", False: "non-member", None: "inconclusive"}

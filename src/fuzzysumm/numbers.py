@@ -12,6 +12,7 @@ numbers) are represented exactly on any grid containing levels 0 and 1.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -25,12 +26,10 @@ ATOL = 1e-12
 _PROFILE_TOL = 1e-9
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)  # else 5.0 hits the entry of 5, unchecked
 def uniform_alphas(level_count: int) -> np.ndarray:
     """Uniform membership grid on [0, 1] with both endpoints included."""
-    if level_count < 2:
-        raise ValueError("level_count must be at least 2")
-    alphas = np.linspace(0.0, 1.0, level_count)
+    alphas = np.linspace(0.0, 1.0, integer_at_least(level_count, 2, "level_count"))
     alphas.flags.writeable = False
     return alphas
 
@@ -130,6 +129,19 @@ def is_triangular(c, l, r):
             & (0 <= r) & (r < np.inf))
 
 
+def integer_at_least(value, least, name: str) -> int:
+    """``value`` as a Python int, numpy integers too: the one rule for every
+    count, index and horizon.  A non-integer (a float, NaN) is a TypeError
+    naming ``name``, one below ``least`` (None: no bound) a ValueError."""
+    try:
+        v = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and v < least:
+        raise ValueError(f"{name} must be at least {least}, got {v}")
+    return v
+
+
 def triangular(center: float, left_spread: float, right_spread: float,
                levels: int = DEFAULT_LEVEL_COUNT) -> FuzzyNumber:
     """Triangular number: cut at alpha is
@@ -209,7 +221,7 @@ def closeness_check(x: FuzzyNumber, y: FuzzyNumber, eps: float) -> ClosenessChec
     x - eps <= y <= x + eps in the partial order.  The two booleans agree
     for exact arithmetic; disagreement flags a numerical or logic bug.
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN fails
         raise ValueError("eps must be positive")
     by_metric = distance(x, y) <= eps + ATOL
     by_order = (partial_leq(translate(x, -eps), y)

@@ -23,6 +23,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .numbers import integer_at_least
+
 # Strictness margin for "estimate > 1" style threshold checks.
 HOLDS_MARGIN = 1e-9
 
@@ -84,8 +86,7 @@ class BetaGammaScheme:
 
     def window(self, n: int) -> tuple[int, int]:
         """Closed integer window [beta(n), gamma(n)] at step n."""
-        if n < 1:
-            raise ValueError("window index must be a positive integer")
+        n = integer_at_least(n, 1, "window index n")
         b, g = int(self.beta(n)), int(self.gamma(n))
         if b < 1:
             raise DegenerateWindowError(f"{self.label}: beta({n}) = {b} < 1")
@@ -131,7 +132,7 @@ class WeightSequence:
         return np.asarray(self._values_fn(ks), dtype=np.float64)
 
     def value(self, k: int) -> float:
-        return float(self.values(np.array([k], dtype=np.int64))[0])
+        return float(self.values([integer_at_least(k, None, "weight index k")])[0])
 
     def ensure(self, k_max: int) -> None:
         """Refuse a walk up to k_max past the index budget."""
@@ -193,7 +194,8 @@ class WeightSequence:
 
     def window_total(self, lo: int, hi: int) -> float:
         """Sum of t_k over the closed range [lo, hi]."""
-        return float(self.window_totals([lo], [hi])[0])
+        return float(self.window_totals([integer_at_least(lo, None, "lo")],
+                                        [integer_at_least(hi, None, "hi")])[0])
 
     def window_totals(self, los: Sequence[int], his: Sequence[int]) -> np.ndarray:
         """Sums of t_k over the closed ranges [los[i], his[i]], each alone.
@@ -280,14 +282,6 @@ def _index_arrays(scheme: BetaGammaScheme, ns: np.ndarray) -> tuple[np.ndarray, 
     return betas, gammas
 
 
-def _tail_start(n_max: int) -> int:
-    """First n of the tail half of [1, n_max], the finite stand-in for
-    n -> infinity on which trends are judged."""
-    if n_max < 2:
-        raise ValueError("horizon n_max must be at least 2")
-    return n_max // 2
-
-
 def validate_scheme(scheme: BetaGammaScheme, n_max: int) -> SchemeValidation:
     """Check the three window-scheme conditions over n = 1 .. n_max.
 
@@ -295,7 +289,7 @@ def validate_scheme(scheme: BetaGammaScheme, n_max: int) -> SchemeValidation:
     (c) the window width gamma - beta keeps growing on the tail half
     (the finite stand-in for width -> infinity).
     """
-    start = _tail_start(n_max)
+    n_max = integer_at_least(n_max, 2, "horizon n_max")
     ns = np.arange(1, n_max + 1, dtype=np.int64)
     betas, gammas = _index_arrays(scheme, ns)
     notes = []
@@ -306,7 +300,7 @@ def validate_scheme(scheme: BetaGammaScheme, n_max: int) -> SchemeValidation:
     if not ordered:
         notes.append("gamma < beta or beta < 1 at some n")
     widths = gammas - betas
-    tail = widths[start - 1:]
+    tail = widths[n_max // 2 - 1:]
     growing = bool(np.all(np.diff(tail) >= 0) and tail[-1] > tail[0])
     if not growing:
         notes.append("window width stops growing on the tail")
@@ -367,7 +361,8 @@ def ratio_condition(scheme: BetaGammaScheme, weights: WeightSequence, lam: float
     else:
         raise ValueError("which must be one of 2, 3, 4, 5")
 
-    ns = np.arange(_tail_start(n_max), n_max + 1, dtype=np.int64)
+    n_max = integer_at_least(n_max, 2, "horizon n_max")
+    ns = np.arange(n_max // 2, n_max + 1, dtype=np.int64)
     betas, gammas = _index_arrays(scheme, ns)
     # capped where int64 still holds it, so the walk budget refuses it by name
     dil_gammas = dilated_indices(gammas, lam, 1 << 62)
@@ -405,8 +400,7 @@ def classical_scheme() -> BetaGammaScheme:
 
 def power_scheme(p: int) -> BetaGammaScheme:
     """Windows [1, n**p]."""
-    if p < 1:
-        raise ValueError("power must be a positive integer")
+    p = integer_at_least(p, 1, "power p")
     return BetaGammaScheme(lambda n: 1, lambda n: n ** p, f"pow:{p}")
 
 

@@ -14,8 +14,8 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .numbers import (NOT_TRIANGULAR, FuzzyNumber, is_triangular, triangular,
-                      triangular_profile_distance)
+from .numbers import (NOT_TRIANGULAR, FuzzyNumber, integer_at_least,
+                      is_triangular, triangular, triangular_profile_distance)
 from .schemes import read_table
 
 TriProfile = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -83,11 +83,9 @@ class XGridPolicy:
 
 
 def uniform_grid(a: float, b: float, count: int = 5) -> XGridPolicy:
-    if count < 1:
-        raise ValueError("grid needs at least one point")
-    if count == 1:
-        return XGridPolicy((float(a),))
-    return XGridPolicy(tuple(np.linspace(a, b, count)))
+    count = integer_at_least(count, 1, "grid count")
+    # one point is a, whatever b is: np.linspace(a, inf, 1) is NaN
+    return XGridPolicy(tuple(np.linspace(a, b, count)) if count > 1 else (float(a),))
 
 
 @dataclass(frozen=True)
@@ -133,8 +131,7 @@ class FuzzyFunctionSequence:
 
     def eval(self, k: int, x: float) -> FuzzyNumber:
         """The fuzzy value f_k(x)."""
-        if k < 1:
-            raise ValueError("sequence index must be a positive integer")
+        k = integer_at_least(k, 1, "sequence index k")
         x = self.check_x(x)
         c, l, r = self.profile(np.array([k], dtype=np.int64), x)
         return triangular(float(c[0]), float(l[0]), float(r[0]))
@@ -223,8 +220,7 @@ def truncated_square_indicator_family(n_trunc: int) -> FuzzyFunctionSequence:
     every order; as n_trunc grows the family tends pointwise to
     square_indicator(1).
     """
-    if n_trunc < 1:
-        raise ValueError("truncation index must be a positive integer")
+    n_trunc = integer_at_least(n_trunc, 1, "truncation index n_trunc")
     squares = _powers(int_sqrt, 2)
     return _crisp_family(
         f"truncated_square_indicator(n={n_trunc}, M=1)",
@@ -390,8 +386,7 @@ def is_bounded(seq: FuzzyFunctionSequence, grid: XGridPolicy,
     reported as the growth witness.  An x-free family is evaluated at the
     first point only.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be a positive integer")
+    k_max = integer_at_least(k_max, 1, "k_max")
     ks = np.arange(1, k_max + 1, dtype=np.int64)
     dev = np.zeros(k_max)
     for i, x in enumerate(grid.points):

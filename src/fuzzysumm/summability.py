@@ -20,15 +20,15 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import schemes
-from .numbers import (NOT_TRIANGULAR, FuzzyNumber, is_triangular, triangular,
-                      triangular_profile_distance, triangular_profile_of)
+from .numbers import (NOT_TRIANGULAR, FuzzyNumber, integer_at_least,
+                      is_triangular, triangular, triangular_profile_distance,
+                      triangular_profile_of)
 from .schemes import (BetaGammaScheme, WeightSequence, unique_ints,
                       weighted_total)
 from .sequences import FuzzyFunctionSequence, LimitProfile, XGridPolicy
@@ -107,7 +107,7 @@ def _stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
 
     ``sums[i, w]`` holds the sums of t*dev, t*c, t*l and t*r over the w-th
     window at the i-th point, and ``hits[i, w]`` the count of its indices
-    with t*dev >= eps; a window with hi < lo is empty.  k is streamed once
+    with t*dev >= eps; integer ends, and hi < lo is empty.  k is streamed once
     per distinct key, cut at both ends of every nonempty window and at
     every chunk end, and a window sums to the ``math.fsum`` of its pieces
     (ValueError past the float range).  A point's key is its limit triple
@@ -117,6 +117,8 @@ def _stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
     term off its exceptions can reach eps: that needs an explicit limit
     off the claimed one and a finite eps.  Others take ``_dense_pieces``.
     """
+    windows = [(integer_at_least(lo, None, "lo"),
+                integer_at_least(hi, None, "hi")) for lo, hi in windows]
     # with no nonempty window the stream walks nothing: (0, 0]
     cuts = [k for lo, hi in windows if lo <= hi for k in (lo - 1, hi)] or [0]
     weights.ensure(max(cuts))  # refuse before int64 overflow or allocation
@@ -252,7 +254,8 @@ def deviation_count(seq: FuzzyFunctionSequence, weights: WeightSequence,
                     limit_fn: Callable[[float], LimitProfile],
                     x: float, k_max: int, eps: float) -> int:
     """Count of k in [1, k_max] with t_k * d(f_k(x), limit(x)) >= eps."""
-    _, hits = _stream(seq, weights, [limit_fn(x)], [x], [(1, k_max)], eps)
+    _, hits = _stream(seq, weights, [limit_fn(x)], [x],
+                      [(1, integer_at_least(k_max, None, "k_max"))], eps)
     return int(hits[0, 0])
 
 
@@ -291,7 +294,6 @@ def sp_density(seq: FuzzyFunctionSequence, limit, p: ModeParams,
     """Density of indices k <= floor(T) whose weighted deviation reaches eps,
     normalized by T**theta."""
     x = seq.check_x(x)
-    p.scheme.window(n)
     total = weighted_total(p.scheme, p.weights, n)
     count = deviation_count(seq, p.weights, limit_profile_fn(seq, limit), x,
                             math.floor(total), p.eps)
@@ -347,11 +349,10 @@ def verdict(trace: Sequence[tuple[int, float]],
     vals = [float(v) for _, v in trace]
     if not vals:
         raise ValueError("empty trace")
-    if policy.window < 1:
-        raise ValueError("window must be a positive integer")
-    if len(vals) < policy.window:
+    window = integer_at_least(policy.window, 1, "policy window")
+    if len(vals) < window:
         return Verdict("inconclusive")
-    tail = vals[-policy.window:]
+    tail = vals[-window:]
     steps = [b - a for a, b in zip(tail, tail[1:])]
     one_sign = all(d > 0 for d in steps) or all(d < 0 for d in steps)
     ratios = [b / a for a, b in zip(steps, steps[1:])] if one_sign else []
@@ -375,9 +376,7 @@ def verdict(trace: Sequence[tuple[int, float]],
 def ladder(horizon: int) -> list[int]:
     """The horizon halved, rungs ``horizon >> j`` from 1: all doublings at
     a power of 2, the last four whenever 8 divides the horizon."""
-    horizon = operator.index(horizon)
-    if horizon < 1:
-        raise ValueError("horizon must be a positive integer")
+    horizon = integer_at_least(horizon, 1, "horizon")
     return [horizon >> j for j in reversed(range(horizon.bit_length()))]
 
 

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numbers import ATOL, triangular_profile_distance
+from .numbers import ATOL, integer_at_least, triangular_profile_distance
 from .schemes import (_MAX_INDEX, BetaGammaScheme, DegenerateWindowError,
                       DILATION_LIMINF, RatioResult, WeightSequence,
                       dilated_indices, ratio_condition, unique_ints)
@@ -75,8 +75,8 @@ def _violation_blocks(seq: FuzzyFunctionSequence, x: float, eps: float,
         raise ValueError("lam must be positive and not 1")
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps!r}")
-    if not 0 <= n0 < horizon:
-        raise ValueError("need 0 <= n0 < horizon")
+    n0 = integer_at_least(n0, 0, "n0")
+    horizon = integer_at_least(horizon, n0 + 1, "horizon")
     x = seq.check_x(x)
     c, l, r = seq.values(np.arange(1, horizon + 1, dtype=np.int64), x)
     grow = lam > 1
@@ -384,10 +384,9 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
     """
     ns = ladder(horizon)
     horizon = ns[-1]  # a Python int for the report, whatever integer came in
-    if scan_horizon < 1:
-        raise ValueError(f"scan_horizon must be at least 1, got {scan_horizon}")
-    scan_horizon = min(horizon, scan_horizon)
-    if not 0 <= n0 <= scan_horizon // 2:
+    scan_horizon = min(horizon, integer_at_least(scan_horizon, 1, "scan_horizon"))
+    n0 = integer_at_least(n0, 0, "n0")  # a Python int for the report too
+    if n0 > scan_horizon // 2:
         raise ValueError(f"n0={n0} must lie in [0, min(horizon, scan_horizon) "
                          f"// 2 = {scan_horizon // 2}]: a later n0 leaves too "
                          "short a tail to verify")

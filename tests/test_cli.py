@@ -191,6 +191,24 @@ class TestRunCommand:
         assert not (tmp_path / "report.json").exists()
 
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--grid", "1,2", "grid spec must be 'a,b,count', got '1,2'"),
+        ("--grid", "a,2,5", "bad grid spec: 'a,2,5'"),
+        ("--scheme", "pow:x", "bad power in scheme spec: 'pow:x'"),
+        ("--scheme", "lambda:nope",
+         "unknown lambda preset in scheme spec: 'lambda:nope'"),
+        ("--weights", "const:x", "bad constant in weight spec: 'const:x'"),
+        ("--family", "remark3", "family spec 'remark3' needs n=<value>"),
+    ])
+    def test_bad_spec_refused_by_name(self, tmp_path, capsys, flag, value,
+                                      named):
+        argv = ["run", "--family", "ex4.1", "--horizon", "64", "--modes", "ord",
+                "--out-dir", str(tmp_path), flag, value]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not (tmp_path / "report.json").exists()
+
+
 class TestReproduceCommand:
     def test_single_group_filter(self, capsys):
         assert main(["reproduce", "--only", "ex4.1"]) == 0

@@ -160,6 +160,11 @@ class TestMetricAndOrder:
         with pytest.raises(ValueError):
             closeness_check(crisp(0), crisp(0), 0.0)
 
+    def test_closeness_refuses_nan_eps_by_name(self):
+        # nan <= 0 is False: NaN once failed later, in triangular(nan, 0, 0)
+        with pytest.raises(ValueError, match="^eps must be positive$"):
+            closeness_check(crisp(0), crisp(0), math.nan)
+
 
 class TestProfileHelpers:
     def test_profile_roundtrip(self):

@@ -262,6 +262,24 @@ class TestValidation:
         assert s.window(3) == (5, 8)
         assert s.window(10) == (513, 1024)
 
+    @pytest.mark.parametrize("beta, gamma, note", [
+        (lambda n: 1 + (n == 3), lambda n: n + 5, "an index map decreases"),
+        (lambda n: 1, lambda n: 5 - n, "an index map decreases; "
+                                       "gamma < beta or beta < 1 at some n"),
+        (lambda n: n - 1, lambda n: 2 * n, "gamma < beta or beta < 1 at some n"),
+    ])
+    def test_failure_notes(self, beta, gamma, note):
+        v = validate_scheme(BetaGammaScheme(beta, gamma, "bad"), 64)
+        assert not v.ok
+        assert v.detail.startswith(note)
+
+    @pytest.mark.parametrize("b", [0, -3])
+    def test_window_below_one_refused(self, b):
+        scheme = BetaGammaScheme(lambda n: b, lambda n: n, "low")
+        with pytest.raises(DegenerateWindowError,
+                           match=rf"^low: beta\(4\) = {b} < 1$"):
+            scheme.window(4)
+
     def test_empty_horizon_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             validate_scheme(classical_scheme(), 0)

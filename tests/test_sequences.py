@@ -227,6 +227,22 @@ class TestSpecStrings:
         with pytest.raises(ValueError, match="M"):
             parse_family_spec("ex3.1:M=abc")
 
+    @pytest.mark.parametrize("rows", ["1 0 1\n1 0 1\n", "3 0 1\n1 0 1\n3 2 0\n"])
+    def test_table_family_refuses_a_repeated_k(self, tmp_path, rows):
+        path = tmp_path / "fam.txt"
+        path.write_text(rows)
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}: duplicate index k$"):
+            parse_family_spec(f"file:{path}")
+
+    @pytest.mark.parametrize("points, named", [
+        ((), "grid must be nonempty"),
+        ((1.0, 1.0), "grid points must be strictly increasing"),
+        ((1.0, 2.0, 1.5), "grid points must be strictly increasing")])
+    def test_grid_refusals(self, points, named):
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            XGridPolicy(points)
+
     def test_table_family(self, tmp_path):
         path = tmp_path / "fam.txt"
         path.write_text("1 0.0 1.0\n2 3.5 0.0\n5 -1.0 2.0\n")

@@ -31,6 +31,7 @@ from fuzzysumm import (FuzzyFunctionSequence, ModeParams, Verdict,
 from fuzzysumm import (dilation_mean_identity, schemes, shrink_mean_identity,
                        summability)
 from fuzzysumm.numbers import is_triangular, triangular_profile_distance
+from fuzzysumm.sequences import crisp_index_family
 from fuzzysumm.summability import (_dense_pieces, _sparse_pieces, _stream,
                                    classify_thetas, deviation_count,
                                    limit_profile_fn, weighted_deviation_sum)
@@ -275,6 +276,14 @@ class TestVerdict:
         # equal values agree, but fewer than policy.window of them settle nothing
         assert verdict([(n, 0.5) for n in ns]).kind == "inconclusive"
 
+    @pytest.mark.parametrize("factor, kind", [(10.0, "diverges"),
+                                              (100.0, "inconclusive")])
+    def test_monotone_tail_past_the_divergence_factor(self, factor, kind):
+        # steps 10, 9, 11: no steady rate, no plateau, ratios not all >= 1;
+        # only the monotone rise past factor * (first value + 1) calls it
+        trace = [(1, 0.0), (2, 10.0), (4, 19.0), (8, 30.0)]
+        assert verdict(trace, VerdictPolicy(divergence_factor=factor)).kind == kind
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             verdict([])
@@ -314,7 +323,8 @@ class TestLadder:
 
     @pytest.mark.parametrize("horizon", [0, -1])
     def test_horizon_below_one_refused(self, horizon):
-        with pytest.raises(ValueError, match="horizon must be a positive integer"):
+        with pytest.raises(ValueError,
+                           match=f"^horizon must be at least 1, got {horizon}$"):
             ladder(horizon)
 
 
@@ -1026,6 +1036,17 @@ def test_mode_params_validation():
         params(theta=1.5)
     with pytest.raises(ValueError):
         params(eps=0.0)
+
+
+@pytest.mark.parametrize("fam", [
+    crisp_index_family(),
+    add_families(harmonic_crisp_family(), crisp_index_family()),
+    dataclasses.replace(harmonic_crisp_family(), limit_profile=None)],
+    ids=["crisp_index", "sum", "replaced"])
+def test_no_limit_given_and_none_claimed(fam):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{fam.label}: no limit given and none claimed")):
+        limit_profile_fn(fam)
 
 
 class TestLimitRule:

@@ -597,7 +597,7 @@ class TestExperiment:
         (10, 11, r"n0=10 must lie in \[0, .* = 5\]"),  # compared no pair
         (10, 10, r"n0=10 must lie in \[0, .* = 5\]"),
         (10, 4, r"n0=10 must lie in \[0, .* = 2\]"),
-        (-1, 64, r"n0=-1 must lie in \[0, .* = 32\]"),
+        (-1, 64, "^n0 must be at least 0, got -1$"),
         (40, 1024, r"n0=40 must lie in \[0, .* = 32\]"),  # horizon 64 caps it
     ])
     def test_scan_horizon_that_verifies_nothing_refused(self, n0, scan_horizon,
