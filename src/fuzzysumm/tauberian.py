@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -53,6 +53,9 @@ class SlowDecreaseWitness:
 
 
 _BLOCK = 1 << 15  # window entries compared at once (2^15 beat 2^18 on time and RSS)
+# Most rank-count table entries per scanned index, up to a constant: the
+# table's block size is raised past isqrt(D) where D would need more.
+_TABLE_PER_INDEX = 32
 _WITNESSES = 8
 # An identity deviation above rounding noise flags an arithmetic bug.
 _IDENTITY_TOL = 1e-9
@@ -62,15 +65,27 @@ _LAMBDAS = (1.25, 1.5, 2.0)
 _EPS_LADDER = (0.5, 0.1, 0.01)
 
 
-def _violation_blocks(seq: FuzzyFunctionSequence, x: float, eps: float,
-                      lam: float, n0: int, horizon: int, backward: bool = False):
-    """Yield each block of a slow-decrease scan as (rows, starts, bad).
+class _Scan(NamedTuple):
+    """The checked ints and the rows of one slow-decrease scan.
 
-    ``rows`` are the block's n, ``starts`` their 0-based window starts
-    and ``bad[i, j]`` says whether the pair (rows[i], starts[i] + 1 + j)
-    violates; blocks come in row order, or from the last row down when
-    ``backward``.  Rows with an empty window are left out.
+    ``ns`` are the rows with a nonempty window and ``starts``, ``widths``
+    their windows, the 0-based positions [start, start + width).  Each of
+    ``sides`` is one endpoint's (w, v): the pair (ns[i], k) violates there
+    where w[k - 1] < v[i], and a pair violates where any endpoint does.
     """
+
+    n0: int
+    horizon: int
+    grow: bool
+    ns: np.ndarray
+    starts: np.ndarray
+    widths: np.ndarray
+    sides: list
+
+
+def _scan(seq: FuzzyFunctionSequence, x: float, eps: float, lam: float,
+          n0: int, horizon: int) -> _Scan:
+    """Check a scan's arguments and lay out its rows and endpoints."""
     if not lam > 0 or lam == 1:
         raise ValueError("lam must be positive and not 1")
     if not eps > 0:
@@ -85,46 +100,109 @@ def _violation_blocks(seq: FuzzyFunctionSequence, x: float, eps: float,
     # 0-based window [start, stop): k in (n, cut] or (cut, n]
     starts, stops = (ns, cut) if grow else (cut, ns)
     keep = stops > starts
-    # For lam > 1 the kept rows are consecutive, as floor(lam*n) - n never
-    # decreases in n and the horizon empties only the last row: a block's
-    # windows are then a basic slice of the view, not a copy.
     ns, starts, widths = ns[keep], starts[keep], (stops - starts)[keep]
-    if not len(ns):
-        return
 
     # Growth violates where window < row - eps - ATOL, shrink where window
-    # - eps - ATOL > row: the exact negation of a per-pair comparison, as
-    # the values are checked finite and eps is a positive number (not NaN).
-    cmp = np.less if grow else np.greater
+    # - eps - ATOL > row, written -(window - eps - ATOL) < -row as negation
+    # is exact.  Each is the exact negation of a per-pair comparison, as the
+    # values are checked finite and eps is a positive number (not NaN).
     endpoints = [c]  # a spread that is zero throughout repeats c's inequality
     if l.any():
         endpoints.append(c - l)
     if r.any():
         endpoints.append(c + r)
-    wmax = int(widths.max())
     sides = []
     for a in endpoints:
         lowered = a - eps - ATOL
-        win, row = (a, lowered) if grow else (lowered, a)
-        # the padding only keeps the view in bounds; it is masked below
-        sides.append((sliding_window_view(np.pad(win, (0, wmax)), wmax),
-                      row[ns - 1]))
+        sides.append((a, lowered[ns - 1]) if grow else (-lowered, -a[ns - 1]))
+    return _Scan(n0, horizon, grow, ns, starts, widths, sides)
+
+
+def _violation_blocks(scan: _Scan, backward: bool = False):
+    """Yield each block of a scan as (i, bad), for scans with several
+    endpoints, whose union of violations the rank-count table cannot count.
+
+    The block holds the scan's rows from i on, and ``bad[j, m]`` says
+    whether the pair (ns[i + j], starts[i + j] + 1 + m) violates; blocks
+    come in row order, or from the last row down when ``backward``.
+    """
+    starts, widths = scan.starts, scan.widths
+    if not len(widths):
+        return
+    wmax = int(widths.max())
+    # the padding only keeps the view in bounds; it is masked below
+    sides = [(sliding_window_view(np.pad(w, (0, wmax)), wmax), v)
+             for w, v in scan.sides]
 
     # a block ends where the running window total passes a multiple of _BLOCK
     running = np.cumsum(widths)
     edges = unique_ints(np.append(np.searchsorted(
-        running, np.arange(0, running[-1], _BLOCK), "right"), len(ns)))
+        running, np.arange(0, running[-1], _BLOCK), "right"), len(widths)))
     blocks = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
     for i, j in reversed(blocks) if backward else blocks:
         w, narrow = int(widths[i:j].max()), int(widths[i:j].min())
-        s = slice(starts[i], starts[i] + j - i) if grow else starts[i:j]
-        (view, row), *rest = sides
-        bad = cmp(view[s, :w], row[i:j, None])
-        for view, row in rest:
-            bad |= cmp(view[s, :w], row[i:j, None])
+        # For lam > 1 the kept rows are consecutive, as floor(lam*n) - n
+        # never decreases in n and the horizon empties only the last row:
+        # the block's windows are then a basic slice of the view, not a copy.
+        s = slice(starts[i], starts[i] + j - i) if scan.grow else starts[i:j]
+        (view, v), *rest = sides
+        bad = view[s, :w] < v[i:j, None]
+        for view, v in rest:
+            bad |= view[s, :w] < v[i:j, None]
         if narrow < w:  # only columns past the narrowest window need the mask
             bad[:, narrow:] &= np.arange(narrow, w) < widths[i:j, None]
-        yield ns[i:j], starts[i:j], bad
+        yield i, bad
+
+
+def _rank_counts(w: np.ndarray, v: np.ndarray, starts: np.ndarray,
+                 widths: np.ndarray) -> np.ndarray:
+    """Per row i, the count of positions k in [starts[i], starts[i] +
+    widths[i]) with w[k] < v[i], exact and with no arithmetic on values.
+
+    With r_k the rank of w[k] among w's D distinct values and q_i the
+    number of them below v[i], w[k] < v[i] exactly where r_k < q_i.  The
+    positions fall into blocks of b, and ``table[m, q]`` counts the k in
+    the first m blocks with r_k < q: a row's full blocks cost two lookups,
+    and only its partial blocks at either end are compared directly.
+    b = isqrt(D) balances the table's O(H*D/b) against the compares'
+    O(H*b); it is raised where needed to hold the table to about
+    _TABLE_PER_INDEX entries per position, and the compares run in chunks
+    of about _BLOCK entries, so memory stays O(H + _BLOCK).
+    """
+    h = len(w)
+    distinct = np.sort(w)
+    keep = np.ones(h, dtype=bool)
+    np.not_equal(distinct[1:], distinct[:-1], out=keep[1:])
+    distinct = distinct[keep]
+    d = len(distinct)
+    q = np.searchsorted(distinct, v)
+    b = max(math.isqrt(d), -(-(d + 1) // _TABLE_PER_INDEX))
+    # block m's rank r is first counted at [m + 1, r + 1]; the two sums
+    # then count the blocks before row m and the ranks before column q
+    rows = -(-h // b) + 1
+    table = np.bincount((np.arange(h) // b + 1) * (d + 1)
+                        + np.searchsorted(distinct, w) + 1,
+                        minlength=rows * (d + 1)).reshape(rows, d + 1)
+    np.cumsum(table, axis=0, out=table)
+    np.cumsum(table, axis=1, out=table)
+    stops = starts + widths
+    first = -(-starts // b)  # the first full block, and one past the last:
+    last = np.maximum(stops // b, first)  # no full block where they meet
+    counts = table[last, q] - table[first, q]
+    if b > 1:
+        # the partial blocks [start, first*b) and [last*b, stop), each a
+        # masked row of a sliding view that the padding keeps in bounds
+        view = sliding_window_view(np.pad(w, (0, b)), b)
+        cols = np.arange(b)
+        step = max(1, _BLOCK // (2 * b))
+        for i in range(0, len(starts), step):
+            at, stop = slice(i, i + step), stops[i:i + step]
+            for lo, hi in ((starts[at], np.minimum(first[at] * b, stop)),
+                           (np.minimum(last[at] * b, stop), stop)):
+                bad = view[lo] < v[at, None]
+                bad &= cols < (hi - lo)[:, None]
+                counts[at] += np.count_nonzero(bad, axis=1)
+    return counts
 
 
 def slowly_decreasing_check(seq: FuzzyFunctionSequence, x: float, eps: float,
@@ -135,41 +213,66 @@ def slowly_decreasing_check(seq: FuzzyFunctionSequence, x: float, eps: float,
     horizon, for the k-th term dropping more than eps below the n-th; for
     0 < lam < 1 with k in (floor(lam*n), n], for the n-th term dropping
     more than eps below the k-th.  Triangular values make the cut-wise
-    comparison equivalent to three endpoint inequalities (levels 0 and 1).
-    Rows are compared in blocks of about _BLOCK window entries, each
-    window a row of a sliding view of the endpoint arrays; a block leaves
-    only its count, its last violating row and its first pairs, so memory
-    stays O(horizon + _BLOCK).  The rows of a lam > 1 block are
-    consecutive, so it compares a basic slice of the view, not a copy, and
-    only columns past the block's narrowest window are masked.
-    ``_last_violation`` walks the same blocks from the top down for the
-    last violating row alone.
+    comparison equivalent to three endpoint inequalities (levels 0 and 1),
+    and a spread that is zero on the whole horizon drops its endpoint.
+
+    With one endpoint left (every crisp family, and any whose spreads are
+    all zero here), each row's count comes from a rank-count table in
+    O(H*sqrt(D)) for D distinct values, with no per-pair comparison (see
+    ``_rank_counts``).  With several, rows are compared in blocks of about
+    _BLOCK window entries, each window a row of a sliding view of the
+    endpoint arrays; the rows of a lam > 1 block are consecutive, so it
+    compares a basic slice of the view, not a copy, and only columns past
+    the block's narrowest window are masked, and the first 8 pairs come
+    from the first blocks that violate.  Either way only the count, the
+    violating rows and the first pairs are kept, so memory stays
+    O(horizon + _BLOCK).
     """
-    count, last_bad, first = 0, None, []
-    for rows, starts, bad in _violation_blocks(seq, x, eps, lam, n0, horizon):
-        hit = np.flatnonzero(bad.any(axis=1))
-        if not hit.size:
-            continue
-        count += int(np.count_nonzero(bad))
-        last_bad = int(rows[hit[-1]])
-        if len(first) < _WITNESSES:
-            rr, cc = np.nonzero(bad[hit[:_WITNESSES]])
-            rr = hit[rr]
-            first += zip(rows[rr].tolist(), (starts[rr] + 1 + cc).tolist())
-            del first[_WITNESSES:]
-    return SlowDecreaseWitness(eps, lam, n0, horizon, tuple(first), count,
-                               last_bad)
+    scan = _scan(seq, x, eps, lam, n0, horizon)
+    if len(scan.sides) == 1:
+        (w, v), = scan.sides
+        counts = _rank_counts(w, v, scan.starts, scan.widths)
+        hit = np.flatnonzero(counts)
+        count = int(counts.sum())
+        last_bad = int(scan.ns[hit[-1]]) if hit.size else None
+        # the first rows that violate hold the first pairs: compare them again
+        rows = hit[:_WITNESSES]
+        cols = np.arange(int(scan.widths[rows].max(initial=0)))
+        inside = cols < scan.widths[rows, None]
+        ks = np.where(inside, scan.starts[rows, None] + cols, 0)
+        i, j = np.nonzero(inside & (w[ks] < v[rows, None]))
+        first = list(zip(scan.ns[rows[i]].tolist(), (ks[i, j] + 1).tolist()))
+    else:
+        count, last_bad, first = 0, None, []
+        for i, bad in _violation_blocks(scan):
+            rows = np.flatnonzero(bad.any(axis=1))
+            if not rows.size:
+                continue
+            count += int(np.count_nonzero(bad))
+            last_bad = int(scan.ns[i + rows[-1]])
+            if len(first) < _WITNESSES:
+                rr, cc = np.nonzero(bad[rows[:_WITNESSES]])
+                rr = i + rows[rr]
+                first += zip(scan.ns[rr].tolist(),
+                             (scan.starts[rr] + 1 + cc).tolist())
+    return SlowDecreaseWitness(eps, lam, scan.n0, scan.horizon,
+                               tuple(first[:_WITNESSES]), count, last_bad)
 
 
 def _last_violation(seq: FuzzyFunctionSequence, x: float, eps: float,
                     lam: float, n0: int, horizon: int) -> Optional[int]:
-    """``slowly_decreasing_check(...).last_bad``, from the blocks walked top
-    down: it stops at the first block with a violation."""
-    for rows, _, bad in _violation_blocks(seq, x, eps, lam, n0, horizon,
-                                          backward=True):
+    """``slowly_decreasing_check(...).last_bad``.  With one endpoint it
+    reads the rank-count table's per-row counts; with several it walks the
+    blocks top down and stops at the first block with a violation."""
+    scan = _scan(seq, x, eps, lam, n0, horizon)
+    if len(scan.sides) == 1:
+        hit = np.flatnonzero(_rank_counts(*scan.sides[0], scan.starts,
+                                          scan.widths))
+        return int(scan.ns[hit[-1]]) if hit.size else None
+    for i, bad in _violation_blocks(scan, backward=True):
         hit = np.flatnonzero(bad.any(axis=1))
         if hit.size:
-            return int(rows[hit[-1]])
+            return int(scan.ns[i + hit[-1]])
     return None
 
 
@@ -352,8 +455,9 @@ def _slow_decrease_entry(seq: FuzzyFunctionSequence, x: float, eps: float,
     later than half the scan (otherwise the tail is too short to trust).
     As (n, floor(lam*n)] grows with lam, so do the violations: the first
     lam works whenever any does, and a failing entry reports the last's.
-    The first lam needs only its last violating row, which the top-down
-    probe finds without scanning the rows below it.
+    The first lam needs only its last violating row: for one endpoint the
+    rank-count table's per-row counts give it, and for several the
+    top-down probe finds it without scanning the rows below it.
     """
     last_bad = _last_violation(seq, x, eps, _LAMBDAS[0], n0, scan_horizon)
     # the tail (last_bad, scan_horizon] is clean by definition

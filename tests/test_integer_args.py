@@ -5,6 +5,7 @@ argument, and one below its least value with a ValueError naming it, and
 takes a numpy integer as the Python int it equals.
 """
 
+import dataclasses
 import io
 import json
 import math
@@ -158,3 +159,12 @@ class TestDefectsMended:
         exp = _experiment(n0=np.int64(10), scan_horizon=np.int64(32))
         assert all(type(e.n0) is int for e in exp.slow_decrease)
         json.dumps(exp.to_dict())
+
+    def test_numpy_bounds_reach_the_witness_as_python_ints(self):
+        # the witness was built from the arguments as given, not the ints
+        # that were checked
+        wit = slowly_decreasing_check(FAM, 1.0, 0.1, 2.0, np.int64(10),
+                                      np.int64(50))
+        assert (wit.n0, wit.horizon) == (10, 50)
+        assert type(wit.n0) is int and type(wit.horizon) is int
+        json.dumps(dataclasses.asdict(wit))

@@ -95,13 +95,32 @@ def violating_pairs_per_pair(fam, x, eps, lam, n0, horizon):
     return pairs
 
 
+def crisp_table_family(levels):
+    """Crisp values drawn at random from ``levels`` points of [-1, 1]: many
+    ties for a few levels, next to none for more levels than indices.  Half
+    of the zeros are -0.0, which ties with 0.0 in every comparison."""
+    rng = np.random.default_rng(levels)
+    table = rng.choice(np.linspace(-1.0, 1.0, levels), 2048)
+    table[np.flatnonzero(table == 0)[::2]] = -0.0
+    def profile(ks, x):
+        z = np.zeros(len(ks))
+        return table[ks - 1], z, z
+    return FuzzyFunctionSequence(f"table{levels}", profile)
+
+
 SCAN_FAMILIES = {"alternating": alternating_crisp_family,
                  "triangular_growing": triangular_growing_family,
                  "harmonic": harmonic_crisp_family,
                  "square_indicator": square_indicator_family,
                  "crisp_index": crisp_index_family,
                  "left_spread": left_spread_family,
-                 "right_spread": right_spread_family}
+                 "right_spread": right_spread_family,
+                 # triangular values with zero spreads scan one endpoint too
+                 "constant_crisp": lambda: constant_family(2.0, 0.0, 0.0),
+                 # D = 2, 5, 41 and about the horizon: rank-count tables with
+                 # blocks of 1 and wider
+                 **{f"table{d}": (lambda d=d: crisp_table_family(d))
+                    for d in (2, 5, 41, 100_000)}}
 
 
 class TestSlowDecreaseCheck:
@@ -180,6 +199,11 @@ class TestSlowDecreaseCheck:
                lambda h: st.tuples(st.integers(0, h - 1), st.just(h))))
     # only the right endpoints violate
     @example(family="right_spread", lam=2.0, eps=0.5, x=1.5, bounds=(2, 40))
+    # rank-count tables: blocks of 1 and partial blocks, each way
+    @example(family="table5", lam=2.0, eps=0.5, x=1.0, bounds=(0, 300))
+    @example(family="table41", lam=0.5, eps=0.1, x=1.0, bounds=(3, 300))
+    @example(family="table100000", lam=3.0, eps=1e-6, x=1.0, bounds=(1, 300))
+    @example(family="table100000", lam=0.2, eps=0.5, x=1.0, bounds=(7, 300))
     def test_blocked_scan_matches_bruteforce(self, family, lam, eps, x, bounds):
         fam = SCAN_FAMILIES[family]()
         n0, horizon = bounds
@@ -212,6 +236,11 @@ class TestSlowDecreaseCheck:
     # lam * n itself overflows the float range
     @example(family="alternating", lam=1e308, eps=0.5, x=1.0, bounds=(10, 200))
     @example(family="alternating", lam=math.inf, eps=0.5, x=1.0, bounds=(0, 2))
+    @example(family="table2", lam=math.inf, eps=0.5, x=1.0, bounds=(3, 200))
+    @example(family="table41", lam=1e308, eps=0.1, x=1.0, bounds=(0, 200))
+    @example(family="table100000", lam=math.inf, eps=1e-6, x=1.0,
+             bounds=(10, 200))
+    @example(family="table100000", lam=1e-300, eps=0.1, x=1.0, bounds=(0, 200))
     def test_any_lam_matches_bruteforce(self, family, lam, eps, x, bounds):
         # a window top past the horizon is the horizon, as at lam = horizon
         fam, (n0, horizon) = SCAN_FAMILIES[family](), bounds
@@ -261,24 +290,77 @@ class TestSlowDecreaseCheck:
             assert tauberian._last_violation(fam, x, eps, lam, n0,
                                              horizon) == want
 
+    @pytest.mark.parametrize("block", [7, 200, 1 << 15])
+    @pytest.mark.parametrize("lam", [2.0, 0.5])
+    def test_partial_blocks_in_chunks_of_any_size(self, block, lam):
+        # D near 1,200 raises the table's blocks past isqrt(D) = 34 to 38,
+        # and the partial compares run one row, two rows or a few hundred
+        # rows at a time
+        fam = crisp_table_family(100_000)
+        expect = violating_pairs(fam, 1.0, 0.1, lam, 5, 1200)
+        with mock.patch.object(tauberian, "_BLOCK", block):
+            wit = slowly_decreasing_check(fam, 1.0, 0.1, lam, 5, 1200)
+        assert wit.count == len(expect) > 0
+        assert wit.violations == tuple(expect[:8])
+        assert wit.last_bad == expect[-1][0]
+
+    @pytest.mark.parametrize("lam", [2.0, 0.5])
+    def test_exact_float_ties(self, lam):
+        # terms equal, bit for bit, to another's lowered value: each decision
+        # is the float comparison c[k] < c[n] - eps - ATOL, or its mirror
+        eps, horizon = 0.5, 120
+        low = 1.0 - eps - ATOL
+        c = np.resize([1.0, low, 0.25, low - eps - ATOL, 0.25], horizon)
+        fam = FuzzyFunctionSequence("ties", lambda ks, x: (
+            c[ks - 1], np.zeros(len(ks)), np.zeros(len(ks))))
+        lowered = c - eps - ATOL
+        expect = []
+        for n in range(1, horizon + 1):
+            if lam > 1:
+                expect += [(n, k) for k in range(n + 1, min(int(lam * n), horizon) + 1)
+                           if c[k - 1] < lowered[n - 1]]
+            else:
+                expect += [(n, k) for k in range(int(lam * n) + 1, n + 1)
+                           if lowered[k - 1] > c[n - 1]]
+        wit = slowly_decreasing_check(fam, 1.0, eps, lam, 0, horizon)
+        assert wit.count == len(expect) > 0
+        assert wit.violations == tuple(expect[:8])
+        assert wit.last_bad == expect[-1][0]
+
     def test_probe_stops_after_the_top_block(self):
-        # the alternating family violates up to its last row, so the probe
-        # reads one block where the full scan reads them all
-        fam, rows = alternating_crisp_family(), []
+        # two endpoints keep the blocks; the right spreads violate up to row
+        # 2045, so the probe reads one block where the full scan reads them all
+        fam, rows = right_spread_family(), []
         blocks_of = tauberian._violation_blocks
 
-        def counted(*args, **kwargs):
-            for block in blocks_of(*args, **kwargs):
-                rows.append(block[0])
-                yield block
+        def counted(scan, **kwargs):
+            for i, bad in blocks_of(scan, **kwargs):
+                rows.append(scan.ns[i:i + len(bad)])
+                yield i, bad
 
         with mock.patch.object(tauberian, "_violation_blocks", counted):
             last = tauberian._last_violation(fam, 1.0, 0.5, 1.25, 10, 2048)
             # row 2048 has an empty window, so 2047 ends the top block
             assert len(rows) == 1 and rows[0][-1] == 2047
             wit = slowly_decreasing_check(fam, 1.0, 0.5, 1.25, 10, 2048)
-        assert last == wit.last_bad == 2047
+        assert last == wit.last_bad == 2045
         assert len(rows) > 3
+
+    @pytest.mark.parametrize("family", [
+        alternating_crisp_family, harmonic_crisp_family,
+        lambda: constant_family(2.0, 0.0, 0.0),
+        lambda: add_families(alternating_crisp_family(),
+                             constant_family(2.0, 0.0, 0.0))],
+        ids=["alternating", "harmonic", "constant", "alternating_plus_2"])
+    def test_one_endpoint_never_takes_the_blocks(self, family):
+        # the path follows the endpoints the scan sees, not the family's type
+        fam = family()
+        with mock.patch.object(tauberian, "_violation_blocks",
+                               side_effect=AssertionError("blocks entered")):
+            for lam in (2.0, 0.5):
+                wit = slowly_decreasing_check(fam, 1.0, 0.5, lam, 10, 300)
+                assert tauberian._last_violation(fam, 1.0, 0.5, lam, 10,
+                                                 300) == wit.last_bad
 
     @pytest.mark.parametrize("lam", [2.0, 0.5])
     def test_spread_family_at_several_blocks(self, lam):
