@@ -75,9 +75,7 @@ def run(config: RunConfig) -> dict:
                                    eps=config.eps, grid=grid,
                                    horizon=config.horizon, modes=classify_modes):
             reports.append(rep.to_dict())
-            for t in rep.traces:
-                for n, v in t.points:
-                    rows.append((t.x, t.mode, t.theta, n, v))
+            rows += [(t.x, t.mode, t.theta, n, v) for t in rep.traces for n, v in t.points]
 
     result = {
         "family": family.label,
@@ -93,9 +91,7 @@ def run(config: RunConfig) -> dict:
         exp = tauberian_experiment(family, None, scheme, weights, grid,
                                    config.horizon)
         result["tauberian"] = exp.to_dict()
-        for t in exp.conclusion:
-            for n, v in t.points:
-                rows.append((t.x, "tauberian", t.theta, n, v))
+        rows += [(t.x, "tauberian", t.theta, n, v) for t in exp.conclusion for n, v in t.points]
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -190,14 +186,10 @@ def reproduce(only: Optional[str] = None, horizon_cap: Optional[int] = None,
                        eps=row.eps, grid=grid, horizon=horizon,
                        modes=(row.mode,))
         observed = rep.membership[row.mode]
-        if observed is None:
-            status = "WARN (inconclusive)"
-            warnings += 1
-        elif observed == row.expect_member:
-            status = "ok"
-        else:
-            status = "FAIL"
-            failures += 1
+        status = ("WARN (inconclusive)" if observed is None
+                  else "ok" if observed == row.expect_member else "FAIL")
+        warnings += observed is None
+        failures += status == "FAIL"
         print(f"{row.group:<9} {row.mode:<5} {row.theta:<6g} "
               f"{labels[row.expect_member]:<11} {labels[observed]:<14} {status}",
               file=out)

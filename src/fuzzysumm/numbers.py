@@ -12,6 +12,7 @@ numbers) are represented exactly on any grid containing levels 0 and 1.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from functools import lru_cache
 from typing import NamedTuple
@@ -83,11 +84,9 @@ class FuzzyNumber:
 
     def cut(self, alpha: float) -> tuple[float, float]:
         """Interval at membership level ``alpha`` (linear between grid levels)."""
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError("alpha must lie in [0, 1]")
-        lo = float(np.interp(alpha, self.alphas, self.lower))
-        hi = float(np.interp(alpha, self.alphas, self.upper))
-        return lo, hi
+        alpha = real_in(alpha, "alpha", 0, 1)
+        return (float(np.interp(alpha, self.alphas, self.lower)),
+                float(np.interp(alpha, self.alphas, self.upper)))
 
     @property
     def support(self) -> tuple[float, float]:
@@ -142,6 +141,24 @@ def integer_at_least(value, least, name: str) -> int:
     return v
 
 
+def real_in(value, name: str, low: float, high: float, *,
+            open_low: bool = False, open_high: bool = False) -> float:
+    """``value`` as a Python float, the one rule for every real argument: a
+    non-real (a str, None, a complex) is a TypeError naming ``name``, and NaN or
+    a value outside [low, high], open at a flagged or infinite end, a ValueError."""
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    try:
+        v = float(value)
+    except OverflowError:  # an int past the float range
+        v = math.nan
+    open_low, open_high = open_low or low == -math.inf, open_high or high == math.inf
+    if not ((low < v if open_low else low <= v) and (v < high if open_high else v <= high)):
+        raise ValueError(f"{name} must lie in {'[('[open_low]}{low:g}, {high:g}"
+                         f"{'])'[open_high]}, got {value!r}")
+    return v
+
+
 def triangular(center: float, left_spread: float, right_spread: float,
                levels: int = DEFAULT_LEVEL_COUNT) -> FuzzyNumber:
     """Triangular number: cut at alpha is
@@ -178,8 +195,7 @@ def add(x: FuzzyNumber, y: FuzzyNumber) -> FuzzyNumber:
 
 def scale(c: float, x: FuzzyNumber) -> FuzzyNumber:
     """Level-wise scaling; endpoints swap when the factor is negative."""
-    if not math.isfinite(c):
-        raise ValueError("scale factor must be finite")
+    c = real_in(c, "scale factor", -math.inf, math.inf)
     if c >= 0:
         return FuzzyNumber(x.alphas, c * x.lower, c * x.upper, check=False)
     return FuzzyNumber(x.alphas, c * x.upper, c * x.lower, check=False)
@@ -221,8 +237,7 @@ def closeness_check(x: FuzzyNumber, y: FuzzyNumber, eps: float) -> ClosenessChec
     x - eps <= y <= x + eps in the partial order.  The two booleans agree
     for exact arithmetic; disagreement flags a numerical or logic bug.
     """
-    if not eps > 0:  # NaN fails
-        raise ValueError("eps must be positive")
+    eps = real_in(eps, "eps", 0, math.inf, open_low=True)
     by_metric = distance(x, y) <= eps + ATOL
     by_order = (partial_leq(translate(x, -eps), y)
                 and partial_leq(y, translate(x, eps)))

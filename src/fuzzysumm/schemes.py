@@ -23,7 +23,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .numbers import integer_at_least
+from .numbers import integer_at_least, real_in
 
 # Strictness margin for "estimate > 1" style threshold checks.
 HOLDS_MARGIN = 1e-9
@@ -272,10 +272,8 @@ class SchemeValidation:
 
 def _index_arrays(scheme: BetaGammaScheme, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
-        betas = np.fromiter((scheme.beta(int(n)) for n in ns), dtype=np.int64,
-                            count=len(ns))
-        gammas = np.fromiter((scheme.gamma(int(n)) for n in ns), dtype=np.int64,
-                             count=len(ns))
+        betas, gammas = (np.fromiter((f(int(n)) for n in ns), dtype=np.int64, count=len(ns))
+                         for f in (scheme.beta, scheme.gamma))
     except OverflowError:
         raise ValueError(f"{scheme.label}: a window index for n <= {int(ns[-1])} "
                          "does not fit in int64") from None
@@ -319,15 +317,20 @@ def dilated_indices(ns: np.ndarray, lam: float, cap: int) -> np.ndarray:
         return np.floor(np.minimum(lam * ns, cap)).astype(np.int64)
 
 
+def dilation_factor(lam, grow: bool | None = None) -> float:
+    """``lam`` as a float in (1, inf) if grow, in (0, 1) if not, in either if None."""
+    grow = real_in(lam, "lam", 0, math.inf, open_low=True) > 1 if grow is None else grow
+    return real_in(lam, "lam", *((1, math.inf) if grow else (0, 1)), open_low=True, open_high=True)
+
+
 def dilate(scheme: BetaGammaScheme, lam: float) -> BetaGammaScheme:
-    """Stretch the window top: gamma(n) -> floor(lam * gamma(n)).
+    """Stretch the window top: gamma(n) -> floor(lam * gamma(n)), lam in (0, inf).
 
     The dilated top can drop below beta for small n and lam < 1; queries
     on such windows raise DegenerateWindowError rather than passing
     silently.
     """
-    if not 0 < lam < math.inf:
-        raise ValueError(f"dilation factor must be positive and finite, got {lam}")
+    lam = real_in(lam, "lam", 0, math.inf, open_low=True)
     base_gamma = scheme.gamma
     return BetaGammaScheme(
         beta=scheme.beta,
@@ -345,21 +348,18 @@ def ratio_condition(scheme: BetaGammaScheme, weights: WeightSequence, lam: float
                     n_max: int, which: int) -> RatioResult:
     """Tail estimate of one of the four dilation ratio conditions.
 
-    which=2: liminf T_dilated / T        (needs lam > 1; holds when > 1)
-    which=3: liminf T / T_dilated        (needs 0 < lam < 1; holds when > 1)
-    which=4: limsup T_dilated / (T_dilated - T)   (lam > 1; holds when finite)
-    which=5: limsup T_dilated / (T - T_dilated)   (0 < lam < 1; holds when finite)
+    which=2: liminf T_dilated / T        (lam in (1, inf); holds when > 1)
+    which=3: liminf T / T_dilated        (lam in (0, 1); holds when > 1)
+    which=4: limsup T_dilated / (T_dilated - T)   (lam in (1, inf); holds when finite)
+    which=5: limsup T_dilated / (T - T_dilated)   (lam in (0, 1); holds when finite)
 
+    Any other lam (NaN, inf) is refused by name before any walk;
     liminf/limsup are estimated as min/max over [n_max // 2, n_max].
     """
-    if which in (DILATION_LIMINF, DILATION_GAP_LIMSUP):
-        if not lam > 1:
-            raise ValueError(f"condition {which} needs lam > 1")
-    elif which in (SHRINK_LIMINF, SHRINK_GAP_LIMSUP):
-        if not 0 < lam < 1:
-            raise ValueError(f"condition {which} needs 0 < lam < 1")
-    else:
+    if which not in (DILATION_LIMINF, SHRINK_LIMINF, DILATION_GAP_LIMSUP,
+                     SHRINK_GAP_LIMSUP):
         raise ValueError("which must be one of 2, 3, 4, 5")
+    lam = dilation_factor(lam, which in (DILATION_LIMINF, DILATION_GAP_LIMSUP))
 
     n_max = integer_at_least(n_max, 2, "horizon n_max")
     ns = np.arange(n_max // 2, n_max + 1, dtype=np.int64)
@@ -433,14 +433,11 @@ _LAMBDA_PRESETS = {
 def lacunary_scheme(k_fn: Callable[[int], int], label: str) -> BetaGammaScheme:
     """Block windows [k(r-1) + 1, k(r)] for an increasing integer sequence
     with k(0) = 0, checked on its first _LACUNARY_CHECK steps."""
-    if int(k_fn(0)) != 0:
+    ks = [int(k_fn(r)) for r in range(_LACUNARY_CHECK + 1)]
+    if ks[0] != 0:
         raise ValueError("lacunary boundary sequence must start at k_0 = 0")
-    prev = 0
-    for r in range(1, _LACUNARY_CHECK + 1):
-        cur = int(k_fn(r))
-        if cur <= prev:
-            raise ValueError("lacunary boundary sequence must be strictly increasing")
-        prev = cur
+    if any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValueError("lacunary boundary sequence must be strictly increasing")
     return BetaGammaScheme(lambda r: int(k_fn(r - 1)) + 1,
                            lambda r: int(k_fn(r)), label)
 
@@ -508,9 +505,7 @@ def _ratio_sums(p: int, q: int):
 
 
 def constant_weights(c: float) -> WeightSequence:
-    c = float(c)
-    if not (c > 0 and math.isfinite(c)):
-        raise ValueError(f"constant weight {c!r} is not a finite positive number")
+    c = real_in(c, "constant weight", 0, math.inf, open_low=True)
     short = f"{c:g}"  # six digits; repr where they name another float
     label = f"const:{short if float(short) == c else repr(c)}"
     return WeightSequence(lambda ks: np.full(len(ks), c), label,

@@ -14,8 +14,8 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .numbers import (NOT_TRIANGULAR, FuzzyNumber, integer_at_least,
-                      is_triangular, triangular, triangular_profile_distance)
+from .numbers import (NOT_TRIANGULAR, FuzzyNumber, integer_at_least, is_triangular,
+                      real_in, triangular, triangular_profile_distance)
 from .schemes import read_table
 
 TriProfile = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -114,10 +114,7 @@ class FuzzyFunctionSequence:
     domain: ClassVar[tuple[float, float]] = (1.0, 2.0)
 
     def check_x(self, x: float) -> float:
-        a, b = self.domain
-        if not a <= x <= b:
-            raise ValueError(f"x={x:g} outside domain [{a:g}, {b:g}]")
-        return float(x)
+        return real_in(x, "x", *self.domain)
 
     def values(self, ks: np.ndarray, x: float) -> TriProfile:
         """``profile(ks, x)``, refused where it is not ``is_triangular``:
@@ -286,7 +283,7 @@ def add_families(f: FuzzyFunctionSequence, g: FuzzyFunctionSequence) -> FuzzyFun
 
 def scale_family(c: float, f: FuzzyFunctionSequence) -> FuzzyFunctionSequence:
     """Index-wise scalar multiple; spreads swap sides for negative factors."""
-    c = float(c)
+    c = real_in(c, "scale factor", -np.inf, np.inf)
 
     def scaled(tr):
         center, left, right = tr
@@ -398,6 +395,5 @@ def is_bounded(seq: FuzzyFunctionSequence, grid: XGridPolicy,
     bound = float(running[-1])
     new_max = np.flatnonzero(np.concatenate(([True], running[1:] > running[:-1])))
     last_new = int(ks[new_max[-1]])
-    if last_new > k_max // 2:
-        return BoundednessReport(False, bound, last_new)
-    return BoundednessReport(True, bound, None)
+    grows = last_new > k_max // 2
+    return BoundednessReport(not grows, bound, last_new if grows else None)

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import schemes
 from .numbers import (NOT_TRIANGULAR, FuzzyNumber, integer_at_least,
-                      is_triangular, triangular, triangular_profile_distance,
-                      triangular_profile_of)
+                      is_triangular, real_in, triangular,
+                      triangular_profile_distance, triangular_profile_of)
 from .schemes import (BetaGammaScheme, WeightSequence, unique_ints,
                       weighted_total)
 from .sequences import FuzzyFunctionSequence, LimitProfile, XGridPolicy
@@ -38,15 +38,13 @@ MODES = ("sp", "abs", "ord")
 
 def check_mode_args(thetas: Sequence[float], eps: float,
                     modes: Sequence[str] = ()) -> None:
-    """Refuse an order outside (0, 1], a nonpositive eps or an unknown mode."""
+    """Refuse a theta outside (0, 1], an eps outside (0, inf) or an unknown mode."""
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
     for theta in thetas:
-        if not 0 < theta <= 1:
-            raise ValueError(f"theta {theta:g} outside (0, 1]")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+        real_in(theta, "theta", 0, 1, open_low=True)
+    real_in(eps, "eps", 0, math.inf, open_low=True)
 
 
 @dataclass(frozen=True)
@@ -135,7 +133,7 @@ def _stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
             bases = list(map(limit_profile_fn(seq), xs))
             d0s = [float(triangular_profile_distance(*b, *lim))
                    for b, lim in zip(bases, limits)]
-            if eps == math.inf or (eps > 0 and not any(d0s)):
+            if eps == math.inf or not any(d0s):
                 ends, pieces = _sparse_pieces(seq, weights, limits, xs, cuts,
                                               eps, bases, d0s)
         if ends is None:
@@ -254,6 +252,7 @@ def deviation_count(seq: FuzzyFunctionSequence, weights: WeightSequence,
                     limit_fn: Callable[[float], LimitProfile],
                     x: float, k_max: int, eps: float) -> int:
     """Count of k in [1, k_max] with t_k * d(f_k(x), limit(x)) >= eps."""
+    eps = real_in(eps, "eps", 0, math.inf, open_low=True)
     _, hits = _stream(seq, weights, [limit_fn(x)], [x],
                       [(1, integer_at_least(k_max, None, "k_max"))], eps)
     return int(hits[0, 0])
@@ -262,8 +261,7 @@ def deviation_count(seq: FuzzyFunctionSequence, weights: WeightSequence,
 def window_fuzzy_mean(seq: FuzzyFunctionSequence, weights: WeightSequence,
                       lo: int, hi: int, x: float, divisor: float) -> FuzzyNumber:
     """(1/divisor) * sum of t_k * f_k(x) over [lo, hi], level-wise."""
-    if not divisor > 0:  # NaN fails
-        raise ValueError("divisor must be positive")
+    divisor = real_in(divisor, "divisor", 0, math.inf, open_low=True)
     sums, _ = _stream(seq, weights, [(0.0, 0.0, 0.0)], [x], [(lo, hi)],
                       math.inf)
     _, csum, lsum, rsum = sums[0, 0].tolist()
@@ -317,13 +315,14 @@ class Verdict:
 
 @dataclass(frozen=True)
 class VerdictPolicy:
-    """Explicit thresholds for finite-horizon trend calls.
+    """Explicit thresholds for finite-horizon trend calls, checked once, here.
 
-    A call reads the last ``window`` values, and ``tol`` bounds how far
-    the rate test's limits, or a plateau's values, may spread; the
-    divergence call fires when a monotone tail exceeds divergence_factor
-    * (first value + 1), and ``limit_tol`` is how close a converged
-    estimate must sit to the target for class membership.
+    A call reads the last ``window`` values (an integer >= 1); ``tol`` in
+    [0, inf) bounds how far the rate test's limits, or a plateau's values,
+    may spread; the divergence call fires when a monotone tail exceeds
+    divergence_factor (in (0, inf)) * (first value + 1), and ``limit_tol``
+    in [0, inf) is how near the target a converged estimate must sit for
+    class membership.
     """
 
     tol: float = 1e-2
@@ -331,28 +330,34 @@ class VerdictPolicy:
     divergence_factor: float = 10.0
     limit_tol: float = 0.05
 
+    def __post_init__(self):  # frozen: each checked value is set past the guard
+        object.__setattr__(self, "window", integer_at_least(self.window, 1, "policy window"))
+        for name in ("tol", "divergence_factor", "limit_tol"):
+            object.__setattr__(self, name, real_in(getattr(self, name), f"policy {name}", 0,
+                                                   math.inf, open_low=name == "divergence_factor"))
+
 
 def verdict(trace: Sequence[tuple[int, float]],
             policy: VerdictPolicy = VerdictPolicy()) -> Verdict:
     """Call a trace: converged, diverging, or inconclusive.
 
-    Every test reads the last ``policy.window`` values; a shorter trace
-    is inconclusive.  A tail whose steps share one sign and shrink by
-    ratios q < 1 converges if the Aitken limits ``v + d*q/(1-q)`` of its
-    runs of three agree within ``tol``: at the last one, clipped at 0
-    for a nonnegative tail (a power law ``c + a*n**-p`` moves by the
-    exact ratio 2**-p between doubling rungs).  Else a tail within
-    ``tol`` of its mean is a plateau, so rounding noise is not growth;
-    only then does a tail rising by ratios q >= 1, or monotone past the
-    divergence factor, diverge.
+    Every test reads the last ``policy.window`` values (an integer >= 1);
+    a shorter trace is inconclusive.  A tail whose steps share one sign
+    and shrink by ratios q < 1 converges if the Aitken limits
+    ``v + d*q/(1-q)`` of its runs of three agree within ``tol`` (in
+    [0, inf)): at the last one, clipped at 0 for a nonnegative tail (a
+    power law ``c + a*n**-p`` moves by the exact ratio 2**-p between
+    doubling rungs).  Else a tail within ``tol`` of its mean is a
+    plateau, so rounding noise is not growth; only then does a tail
+    rising by ratios q >= 1, or monotone past the divergence factor (in
+    (0, inf)), diverge.  ``VerdictPolicy`` checked these when built.
     """
     vals = [float(v) for _, v in trace]
     if not vals:
         raise ValueError("empty trace")
-    window = integer_at_least(policy.window, 1, "policy window")
-    if len(vals) < window:
+    if len(vals) < policy.window:
         return Verdict("inconclusive")
-    tail = vals[-window:]
+    tail = vals[-policy.window:]
     steps = [b - a for a, b in zip(tail, tail[1:])]
     one_sign = all(d > 0 for d in steps) or all(d < 0 for d in steps)
     ratios = [b / a for a, b in zip(steps, steps[1:])] if one_sign else []

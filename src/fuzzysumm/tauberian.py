@@ -18,10 +18,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numbers import ATOL, integer_at_least, triangular_profile_distance
+from .numbers import ATOL, integer_at_least, real_in, triangular_profile_distance
 from .schemes import (_MAX_INDEX, BetaGammaScheme, DegenerateWindowError,
-                      DILATION_LIMINF, RatioResult, WeightSequence,
-                      dilated_indices, ratio_condition, unique_ints)
+                      DILATION_LIMINF, RatioResult, WeightSequence, dilated_indices,
+                      dilation_factor, ratio_condition, unique_ints)
 from .sequences import FuzzyFunctionSequence, XGridPolicy
 from .summability import (ConvergenceReport, ModeTrace, _membership, _stream,
                           classify, ladder, limit_profile_fn, verdict)
@@ -86,10 +86,8 @@ class _Scan(NamedTuple):
 def _scan(seq: FuzzyFunctionSequence, x: float, eps: float, lam: float,
           n0: int, horizon: int) -> _Scan:
     """Check a scan's arguments and lay out its rows and endpoints."""
-    if not lam > 0 or lam == 1:
-        raise ValueError("lam must be positive and not 1")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    lam = dilation_factor(lam)
+    eps = real_in(eps, "eps", 0, math.inf, open_low=True)
     n0 = integer_at_least(n0, 0, "n0")
     horizon = integer_at_least(horizon, n0 + 1, "horizon")
     x = seq.check_x(x)
@@ -207,7 +205,8 @@ def _rank_counts(w: np.ndarray, v: np.ndarray, starts: np.ndarray,
 
 def slowly_decreasing_check(seq: FuzzyFunctionSequence, x: float, eps: float,
                             lam: float, n0: int, horizon: int) -> SlowDecreaseWitness:
-    """Exhaustive slow-decrease scan of rows n0 < n <= horizon.
+    """Exhaustive slow-decrease scan of rows n0 < n <= horizon, for eps in
+    (0, inf) and lam in (0, 1) or (1, inf), each refused by name otherwise.
 
     For lam > 1 each row n is compared with k in (n, floor(lam*n)], k <=
     horizon, for the k-th term dropping more than eps below the n-th; for
@@ -326,8 +325,7 @@ def dilation_mean_identity(seq: FuzzyFunctionSequence, scheme: BetaGammaScheme,
     distance (an algebraic rearrangement, so anything above rounding
     noise indicates an arithmetic bug).
     """
-    if not 1 < lam < math.inf:
-        raise ValueError(f"lam must be finite and exceed 1, got {lam!r}")
+    lam = dilation_factor(lam, True)
     return _mean_identity(seq, scheme, weights, lam, n, x)
 
 
@@ -340,8 +338,7 @@ def shrink_mean_identity(seq: FuzzyFunctionSequence, scheme: BetaGammaScheme,
         R * S_shr + (1 / (T - T_shr)) * sum over the shortfall = R * S + S
     where the shortfall runs over (floor(lam*gamma(n)), gamma(n)].
     """
-    if not 0 < lam < 1:
-        raise ValueError("lam must lie in (0, 1)")
+    lam = dilation_factor(lam, False)
     return _mean_identity(seq, scheme, weights, lam, n, x)
 
 

@@ -199,6 +199,10 @@ class TestRunCommand:
          "unknown lambda preset in scheme spec: 'lambda:nope'"),
         ("--weights", "const:x", "bad constant in weight spec: 'const:x'"),
         ("--family", "remark3", "family spec 'remark3' needs n=<value>"),
+        # an infinite eps once exited 0, with sp reading 0 at every n
+        ("--eps", "inf", "eps must lie in (0, inf), got inf"),
+        ("--eps", "nan", "eps must lie in (0, inf), got nan"),
+        ("--theta", "0.5,1.5", "theta must lie in (0, 1], got 1.5"),
     ])
     def test_bad_spec_refused_by_name(self, tmp_path, capsys, flag, value,
                                       named):

@@ -162,7 +162,7 @@ class TestMetricAndOrder:
 
     def test_closeness_refuses_nan_eps_by_name(self):
         # nan <= 0 is False: NaN once failed later, in triangular(nan, 0, 0)
-        with pytest.raises(ValueError, match="^eps must be positive$"):
+        with pytest.raises(ValueError, match=r"^eps must lie in \(0, inf\), got nan$"):
             closeness_check(crisp(0), crisp(0), math.nan)
 
 

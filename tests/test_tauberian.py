@@ -226,7 +226,7 @@ class TestSlowDecreaseCheck:
     @given(family=st.sampled_from(list(SCAN_FAMILIES)),
            lam=st.one_of(st.floats(0, 1, exclude_min=True, exclude_max=True),
                          st.floats(1, 1e4, exclude_min=True),
-                         st.sampled_from([1e18, 1e300, 1e308, math.inf])),
+                         st.sampled_from([1e18, 1e300, 1e308])),
            eps=st.sampled_from([1e-6, 0.1, 0.5, 3.0]),
            x=st.floats(1.0, 2.0),
            bounds=st.integers(2, 200).flatmap(
@@ -235,10 +235,10 @@ class TestSlowDecreaseCheck:
     @example(family="alternating", lam=1e18, eps=0.5, x=1.0, bounds=(10, 200))
     # lam * n itself overflows the float range
     @example(family="alternating", lam=1e308, eps=0.5, x=1.0, bounds=(10, 200))
-    @example(family="alternating", lam=math.inf, eps=0.5, x=1.0, bounds=(0, 2))
-    @example(family="table2", lam=math.inf, eps=0.5, x=1.0, bounds=(3, 200))
+    @example(family="alternating", lam=1e308, eps=0.5, x=1.0, bounds=(0, 2))
+    @example(family="table2", lam=1e308, eps=0.5, x=1.0, bounds=(3, 200))
     @example(family="table41", lam=1e308, eps=0.1, x=1.0, bounds=(0, 200))
-    @example(family="table100000", lam=math.inf, eps=1e-6, x=1.0,
+    @example(family="table100000", lam=1e308, eps=1e-6, x=1.0,
              bounds=(10, 200))
     @example(family="table100000", lam=1e-300, eps=0.1, x=1.0, bounds=(0, 200))
     def test_any_lam_matches_bruteforce(self, family, lam, eps, x, bounds):
@@ -400,12 +400,14 @@ class TestSlowDecreaseCheck:
         # eps <= 0 is False for NaN: the harmonic family then reported
         # 2,445 violations at lam 2, n0 10, horizon 100
         for scan in (slowly_decreasing_check, tauberian._last_violation):
-            with pytest.raises(ValueError, match="eps must be positive"):
+            with pytest.raises(ValueError,
+                               match=r"^eps must lie in \(0, inf\), got nan$"):
                 scan(fam, 1.0, math.nan, 2.0, 10, 100)
 
     def test_nan_lam_refused(self):
         for scan in (slowly_decreasing_check, tauberian._last_violation):
-            with pytest.raises(ValueError, match="lam must be positive"):
+            with pytest.raises(ValueError,
+                               match=r"^lam must lie in \(0, inf\), got nan$"):
                 scan(harmonic_crisp_family(), 1.0, 0.1, math.nan, 10, 100)
 
 
@@ -455,7 +457,7 @@ class TestDecompositionIdentities:
                 identity(fam, classical_scheme(), constant_weights(1), lam, 1, 1.0)
 
     def test_infinite_lam_refused_by_name(self):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=r"^lam must lie in \(1, inf\), got inf$"):
             dilation_mean_identity(alternating_crisp_family(), classical_scheme(),
                                    constant_weights(1), math.inf, 8, 1.0)
 
@@ -641,7 +643,7 @@ class TestExperiment:
         # every point is still checked against the domain, as it is scanned
         late = AssertionError("a point outside the domain passed the scans")
         with mock.patch.object(tauberian, "classify", side_effect=late), \
-                pytest.raises(ValueError, match="x=2.5 outside domain"):
+                pytest.raises(ValueError, match=r"^x must lie in \[1, 2\], got 2.5$"):
             tauberian_experiment(fam, limit, classical_scheme(),
                                  constant_weights(1), XGridPolicy((1.0, 2.5)),
                                  horizon=256, scan_horizon=128)
