@@ -54,6 +54,8 @@ _EULER_GAMMA = 0.5772156649015329
 # Largest index a walk over the weights may reach, checked on Python ints
 # before any index array is built; pow:2 at horizon 4096 needs 2^24.
 _MAX_INDEX = 1 << 27
+# Every integer up to this one is an exact float64.
+_EXACT_INT = 1 << 53
 # Steps over which lambda_scheme and lacunary_scheme check their sequence.
 _LAMBDA_CHECK = 4096
 _LACUNARY_CHECK = 64
@@ -204,7 +206,9 @@ class WeightSequence:
         computed by it; otherwise by ``_exact_totals``.  A total past the
         float range raises ValueError naming the weights.
         """
-        self.ensure(max(his))  # ends past int64 must fail before np.asarray
+        # ends past int64 must fail before np.asarray; an array's ends fit,
+        # and its max is one numpy call, not a Python loop over its items
+        self.ensure(his.max() if isinstance(his, np.ndarray) else max(his))
         los = np.asarray(los, dtype=np.int64)
         his = np.asarray(his, dtype=np.int64)
         empty = np.flatnonzero((los < 1) | (his < los))
@@ -271,8 +275,8 @@ class SchemeValidation:
 
 
 def _index_arrays(scheme: BetaGammaScheme, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        betas, gammas = (np.fromiter((f(int(n)) for n in ns), dtype=np.int64, count=len(ns))
+    try:  # the callables mapped over Python ints: no numpy scalar per n
+        betas, gammas = (np.fromiter(map(f, ns.tolist()), dtype=np.int64, count=len(ns))
                          for f in (scheme.beta, scheme.gamma))
     except OverflowError:
         raise ValueError(f"{scheme.label}: a window index for n <= {int(ns[-1])} "
@@ -317,6 +321,16 @@ def dilated_indices(ns: np.ndarray, lam: float, cap: int) -> np.ndarray:
         return np.floor(np.minimum(lam * ns, cap)).astype(np.int64)
 
 
+def dilated_top(g: int, lam: float) -> int:
+    """floor(lam * g), the top ``dilate`` moves g to; a product past the
+    float range is refused by name."""
+    try:
+        return math.floor(lam * g)
+    except OverflowError:
+        raise ValueError(f"lam={lam!r} moves the window top {g} past the "
+                         "float range") from None
+
+
 def dilation_factor(lam, grow: bool | None = None) -> float:
     """``lam`` as a float in (1, inf) if grow, in (0, 1) if not, in either if None."""
     grow = real_in(lam, "lam", 0, math.inf, open_low=True) > 1 if grow is None else grow
@@ -334,7 +348,7 @@ def dilate(scheme: BetaGammaScheme, lam: float) -> BetaGammaScheme:
     base_gamma = scheme.gamma
     return BetaGammaScheme(
         beta=scheme.beta,
-        gamma=lambda n: math.floor(lam * base_gamma(n)),
+        gamma=lambda n: dilated_top(base_gamma(n), lam),
         label=f"{scheme.label}|x{lam:g}",
     )
 
@@ -494,12 +508,17 @@ def _decimal_ratio(c: float) -> tuple[int, int]:
 def _ratio_sums(p: int, q: int):
     """Closed form of the constant weight p/q: a window of width w totals
     p*w/q, correctly rounded, so an integer total floors right; a piece
-    sums to c*w for the float c = p/q."""
+    sums to c*w for the float c = p/q.  Where q and every p*w are at most
+    2**53, both are exact floats and one float division rounds as the
+    int true division does."""
 
     def sums(a: np.ndarray, g: np.ndarray, window: bool) -> np.ndarray:
+        w = g - a
         if not window:
-            return p / q * (g - a)
-        return np.array([p * w / q for w in (g - a).tolist()])
+            return p / q * w
+        if q <= _EXACT_INT and p * int(w.max(initial=1)) <= _EXACT_INT:
+            return (p * w) / q
+        return np.array([p * v / q for v in w.tolist()])
 
     return sums
 

@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .numbers import ATOL, integer_at_least, real_in, triangular_profile_distance
 from .schemes import (_MAX_INDEX, BetaGammaScheme, DegenerateWindowError,
                       DILATION_LIMINF, RatioResult, WeightSequence, dilated_indices,
-                      dilation_factor, ratio_condition, unique_ints)
+                      dilated_top, dilation_factor, ratio_condition, unique_ints)
 from .sequences import FuzzyFunctionSequence, XGridPolicy
 from .summability import (ConvergenceReport, ModeTrace, _membership, _stream,
                           classify, ladder, limit_profile_fn, verdict)
@@ -68,26 +68,47 @@ _EPS_LADDER = (0.5, 0.1, 0.01)
 class _Scan(NamedTuple):
     """The checked ints and the rows of one slow-decrease scan.
 
-    ``ns`` are the rows with a nonempty window and ``starts``, ``widths``
-    their windows, the 0-based positions [start, start + width).  Each of
-    ``sides`` is one endpoint's (w, v): the pair (ns[i], k) violates there
-    where w[k - 1] < v[i], and a pair violates where any endpoint does.
+    ``eps`` holds the checked eps, ``ns`` the rows with a nonempty window
+    and ``starts``, ``widths`` their windows, the 0-based positions
+    [start, start + width).  ``endpoints`` are the arrays over 1..horizon
+    whose pairs are compared: c, then c - l and c + r where a spread is
+    nonzero (a spread that is zero throughout repeats c's inequality).
     """
 
+    eps: tuple
     n0: int
     horizon: int
     grow: bool
     ns: np.ndarray
     starts: np.ndarray
     widths: np.ndarray
-    sides: list
+    endpoints: list
+
+    def sides(self, eps: float) -> list:
+        """Each endpoint's (w, v) at eps: the pair (ns[i], k) violates
+        there where w[k - 1] < v[i], and a pair violates where any
+        endpoint does.
+
+        Growth violates where window < row - eps - ATOL, shrink where
+        window - eps - ATOL > row, written -(window - eps - ATOL) < -row
+        as negation is exact.  Each is the exact negation of a per-pair
+        comparison, as the values are checked finite and eps is a
+        positive number (not NaN).
+        """
+        sides = []
+        for a in self.endpoints:
+            lowered = a - eps - ATOL
+            sides.append((a, lowered[self.ns - 1]) if self.grow
+                         else (-lowered, -a[self.ns - 1]))
+        return sides
 
 
-def _scan(seq: FuzzyFunctionSequence, x: float, eps: float, lam: float,
+def _scan(seq: FuzzyFunctionSequence, x: float, eps_ladder, lam: float,
           n0: int, horizon: int) -> _Scan:
-    """Check a scan's arguments and lay out its rows and endpoints."""
+    """Check a scan's arguments, every eps of ``eps_ladder`` among them,
+    and lay out its rows and endpoints from one evaluation of the family."""
     lam = dilation_factor(lam)
-    eps = real_in(eps, "eps", 0, math.inf, open_low=True)
+    eps = tuple(real_in(e, "eps", 0, math.inf, open_low=True) for e in eps_ladder)
     n0 = integer_at_least(n0, 0, "n0")
     horizon = integer_at_least(horizon, n0 + 1, "horizon")
     x = seq.check_x(x)
@@ -99,30 +120,22 @@ def _scan(seq: FuzzyFunctionSequence, x: float, eps: float, lam: float,
     starts, stops = (ns, cut) if grow else (cut, ns)
     keep = stops > starts
     ns, starts, widths = ns[keep], starts[keep], (stops - starts)[keep]
-
-    # Growth violates where window < row - eps - ATOL, shrink where window
-    # - eps - ATOL > row, written -(window - eps - ATOL) < -row as negation
-    # is exact.  Each is the exact negation of a per-pair comparison, as the
-    # values are checked finite and eps is a positive number (not NaN).
-    endpoints = [c]  # a spread that is zero throughout repeats c's inequality
+    endpoints = [c]
     if l.any():
         endpoints.append(c - l)
     if r.any():
         endpoints.append(c + r)
-    sides = []
-    for a in endpoints:
-        lowered = a - eps - ATOL
-        sides.append((a, lowered[ns - 1]) if grow else (-lowered, -a[ns - 1]))
-    return _Scan(n0, horizon, grow, ns, starts, widths, sides)
+    return _Scan(eps, n0, horizon, grow, ns, starts, widths, endpoints)
 
 
-def _violation_blocks(scan: _Scan, backward: bool = False):
-    """Yield each block of a scan as (i, bad), for scans with several
-    endpoints, whose union of violations the rank-count table cannot count.
+def _violation_blocks(scan: _Scan, sides: list):
+    """Yield each block of a scan at the ``sides`` of one eps as (i, bad),
+    for scans with several endpoints, whose union of violations the
+    rank-count table cannot count.
 
     The block holds the scan's rows from i on, and ``bad[j, m]`` says
     whether the pair (ns[i + j], starts[i + j] + 1 + m) violates; blocks
-    come in row order, or from the last row down when ``backward``.
+    come in row order.
     """
     starts, widths = scan.starts, scan.widths
     if not len(widths):
@@ -130,14 +143,13 @@ def _violation_blocks(scan: _Scan, backward: bool = False):
     wmax = int(widths.max())
     # the padding only keeps the view in bounds; it is masked below
     sides = [(sliding_window_view(np.pad(w, (0, wmax)), wmax), v)
-             for w, v in scan.sides]
+             for w, v in sides]
 
     # a block ends where the running window total passes a multiple of _BLOCK
     running = np.cumsum(widths)
     edges = unique_ints(np.append(np.searchsorted(
         running, np.arange(0, running[-1], _BLOCK), "right"), len(widths)))
-    blocks = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
-    for i, j in reversed(blocks) if backward else blocks:
+    for i, j in zip(edges[:-1].tolist(), edges[1:].tolist()):
         w, narrow = int(widths[i:j].max()), int(widths[i:j].min())
         # For lam > 1 the kept rows are consecutive, as floor(lam*n) - n
         # never decreases in n and the horizon empties only the last row:
@@ -227,9 +239,10 @@ def slowly_decreasing_check(seq: FuzzyFunctionSequence, x: float, eps: float,
     violating rows and the first pairs are kept, so memory stays
     O(horizon + _BLOCK).
     """
-    scan = _scan(seq, x, eps, lam, n0, horizon)
-    if len(scan.sides) == 1:
-        (w, v), = scan.sides
+    scan = _scan(seq, x, (eps,), lam, n0, horizon)
+    sides = scan.sides(scan.eps[0])
+    if len(sides) == 1:
+        (w, v), = sides
         counts = _rank_counts(w, v, scan.starts, scan.widths)
         hit = np.flatnonzero(counts)
         count = int(counts.sum())
@@ -243,7 +256,7 @@ def slowly_decreasing_check(seq: FuzzyFunctionSequence, x: float, eps: float,
         first = list(zip(scan.ns[rows[i]].tolist(), (ks[i, j] + 1).tolist()))
     else:
         count, last_bad, first = 0, None, []
-        for i, bad in _violation_blocks(scan):
+        for i, bad in _violation_blocks(scan, sides):
             rows = np.flatnonzero(bad.any(axis=1))
             if not rows.size:
                 continue
@@ -258,59 +271,127 @@ def slowly_decreasing_check(seq: FuzzyFunctionSequence, x: float, eps: float,
                                tuple(first[:_WITNESSES]), count, last_bad)
 
 
-def _last_violation(seq: FuzzyFunctionSequence, x: float, eps: float,
-                    lam: float, n0: int, horizon: int) -> Optional[int]:
-    """``slowly_decreasing_check(...).last_bad``.  With one endpoint it
-    reads the rank-count table's per-row counts; with several it walks the
-    blocks top down and stops at the first block with a violation."""
-    scan = _scan(seq, x, eps, lam, n0, horizon)
-    if len(scan.sides) == 1:
-        hit = np.flatnonzero(_rank_counts(*scan.sides[0], scan.starts,
-                                          scan.widths))
-        return int(scan.ns[hit[-1]]) if hit.size else None
-    for i, bad in _violation_blocks(scan, backward=True):
-        hit = np.flatnonzero(bad.any(axis=1))
-        if hit.size:
-            return int(scan.ns[i + hit[-1]])
-    return None
+def _window_minima(a: np.ndarray, starts: np.ndarray,
+                   widths: np.ndarray) -> np.ndarray:
+    """Least a[k] over each window [starts[i], starts[i] + widths[i]),
+    every width at least 1.
+
+    Level j of a sparse table holds the least a over each run of 2**j
+    positions; a window whose width has level j (2**j <= width < 2**(j+1))
+    is the union of two such runs, from its start and to its stop.  Each
+    level is built from the one below it and answers its windows before
+    the next replaces it, so memory stays O(H) in O(H log H) time.
+    """
+    out = np.empty(len(starts))
+    levels = np.frexp(widths)[1] - 1  # floor(log2(width)), exact below 2**53
+    m = a
+    for j in range(int(levels.max(initial=-1)) + 1):
+        if j:
+            half = 1 << (j - 1)
+            m = np.minimum(m[:-half], m[half:])
+        at = levels == j
+        s = starts[at]
+        out[at] = np.minimum(m[s], m[s + widths[at] - (1 << j)])
+    return out
+
+
+def _last_violations(seq: FuzzyFunctionSequence, x: float, eps_ladder,
+                     lam: float, n0: int, horizon: int) -> list[Optional[int]]:
+    """``slowly_decreasing_check(seq, x, eps, lam, n0, horizon).last_bad``
+    for each eps of ``eps_ladder``, from one evaluation of the family.
+
+    A row violates at an endpoint array a where its window's least a drops
+    below a[n-1] - eps - ATOL (lam > 1), or its greatest a, less eps and
+    ATOL, passes a[n-1] (lam < 1).  y -> y - eps - ATOL never decreases
+    under rounding, so the greatest lowered value is the lowered greatest:
+    each is the scan's own comparison at the window's extreme, and the
+    answer is the scan's bit for bit.  The extremes (``_window_minima`` of
+    a, or of -a) are taken once for all eps; each eps then costs O(H).
+    """
+    scan = _scan(seq, x, eps_ladder, lam, n0, horizon)
+    rows = scan.ns - 1
+    extremes = [(a[rows], _window_minima(a if scan.grow else -a, scan.starts,
+                                         scan.widths))
+                for a in scan.endpoints]
+    lasts = []
+    for eps in scan.eps:
+        bad = np.zeros(len(rows), dtype=bool)
+        for row, least in extremes:
+            bad |= (least < row - eps - ATOL if scan.grow
+                    else -least - eps - ATOL > row)
+        hit = np.flatnonzero(bad)
+        lasts.append(int(scan.ns[hit[-1]]) if hit.size else None)
+    return lasts
 
 
 # ---------------------------------------------------------------------------
 # Window-mean decomposition identities
 # ---------------------------------------------------------------------------
 
-def _mean_identity(seq: FuzzyFunctionSequence, scheme: BetaGammaScheme,
-                   weights: WeightSequence, lam: float, n: int,
-                   x: float) -> float:
-    """Decomposition deviation for either direction of the moved top.
+def _mean_identities(seq: FuzzyFunctionSequence, scheme: BetaGammaScheme,
+                     weights: WeightSequence, checks, x: float,
+                     skip: bool = False) -> list[Optional[float]]:
+    """Decomposition deviation of each (lam, n) of ``checks``, for either
+    direction of the moved top; None for a check that ``skip`` leaves out.
 
     The outer window is the longer of the base window and its dilation by
     lam, the inner one the shorter; both start at beta(n), so the outer
     total T_o is the inner T_i plus the gap, and the tail mean runs over
-    the indices between the two tops; an empty tail or a gap that rounds
-    to 0 raises DegenerateWindowError.  The means are (center, left,
-    right) triples, all three summed in one stream.
+    the indices between the two tops.  A window that cannot be formed, an
+    empty tail or a gap that rounds to 0 raises DegenerateWindowError, or
+    with ``skip`` leaves its check out.  The means are (center, left,
+    right) triples.  Every check's totals come from one ``window_totals``
+    call and its inner, outer and tail sums from one stream, so a lone
+    check's stream is cut only where its own windows end.  The shrink
+    sides are compared in the mirrored order, as the distance is
+    symmetric bit for bit.
     """
     x = seq.check_x(x)
-    b, g = scheme.window(n)
-    g_i, g_o = sorted((g, math.floor(lam * g)))  # dilate()'s top
-    t_i, t_o = (weights.window_totals((b, b), (g_i, g_o)).tolist()
-                if b <= g_i < g_o else (0.0, 0.0))
-    gap = t_o - t_i
-    if not gap > 0:
-        raise DegenerateWindowError(
+
+    def degenerate(lam, n, b, g):
+        return DegenerateWindowError(
             f"{scheme.label}|x{lam:g}: the window [{b}, {g}] at n={n} and its "
             "moved top leave no tail or no total gap")
+
+    devs, rows = [None] * len(checks), []
+    for i, (lam, n) in enumerate(checks):
+        try:
+            b, g = scheme.window(n)
+            g_i, g_o = sorted((g, dilated_top(g, lam)))
+            if not b <= g_i < g_o:
+                raise degenerate(lam, n, b, g)
+        except DegenerateWindowError:
+            if skip:
+                continue
+            raise
+        rows.append((i, lam, n, b, g, g_i, g_o))
+    if not rows:
+        return devs
+    at, lams, ns, bs, gs, tops_i, tops_o = zip(*rows)
+    t_i, t_o = weights.window_totals(bs * 2, tops_i + tops_o).reshape(2, -1)
+    keep = t_o - t_i > 0
+    if not (skip or keep.all()):
+        j = int(np.argmin(keep))
+        raise degenerate(lams[j], ns[j], bs[j], gs[j])
+    kept = np.flatnonzero(keep).tolist()
+    if not kept:
+        return devs
     sums, _ = _stream(seq, weights, [(0.0, 0.0, 0.0)], [x],
-                      [(b, g_i), (b, g_o), (g_i + 1, g_o)], math.inf)
-    s_i, s_o, tail = (s[1:] / t for s, t in zip(sums[0], (t_i, t_o, gap)))
-    if lam > 1:
-        r = t_o / gap
-        lhs, rhs = r * s_o + s_i, r * s_i + tail
-    else:
-        r = t_i / gap
-        lhs, rhs = r * s_i + tail, r * s_o + s_o
-    return float(triangular_profile_distance(*lhs, *rhs))
+                      [w for j in kept for w in ((bs[j], tops_i[j]), (bs[j], tops_o[j]),
+                                                 (tops_i[j] + 1, tops_o[j]))],
+                      math.inf)
+    t_i, t_o = t_i[keep, None], t_o[keep, None]
+    gap = t_o - t_i
+    s_i, s_o, s_tail = (sums[0, j::3, 1:] / t for j, t in enumerate((t_i, t_o, gap)))
+    grow = (np.array(lams) > 1)[keep, None]
+    # lam > 1: R = T_o/gap, R*S_o + S_i against R*S_i + tail;
+    # lam < 1: R = T_i/gap, R*S_i + tail against R*S_o + S_o
+    ratio = np.where(grow, t_o, t_i) / gap
+    dev = triangular_profile_distance(*(ratio * s_o + np.where(grow, s_i, s_o)).T,
+                                      *(ratio * s_i + s_tail).T)
+    for j, d in zip(kept, dev.tolist()):
+        devs[at[j]] = d
+    return devs
 
 
 def dilation_mean_identity(seq: FuzzyFunctionSequence, scheme: BetaGammaScheme,
@@ -326,7 +407,7 @@ def dilation_mean_identity(seq: FuzzyFunctionSequence, scheme: BetaGammaScheme,
     noise indicates an arithmetic bug).
     """
     lam = dilation_factor(lam, True)
-    return _mean_identity(seq, scheme, weights, lam, n, x)
+    return _mean_identities(seq, scheme, weights, [(lam, n)], x)[0]
 
 
 def shrink_mean_identity(seq: FuzzyFunctionSequence, scheme: BetaGammaScheme,
@@ -339,7 +420,7 @@ def shrink_mean_identity(seq: FuzzyFunctionSequence, scheme: BetaGammaScheme,
     where the shortfall runs over (floor(lam*gamma(n)), gamma(n)].
     """
     lam = dilation_factor(lam, False)
-    return _mean_identity(seq, scheme, weights, lam, n, x)
+    return _mean_identities(seq, scheme, weights, [(lam, n)], x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +523,10 @@ class TauberianReport:
         }
 
 
-def _slow_decrease_entry(seq: FuzzyFunctionSequence, x: float, eps: float,
-                         n0: int, scan_horizon: int) -> SlowDecreaseEntry:
-    """Slow decrease at x for one eps: the first lam of _LAMBDAS that works.
+def _slow_decrease_entries(seq: FuzzyFunctionSequence, x: float, n0: int,
+                           scan_horizon: int) -> list[SlowDecreaseEntry]:
+    """Slow decrease at x for each eps of _EPS_LADDER: the first lam of
+    _LAMBDAS that works.
 
     "Slowly decreasing" quantifies n0 and lam existentially per eps.  A
     lam works when its violations die out early enough that the clean
@@ -452,16 +534,24 @@ def _slow_decrease_entry(seq: FuzzyFunctionSequence, x: float, eps: float,
     later than half the scan (otherwise the tail is too short to trust).
     As (n, floor(lam*n)] grows with lam, so do the violations: the first
     lam works whenever any does, and a failing entry reports the last's.
-    The first lam needs only its last violating row: for one endpoint the
-    rank-count table's per-row counts give it, and for several the
-    top-down probe finds it without scanning the rows below it.
+    The first lam needs only each eps's last violating row, and one
+    evaluation of the family gives them all: ``_last_violations`` reads
+    them from the windows' minima.  A failing entry still takes the full
+    scan, ``slowly_decreasing_check``, for its count and witnesses.
     """
-    last_bad = _last_violation(seq, x, eps, _LAMBDAS[0], n0, scan_horizon)
-    # the tail (last_bad, scan_horizon] is clean by definition
-    if last_bad is None or last_bad <= scan_horizon // 2:
-        return SlowDecreaseEntry(x, eps, True, _LAMBDAS[0], last_bad or n0, 0, ())
-    wit = slowly_decreasing_check(seq, x, eps, _LAMBDAS[-1], n0, scan_horizon)
-    return SlowDecreaseEntry(x, eps, False, None, n0, wit.count, wit.violations)
+    entries = []
+    for eps, last_bad in zip(_EPS_LADDER, _last_violations(
+            seq, x, _EPS_LADDER, _LAMBDAS[0], n0, scan_horizon)):
+        # the tail (last_bad, scan_horizon] is clean by definition
+        if last_bad is None or last_bad <= scan_horizon // 2:
+            entries.append(SlowDecreaseEntry(x, eps, True, _LAMBDAS[0],
+                                             last_bad or n0, 0, ()))
+        else:
+            wit = slowly_decreasing_check(seq, x, eps, _LAMBDAS[-1], n0,
+                                          scan_horizon)
+            entries.append(SlowDecreaseEntry(x, eps, False, None, n0,
+                                             wit.count, wit.violations))
+    return entries
 
 
 def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
@@ -481,7 +571,10 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
     error, never an estimate.  An x-free family is scanned, and evaluated
     at the tops, at the first grid point only.  The scans cover rows up
     to min(horizon, scan_horizon), and n0 may be at most half of that.  A
-    window top past the walk budget is refused before any work.
+    window top past the walk budget is refused before any work.  The
+    decomposition identities at the middle grid point run as one batch
+    (``_mean_identities``), which leaves out a check whose windows cannot
+    be formed; the public one-check identities are not called.
     """
     ns = ladder(horizon)
     horizon = ns[-1]  # a Python int for the report, whatever integer came in
@@ -508,8 +601,7 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
         if i and seq.x_free:
             entries = [replace(e, x=x) for e in entries]
         else:
-            entries = [_slow_decrease_entry(seq, x, eps, n0, scan_horizon)
-                       for eps in _EPS_LADDER]
+            entries = _slow_decrease_entries(seq, x, n0, scan_horizon)
             at_tops = seq.values(tops, x)
         report.slow_decrease += entries
         dev = triangular_profile_distance(*at_tops, *limit_fn(x))
@@ -522,17 +614,11 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
 
     mid_x = grid.points[len(grid.points) // 2]
     identity_ns = [n for n in ns if 4 <= n <= max(8, horizon // 8)][-3:] or [ns[-1]]
-    # Built per call: the identities are read from the module's names at
-    # call time, so a wrapped identity (perfbench's tracer) is the one run.
-    checks = ([("dilation", dilation_mean_identity, lam) for lam in _LAMBDAS]
-              + [("shrink", shrink_mean_identity, round(1.0 / lam, 6))
-                 for lam in _LAMBDAS])
-    for n in identity_ns:
-        for kind, identity, lam in checks:
-            try:
-                dev = identity(seq, scheme, weights, lam, n, mid_x)
-            except DegenerateWindowError:
-                continue
-            report.identity_checks.append(
-                IdentityCheck(kind, lam, n, mid_x, dev, dev <= _IDENTITY_TOL))
+    checks = [(lam, n) for n in identity_ns
+              for lam in _LAMBDAS + tuple(round(1.0 / lam, 6) for lam in _LAMBDAS)]
+    devs = _mean_identities(seq, scheme, weights, checks, mid_x, skip=True)
+    report.identity_checks = [
+        IdentityCheck("dilation" if lam > 1 else "shrink", lam, n, mid_x, dev,
+                      dev <= _IDENTITY_TOL)
+        for (lam, n), dev in zip(checks, devs) if dev is not None]
     return report

@@ -58,14 +58,14 @@ ENTRY_POINTS = [
      "eps", POSITIVE, 0.1, [NAN, 0.0, -0.1, INF]),
     ("scan_eps", lambda v: slowly_decreasing_check(FAM, 1.0, v, 2.0, 10, 50),
      "eps", POSITIVE, 0.1, [NAN, 0.0, -0.1, INF]),
-    ("probe_eps", lambda v: tauberian._last_violation(FAM, 1.0, v, 2.0, 10, 50),
+    ("probe_eps", lambda v: tauberian._last_violations(FAM, 1.0, (0.1, v), 2.0, 10, 50),
      "eps", POSITIVE, 0.1, [NAN, 0.0, INF]),
     ("scan_lam", lambda v: slowly_decreasing_check(FAM, 1.0, 0.1, v, 10, 50),
      "lam", POSITIVE, 2.0, [NAN, 0.0, -2.0, INF, -INF]),
     # a lam of 1 is on neither side: it is read as a shrink
     ("scan_lam_one", lambda v: slowly_decreasing_check(FAM, 1.0, 0.1, v, 10, 50),
      "lam", "(0, 1)", 0.5, [1.0]),
-    ("probe_lam", lambda v: tauberian._last_violation(FAM, 1.0, 0.1, v, 10, 50),
+    ("probe_lam", lambda v: tauberian._last_violations(FAM, 1.0, (0.1,), v, 10, 50),
      "lam", POSITIVE, 2.0, [NAN, 0.0, INF]),
     ("dilation_identity",
      lambda v: dilation_mean_identity(FAM, classical_scheme(), ONES, v, 8, 1.0),
@@ -219,6 +219,19 @@ class TestDefectsMended:
     def test_huge_finite_lam_still_meets_the_walk_budget(self):
         with pytest.raises(ValueError, match="exceeds the budget"):
             ratio_condition(classical_scheme(), ONES, 1e18, 256, 2)
+
+    def test_huge_finite_identity_lam_refused_by_name(self):
+        # floor(1e308 * 8) raised a bare OverflowError
+        with pytest.raises(ValueError, match=r"^lam=1e\+308 moves the window "
+                                             r"top 8 past the float range$"):
+            dilation_mean_identity(FAM, classical_scheme(), ONES, 1e308, 8, 1.0)
+
+    def test_huge_finite_dilate_lam_refused_by_name(self):
+        # the dilated gamma raised a bare OverflowError at the first window
+        with pytest.raises(ValueError, match=r"^lam=1e\+308 moves the window "
+                                             r"top 2 past the float range$"):
+            dilate(classical_scheme(), 1e308).window(2)
+        assert dilate(classical_scheme(), 1e300).window(2) == (1, math.floor(2e300))
 
     def test_infinite_eps_refused_where_sp_read_zero(self):
         with pytest.raises(ValueError, match=r"^eps must lie in \(0, inf\), got inf$"):

@@ -124,6 +124,27 @@ class TestExactTotals:
             assert total == w.window_total(lo, hi)
             assert total == float(weight * (hi - lo + 1))
 
+    @pytest.mark.parametrize("ratio, widths", [
+        # p*w at 2**53 divides in floats, and one past it in ints: as a
+        # float, 2**53 + 1 would round to 2**53 before the division
+        ((1, 3), [2 ** 53, 2 ** 53 + 1]),
+        ((1 << 20, 3), [2 ** 33, 2 ** 33 + 1]),
+        ((7, 10), [2 ** 53 // 7, 2 ** 53 // 7 + 1]),
+        # 17 digits: q = 10**17 is past 2**53
+        ("0.12345678901234568", [1, 3, 10 ** 6, 2 ** 40 + 1]),
+        # q = 10**23 has no exact float, though every p*w here does
+        ("1e-23", [1, 3, 7, 10 ** 6, 2 ** 40 + 1]),
+        ("1e20", [1, 3, 2 ** 40 + 1]),
+    ])
+    def test_ratio_totals_are_int_true_divisions(self, ratio, widths):
+        p, q = (ratio if isinstance(ratio, tuple)
+                else schemes._decimal_ratio(float(ratio)))
+        g = np.array(widths, dtype=np.int64)
+        for i in range(len(widths)):  # each width alone, then all together
+            for at in (slice(i, i + 1), slice(None)):
+                got = schemes._ratio_sums(p, q)(np.zeros_like(g[at]), g[at], True)
+                assert got.tolist() == [p * w / q for w in widths[at]]
+
     @pytest.mark.parametrize("kind", ["file", "hand-built"])
     @settings(max_examples=100, deadline=None)
     @given(windows=st.lists(st.tuples(st.integers(1, 5000), st.integers(0, 600)),

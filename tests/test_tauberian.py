@@ -14,8 +14,8 @@ from fuzzysumm import (DegenerateWindowError, XGridPolicy, add, add_families,
                        classical_scheme, constant_family, constant_weights, crisp,
                        alternating_crisp_family,
                        dilation_mean_identity, distance, harmonic_crisp_family,
-                       harmonicplus_weights, parse_family_spec,
-                       parse_scheme_spec, partial_leq,
+                       harmonicplus_weights, ladder, parse_family_spec,
+                       parse_scheme_spec, parse_weight_spec, partial_leq,
                        scale, shrink_mean_identity, slowly_decreasing_check,
                        square_indicator_family,
                        tauberian_experiment, translate,
@@ -93,6 +93,13 @@ def violating_pairs_per_pair(fam, x, eps, lam, n0, horizon):
             pairs += [(n, k) for k in range(math.floor(lam * n) + 1, n + 1)
                       if not partial_leq(translate(values[k], -eps), values[n])]
     return pairs
+
+
+def probe(fam, x, eps, lam, n0, horizon):
+    """The experiment's probe of one eps: the scan's last violating row,
+    read from the window minima."""
+    last, = tauberian._last_violations(fam, x, (eps,), lam, n0, horizon)
+    return last
 
 
 def crisp_table_family(levels):
@@ -248,7 +255,7 @@ class TestSlowDecreaseCheck:
         with warnings.catch_warnings(), mock.patch.object(tauberian, "_BLOCK", 7):
             warnings.simplefilter("error")
             wit = slowly_decreasing_check(fam, x, eps, lam, n0, horizon)
-            last = tauberian._last_violation(fam, x, eps, lam, n0, horizon)
+            last = probe(fam, x, eps, lam, n0, horizon)
         assert wit.count == len(expect)
         assert wit.violations == tuple(expect[:8])
         assert wit.last_bad == last == (expect[-1][0] if expect else None)
@@ -284,11 +291,14 @@ class TestSlowDecreaseCheck:
     # a violation in the lowest row only
     @example(family="alternating", lam=2.0, eps=0.5, x=1.0, bounds=(10, 12))
     def test_probe_is_the_scans_last_bad(self, family, lam, eps, x, bounds):
+        # one probe answers a whole eps ladder from the same window minima
         fam, (n0, horizon) = SCAN_FAMILIES[family](), bounds
+        ladder = (eps, 0.5, 0.1, 1e-6)
         with mock.patch.object(tauberian, "_BLOCK", 7):
-            want = slowly_decreasing_check(fam, x, eps, lam, n0, horizon).last_bad
-            assert tauberian._last_violation(fam, x, eps, lam, n0,
-                                             horizon) == want
+            want = [slowly_decreasing_check(fam, x, e, lam, n0, horizon).last_bad
+                    for e in ladder]
+            assert tauberian._last_violations(fam, x, ladder, lam, n0,
+                                              horizon) == want
 
     @pytest.mark.parametrize("block", [7, 200, 1 << 15])
     @pytest.mark.parametrize("lam", [2.0, 0.5])
@@ -327,25 +337,6 @@ class TestSlowDecreaseCheck:
         assert wit.violations == tuple(expect[:8])
         assert wit.last_bad == expect[-1][0]
 
-    def test_probe_stops_after_the_top_block(self):
-        # two endpoints keep the blocks; the right spreads violate up to row
-        # 2045, so the probe reads one block where the full scan reads them all
-        fam, rows = right_spread_family(), []
-        blocks_of = tauberian._violation_blocks
-
-        def counted(scan, **kwargs):
-            for i, bad in blocks_of(scan, **kwargs):
-                rows.append(scan.ns[i:i + len(bad)])
-                yield i, bad
-
-        with mock.patch.object(tauberian, "_violation_blocks", counted):
-            last = tauberian._last_violation(fam, 1.0, 0.5, 1.25, 10, 2048)
-            # row 2048 has an empty window, so 2047 ends the top block
-            assert len(rows) == 1 and rows[0][-1] == 2047
-            wit = slowly_decreasing_check(fam, 1.0, 0.5, 1.25, 10, 2048)
-        assert last == wit.last_bad == 2045
-        assert len(rows) > 3
-
     @pytest.mark.parametrize("family", [
         alternating_crisp_family, harmonic_crisp_family,
         lambda: constant_family(2.0, 0.0, 0.0),
@@ -359,8 +350,7 @@ class TestSlowDecreaseCheck:
                                side_effect=AssertionError("blocks entered")):
             for lam in (2.0, 0.5):
                 wit = slowly_decreasing_check(fam, 1.0, 0.5, lam, 10, 300)
-                assert tauberian._last_violation(fam, 1.0, 0.5, lam, 10,
-                                                 300) == wit.last_bad
+                assert probe(fam, 1.0, 0.5, lam, 10, 300) == wit.last_bad
 
     @pytest.mark.parametrize("lam", [2.0, 0.5])
     def test_spread_family_at_several_blocks(self, lam):
@@ -375,7 +365,7 @@ class TestSlowDecreaseCheck:
             wit = slowly_decreasing_check(fam, 1.5, eps, lam, 10, horizon)
             assert expect and wit.count == len(expect)
             assert wit.violations == tuple(expect[:8])
-            assert wit.last_bad == expect[-1][0] == tauberian._last_violation(
+            assert wit.last_bad == expect[-1][0] == probe(
                 fam, 1.5, eps, lam, 10, horizon)
 
     def test_alternating_count_at_scale(self):
@@ -399,13 +389,13 @@ class TestSlowDecreaseCheck:
             slowly_decreasing_check(fam, 1.0, 0.1, 0.0, 0, 50)
         # eps <= 0 is False for NaN: the harmonic family then reported
         # 2,445 violations at lam 2, n0 10, horizon 100
-        for scan in (slowly_decreasing_check, tauberian._last_violation):
+        for scan in (slowly_decreasing_check, probe):
             with pytest.raises(ValueError,
                                match=r"^eps must lie in \(0, inf\), got nan$"):
                 scan(fam, 1.0, math.nan, 2.0, 10, 100)
 
     def test_nan_lam_refused(self):
-        for scan in (slowly_decreasing_check, tauberian._last_violation):
+        for scan in (slowly_decreasing_check, probe):
             with pytest.raises(ValueError,
                                match=r"^lam must lie in \(0, inf\), got nan$"):
                 scan(harmonic_crisp_family(), 1.0, 0.1, math.nan, 10, 100)
@@ -469,6 +459,74 @@ class TestDecompositionIdentities:
                               (shrink_mean_identity, 0.5)):
             with pytest.raises(DegenerateWindowError, match="no total gap"):
                 identity(fam, classical_scheme(), spike_weights(), lam, 16, 1.0)
+
+
+def random_family(kind, seed):
+    """Crisp or triangular values of period 97, drawn from ``seed``, whose
+    centers and left spreads scale with x."""
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-2.0, 2.0, 97)
+    l, r = (np.zeros(97), np.zeros(97)) if kind == "crisp" else rng.uniform(0, 1, (2, 97))
+
+    def profile(ks, x):
+        i = (ks - 1) % 97
+        return c[i] * x, l[i] * x, r[i]
+    return FuzzyFunctionSequence(f"random_{kind}", profile)
+
+
+@pytest.fixture(scope="module")
+def identity_weights(tmp_path_factory):
+    """The weights of the identity batch test by name: two closed forms, a
+    constant, a small random ``file:`` table and CI's zero-gap spike table
+    (1e20, then 20,000 weights of 1 that it absorbs)."""
+    root = tmp_path_factory.mktemp("identity-weights")
+    small, spike = root / "small.txt", root / "spike.txt"
+    rows = np.random.default_rng(3).uniform(0.01, 3.0, 4096).tolist()
+    small.write_text("\n".join(map(repr, rows)))
+    spike.write_text("1e20\n" + "1.0\n" * 20000)
+    specs = {"const:0.7": "const:0.7", "recip5": "recip5",
+             "harmonicplus": "harmonicplus", "file": f"file:{small}",
+             "spike": f"file:{spike}"}
+    return {name: parse_weight_spec(spec) for name, spec in specs.items()}
+
+
+class TestIdentityBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["crisp", "triangular"]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           scheme=st.sampled_from(["classical", "pow:2", "lambda:half",
+                                   "lacunary:pow2"]),
+           weights=st.sampled_from(["const:0.7", "recip5", "harmonicplus", "file"]),
+           x=st.floats(1.0, 2.0), horizon=st.sampled_from([16, 64]))
+    # every total gap rounds to 0: no check is kept
+    @example(kind="crisp", seed=0, scheme="classical", weights="spike", x=1.5,
+             horizon=64)
+    def test_experiment_checks_are_the_one_check_calls(
+            self, identity_weights, kind, seed, scheme, weights, x, horizon):
+        # lacunary tops are 2**n: at n = 8 they stay inside the small table
+        horizon = 8 if scheme == "lacunary:pow2" else horizon
+        fam, sch = random_family(kind, seed), parse_scheme_spec(scheme)
+        w = identity_weights[weights]
+        exp = tauberian_experiment(fam, 0.0, sch, w, XGridPolicy((x,)),
+                                   horizon=horizon, n0=2, scan_horizon=16)
+        want = []
+        for n in [n for n in ladder(horizon) if 4 <= n <= max(8, horizon // 8)][-3:]:
+            for name, identity, lams in (
+                    ("dilation", dilation_mean_identity, (1.25, 1.5, 2.0)),
+                    ("shrink", shrink_mean_identity, (0.8, 0.666667, 0.5))):
+                for lam in lams:
+                    try:
+                        want.append((name, lam, n, x,
+                                     identity(fam, sch, w, lam, n, x)))
+                    except DegenerateWindowError:
+                        pass
+        assert ([(c.kind, c.lam, c.n, c.x) for c in exp.identity_checks]
+                == [check[:4] for check in want])
+        for c, (*_, dev) in zip(exp.identity_checks, want):
+            assert c.ok == (dev <= 1e-9)
+            assert abs(c.deviation - dev) <= 1e-12
+        if weights == "spike":
+            assert exp.identity_checks == []
 
 
 class TestExperiment:
@@ -622,8 +680,8 @@ class TestExperiment:
         def run(grid):
             with mock.patch.object(tauberian, "slowly_decreasing_check",
                                    wraps=slowly_decreasing_check) as scan, \
-                    mock.patch.object(tauberian, "_last_violation",
-                                      wraps=tauberian._last_violation) as probe:
+                    mock.patch.object(tauberian, "_last_violations",
+                                      wraps=tauberian._last_violations) as probe:
                 exp = tauberian_experiment(fam, limit, classical_scheme(),
                                            constant_weights(1), grid,
                                            horizon=256, scan_horizon=128)
@@ -656,15 +714,15 @@ class TestExperiment:
         for g in (grid, *(XGridPolicy((x,)) for x in grid.points)):
             with mock.patch.object(tauberian, "slowly_decreasing_check",
                                    wraps=slowly_decreasing_check) as scan, \
-                    mock.patch.object(tauberian, "_last_violation",
-                                      wraps=tauberian._last_violation) as probe:
+                    mock.patch.object(tauberian, "_last_violations",
+                                      wraps=tauberian._last_violations) as probe:
                 exp = tauberian_experiment(fam, None, classical_scheme(),
                                            constant_weights(1), g,
                                            horizon=256, scan_horizon=128)
             entries.append([e.to_dict() for e in exp.slow_decrease])
             scans.append(np.array([scan.call_count, probe.call_count]))
-        # every point takes the scans and probes it takes alone
-        assert (scans[0] == sum(scans[1:])).all() and scans[0][1] == 15
+        # every point takes the scans and the one probe it takes alone
+        assert (scans[0] == sum(scans[1:])).all() and scans[0][1] == 5
         assert entries[0] == sum(entries[1:], [])
 
     def test_report_serializes(self):
