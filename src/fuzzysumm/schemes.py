@@ -175,10 +175,13 @@ class WeightSequence:
             j = end + (end < len(marks) and marks[end] == b)
 
     def piece_sums(self, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Last index and weight sum of every piece of the walk over ``cuts``.
+        """Last index and weight sum of every piece of (cuts[0], cuts[-1]].
 
-        With a closed form ``sums`` nothing is walked: the pieces end where
-        the walk's would, at every cut and chunk end.
+        A walked sequence's pieces are the walk's (``chunks``), ending at
+        every cut and chunk end.  With a closed form ``sums`` nothing is
+        walked and the pieces end only at the cuts: piece j is (cuts[j],
+        cuts[j + 1]], one sum of the closed form, so the cost follows the
+        number of cuts and not cuts[-1].
         """
         if self.sums is None:
             ends, sums = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
@@ -186,13 +189,10 @@ class WeightSequence:
                 ends.append(last)
                 sums.append(np.add.reduceat(t, starts))
             return np.concatenate(ends), np.concatenate(sums)
-        lo, hi = int(cuts[0]), int(cuts[-1])
-        self.ensure(hi)
-        if lo < 0:  # as the walk's values() would
-            raise ValueError(f"{self.label}: weight index k={lo + 1} is below 1")
-        ends = unique_ints(np.append(cuts[1:],
-                                     np.arange(lo + _CHUNK, hi, _CHUNK)))
-        return ends, self.sums(np.append(lo, ends)[:-1], ends, False)
+        self.ensure(int(cuts[-1]))
+        if cuts[0] < 0:  # as the walk's values() would
+            raise ValueError(f"{self.label}: weight index k={cuts[0] + 1} is below 1")
+        return cuts[1:], self.sums(cuts[:-1], cuts[1:], False)
 
     def window_total(self, lo: int, hi: int) -> float:
         """Sum of t_k over the closed range [lo, hi]."""
@@ -370,37 +370,54 @@ def ratio_condition(scheme: BetaGammaScheme, weights: WeightSequence, lam: float
     Any other lam (NaN, inf) is refused by name before any walk;
     liminf/limsup are estimated as min/max over [n_max // 2, n_max].
     """
+    return _ratio_conditions(scheme, weights, (lam,), n_max, which)[0]
+
+
+def _ratio_conditions(scheme: BetaGammaScheme, weights: WeightSequence,
+                      lams: Sequence[float], n_max: int,
+                      which: int) -> list[RatioResult]:
+    """``ratio_condition`` at each lam of ``lams``, each checked as it checks
+    its one: the index arrays are mapped once, and the base totals and
+    every lam's moved totals come from one ``window_totals`` call, which
+    computes each total alone, so each estimate is its one-lam call's."""
     if which not in (DILATION_LIMINF, SHRINK_LIMINF, DILATION_GAP_LIMSUP,
                      SHRINK_GAP_LIMSUP):
         raise ValueError("which must be one of 2, 3, 4, 5")
-    lam = dilation_factor(lam, which in (DILATION_LIMINF, DILATION_GAP_LIMSUP))
+    lams = [dilation_factor(lam, which in (DILATION_LIMINF, DILATION_GAP_LIMSUP))
+            for lam in lams]
 
     n_max = integer_at_least(n_max, 2, "horizon n_max")
     ns = np.arange(n_max // 2, n_max + 1, dtype=np.int64)
     betas, gammas = _index_arrays(scheme, ns)
     # capped where int64 still holds it, so the walk budget refuses it by name
-    dil_gammas = dilated_indices(gammas, lam, 1 << 62)
+    dil_gammas = [dilated_indices(gammas, lam, 1 << 62) for lam in lams]
     # A shrunken top below beta leaves an empty index range, whose total
     # is the empty sum 0 (the shrink ratios then come out infinite).
-    nonempty = dil_gammas >= betas
-    totals = weights.window_totals(np.append(betas, betas[nonempty]),
-                                   np.append(gammas, dil_gammas[nonempty]))
-    base = totals[:len(ns)]
-    dil = np.zeros(len(ns))
-    dil[nonempty] = totals[len(ns):]
+    nonempty = [dil >= betas for dil in dil_gammas]
+    totals = weights.window_totals(
+        np.concatenate([betas] + [betas[keep] for keep in nonempty]),
+        np.concatenate([gammas] + [dil[keep] for dil, keep in zip(dil_gammas, nonempty)]))
+    base, *moved = np.split(totals, np.cumsum(
+        [len(ns)] + [np.count_nonzero(keep) for keep in nonempty])[:-1])
 
-    outer, inner = (dil, base) if lam > 1 else (base, dil)
-    if which in (DILATION_LIMINF, SHRINK_LIMINF):
-        with np.errstate(divide="ignore"):
-            est = float(np.min(outer / inner))
-        return RatioResult(est, est > 1 + HOLDS_MARGIN)
-    gap = outer - inner
-    if np.any(gap <= 0):
-        bad = int(ns[np.argmax(gap <= 0)])
-        raise DegenerateWindowError(
-            f"zero window-total gap at n={bad} (lam={lam:g})")
-    est = float(np.max(dil / gap))
-    return RatioResult(est, math.isfinite(est))
+    results = []
+    for lam, keep, part in zip(lams, nonempty, moved):
+        dil = np.zeros(len(ns))
+        dil[keep] = part
+        outer, inner = (dil, base) if lam > 1 else (base, dil)
+        if which in (DILATION_LIMINF, SHRINK_LIMINF):
+            with np.errstate(divide="ignore"):
+                est = float(np.min(outer / inner))
+            results.append(RatioResult(est, est > 1 + HOLDS_MARGIN))
+            continue
+        gap = outer - inner
+        if np.any(gap <= 0):
+            bad = int(ns[np.argmax(gap <= 0)])
+            raise DegenerateWindowError(
+                f"zero window-total gap at n={bad} (lam={lam:g})")
+        est = float(np.max(dil / gap))
+        results.append(RatioResult(est, math.isfinite(est)))
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -106,14 +106,17 @@ def _stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
     ``sums[i, w]`` holds the sums of t*dev, t*c, t*l and t*r over the w-th
     window at the i-th point, and ``hits[i, w]`` the count of its indices
     with t*dev >= eps; integer ends, and hi < lo is empty.  k is streamed once
-    per distinct key, cut at both ends of every nonempty window and at
-    every chunk end, and a window sums to the ``math.fsum`` of its pieces
-    (ValueError past the float range).  A point's key is its limit triple
-    for an x-free family and the pair (x, limit) otherwise; points that
-    share a key share one stream and one reduction.  A family with an
-    exception hook and a claimed limit takes ``_sparse_pieces``, unless a
-    term off its exceptions can reach eps: that needs an explicit limit
-    off the claimed one and a finite eps.  Others take ``_dense_pieces``.
+    per distinct key, cut at both ends of every nonempty window, and a
+    window sums to the ``math.fsum`` of its pieces (ValueError past the
+    float range).  A walk over the weights also cuts at every chunk end;
+    the sparse path on closed-form weights walks nothing and cuts only at
+    the window ends.  A point's key is its limit triple for an x-free
+    family and the pair (x, limit) otherwise; points that share a key
+    share one stream, and piece columns that are equal byte for byte
+    share one reduction.  A family with an exception hook and a claimed
+    limit takes ``_sparse_pieces``, unless a term off its exceptions can
+    reach eps: that needs an explicit limit off the claimed one and a
+    finite eps.  Others take ``_dense_pieces``.
     """
     windows = [(integer_at_least(lo, None, "lo"),
                 integer_at_least(hi, None, "hi")) for lo, hi in windows]
@@ -141,19 +144,26 @@ def _stream(seq: FuzzyFunctionSequence, weights: WeightSequence,
     # a piece slice of an empty window is empty: b <= a
     spans = np.searchsorted(ends, [(lo - 1, hi) for lo, hi in windows],
                             side="right").tolist()
-    # one column of one key at a time as a list; the counts are small
-    # integers, so their fsum is exact
+    # one column (a view) per key and quantity; a column equal to an earlier
+    # one byte for byte (so -0.0 is not 0.0) shares its reduction
+    cols = [col for piece in pieces for col in piece.T]
+    distinct = {}
+    which = [distinct.setdefault(col.tobytes(), len(distinct)) for col in cols]
+    firsts = [which.index(m) for m in range(len(distinct))]
+    # one column at a time as a list; the counts are small integers, so
+    # their fsum is exact
     try:
-        sums = [[math.fsum(col[a:b]) for a, b in spans]
-                for piece in pieces for col in map(np.ndarray.tolist, piece.T)]
-        sums = np.reshape(sums, (len(xs), 5, len(spans)))
-        if np.isfinite(sums).all():
-            sums = sums.transpose(0, 2, 1)[rows]
-            return sums[..., :4], sums[..., 4].astype(np.int64)
+        reduced = np.array([[math.fsum(col[a:b]) for a, b in spans]
+                            for col in (cols[j].tolist() for j in firsts)])
+        finite = np.isfinite(reduced).all()
     except (OverflowError, ValueError):  # past the float range, or inf - inf
-        pass
-    raise ValueError(f"{seq.label}: a window sum over {weights.label} weights "
-                     "overflows a float")
+        finite = False
+    if not finite:
+        raise ValueError(f"{seq.label}: a window sum over {weights.label} weights "
+                         "overflows a float")
+    sums = reduced.reshape(len(firsts), len(spans))[which]
+    sums = sums.reshape(len(xs), 5, len(spans)).transpose(0, 2, 1)[rows]
+    return sums[..., :4], sums[..., 4].astype(np.int64)
 
 
 def _dense_pieces(seq: FuzzyFunctionSequence, weights: WeightSequence,
@@ -214,28 +224,50 @@ def _sparse_pieces(seq: FuzzyFunctionSequence, weights: WeightSequence,
                    limits: Sequence[LimitProfile], xs: Sequence[float],
                    cuts: np.ndarray, eps: float, bases: Sequence[LimitProfile],
                    d0s: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """``_dense_pieces``'s ends and sums for a family equal to its claimed
-    limit off its exceptions.
+    """Piece ends and sums as ``_dense_pieces`` lays them out, for a family
+    equal to its claimed limit off its exceptions.
 
-    ``weights.piece_sums`` gives each piece's weight sum W_j with no
-    profile: one walk that checks every weight in range (a ``file:``
-    table or hand-built weights), or none for the closed-form weights,
-    which are positive by construction.  Off the exceptions every term
-    is the claimed limit's value ``bases[i]`` at deviation ``d0s[i]``
-    from ``limits[i]``, so a piece sums to base*W_j (d0*W_j for t*dev)
-    plus, from its exceptions, t*(value - base); no term off them
-    reaches eps, so the hits come from the exceptions alone.
+    ``weights.piece_sums`` gives the pieces and each one's weight sum W_j
+    with no profile: one walk that checks every weight in range (a
+    ``file:`` table or hand-built weights), or, for the closed-form
+    weights, which are positive by construction, one closed-form sum per
+    cut interval and no walk.  Off the exceptions every term is the
+    claimed limit's value ``bases[i]`` at deviation ``d0s[i]`` from
+    ``limits[i]``, so a piece sums to base*W_j (d0*W_j for t*dev) plus,
+    from its exceptions, t*(value - base): summed pairwise per piece where
+    nothing was walked (a piece may then hold thousands), a running sum
+    where a walked piece spans one chunk at most.  No term off them
+    reaches eps, so the hits come from the exceptions alone.  A value
+    array that repeats one already summed with the same base, bit for bit
+    (l and r of a symmetric family, or dev and l at a crisp zero limit),
+    reuses its column.
     """
     ks = seq.exceptional(int(cuts[0]) + 1, int(cuts[-1]))
     ends, w = weights.piece_sums(cuts)
     t = weights.values(ks)  # checked with the piece sums, or positive
     piece = np.searchsorted(ends, ks)
+    if weights.sums is None:  # a walked piece spans one chunk at most
+        def excepted(terms: np.ndarray) -> np.ndarray:
+            return np.bincount(piece, terms, len(ends))
+    else:
+        # a piece may hold thousands: pairwise sums, one reduceat segment
+        # per piece that holds any, as the exceptions are sorted
+        first = np.flatnonzero(np.diff(piece, prepend=-1))
+
+        def excepted(terms: np.ndarray) -> np.ndarray:
+            out = np.zeros(len(ends))
+            out[piece[first]] = np.add.reduceat(terms, first)
+            return out
     sums = np.empty((len(xs), len(ends), 5))
     for i, x in enumerate(xs):
         c, l, r = seq.values(ks, x)
         dev = triangular_profile_distance(c, l, r, *limits[i])
+        done = {}
         for col, (v, b) in enumerate(zip((dev, c, l, r), (d0s[i], *bases[i]))):
-            sums[i, :, col] = b * w + np.bincount(piece, t * (v - b), len(ends))
+            key = (np.float64(b).tobytes(), v.tobytes())
+            if key not in done:
+                done[key] = b * w + excepted(t * (v - b))
+            sums[i, :, col] = done[key]
         sums[i, :, 4] = np.bincount(piece, t * dev >= eps, len(ends))
     return ends, sums
 

@@ -20,8 +20,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .numbers import ATOL, integer_at_least, real_in, triangular_profile_distance
 from .schemes import (_MAX_INDEX, BetaGammaScheme, DegenerateWindowError,
-                      DILATION_LIMINF, RatioResult, WeightSequence, dilated_indices,
-                      dilated_top, dilation_factor, ratio_condition, unique_ints)
+                      DILATION_LIMINF, RatioResult, WeightSequence,
+                      _ratio_conditions, dilated_indices, dilated_top,
+                      dilation_factor, unique_ints)
 from .sequences import FuzzyFunctionSequence, XGridPolicy
 from .summability import (ConvergenceReport, ModeTrace, _membership, _stream,
                           classify, ladder, limit_profile_fn, verdict)
@@ -106,11 +107,15 @@ class _Scan(NamedTuple):
 def _scan(seq: FuzzyFunctionSequence, x: float, eps_ladder, lam: float,
           n0: int, horizon: int) -> _Scan:
     """Check a scan's arguments, every eps of ``eps_ladder`` among them,
-    and lay out its rows and endpoints from one evaluation of the family."""
+    and lay out its rows and endpoints from one evaluation of the family.
+    A horizon past _MAX_INDEX is refused before any array is built."""
     lam = dilation_factor(lam)
     eps = tuple(real_in(e, "eps", 0, math.inf, open_low=True) for e in eps_ladder)
     n0 = integer_at_least(n0, 0, "n0")
     horizon = integer_at_least(horizon, n0 + 1, "horizon")
+    if horizon > _MAX_INDEX:
+        raise ValueError(f"horizon={horizon} exceeds the scan budget of "
+                         f"{_MAX_INDEX} indices")
     x = seq.check_x(x)
     c, l, r = seq.values(np.arange(1, horizon + 1, dtype=np.int64), x)
     grow = lam > 1
@@ -574,7 +579,9 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
     window top past the walk budget is refused before any work.  The
     decomposition identities at the middle grid point run as one batch
     (``_mean_identities``), which leaves out a check whose windows cannot
-    be formed; the public one-check identities are not called.
+    be formed; the public one-check identities are not called.  Condition
+    2 runs every lam of _LAMBDAS as one batch too (``_ratio_conditions``),
+    not through ``ratio_condition``.
     """
     ns = ladder(horizon)
     horizon = ns[-1]  # a Python int for the report, whatever integer came in
@@ -592,9 +599,8 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
     report = TauberianReport(
         family=seq.label, scheme=scheme.label, weights=weights.label,
         horizon=horizon, eps_ladder=_EPS_LADDER,
-        condition2={lam: ratio_condition(scheme, weights, lam,
-                                         max(horizon // 4, 8), DILATION_LIMINF)
-                    for lam in _LAMBDAS})
+        condition2=dict(zip(_LAMBDAS, _ratio_conditions(
+            scheme, weights, _LAMBDAS, max(horizon // 4, 8), DILATION_LIMINF))))
     tops = np.array(tops, dtype=np.int64)
     for i, x in enumerate(grid.points):
         x = seq.check_x(x)

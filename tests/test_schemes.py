@@ -63,19 +63,29 @@ def table_or_hand_built(kind, spec, values):
 @example(cuts=[3], spec="hand-built").via("an empty walk")
 @example(cuts=[3], spec="harmonicplus").via("an empty closed-form walk")
 def test_chunk_pieces_are_the_piece_sums(cuts, spec):
-    # 7-index chunks: the walk's pieces end where piece_sums says, each
-    # chunk's starts give its pieces' first indices, and no yielded end is
-    # a view that keeps a chunk's indices alive
+    # 7-index chunks: each chunk's starts give its pieces' first indices,
+    # and no yielded end is a view that keeps a chunk's indices alive.  A
+    # walked sequence's pieces end where the walk's do; a closed form's
+    # end only at the cuts, each the fsum of the walk's pieces over it
     cuts = unique_ints(cuts)
     w = (WeightSequence(lambda ks: 1.0 + 1.0 / ks, "hand-built")
          if spec == "hand-built" else parse_weight_spec(spec))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(schemes, "_CHUNK", 7)
         walked = list(w.chunks(cuts))
-        ends, _ = w.piece_sums(cuts)
+        ends, sums = w.piece_sums(cuts)
     lasts = np.concatenate([np.zeros(0, dtype=np.int64)]
                            + [last for *_, last in walked])
-    assert lasts.dtype == np.int64 and lasts.tolist() == ends.tolist()
+    if w.sums is None:
+        assert lasts.dtype == np.int64 and lasts.tolist() == ends.tolist()
+    else:
+        assert ends.dtype == np.int64 and ends.tolist() == cuts[1:].tolist()
+        pieces = np.concatenate([np.zeros(0)] + [
+            np.add.reduceat(t, starts) for _, t, starts, _ in walked]).tolist()
+        edges = np.searchsorted(lasts, cuts, "right").tolist()
+        for got, a, b in zip(sums.tolist(), edges, edges[1:]):
+            want = math.fsum(pieces[a:b])
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
     firsts = (np.append(cuts[0], lasts)[:-1] + 1).tolist()
     assert np.concatenate([np.zeros(0, dtype=np.int64)] + [
         starts + ks[0] for ks, _, starts, _ in walked]).tolist() == firsts
@@ -573,6 +583,25 @@ class TestRatioConditions:
             assert lim4.estimate <= 1.0 / (1.0 - 1.0 / lim2.estimate) + 1e-9
         for lam in (0.5, 0.67):
             assert ratio_condition(scheme, weights, lam, h, 5).holds
+
+    @pytest.mark.parametrize("which, lams", [(2, (1.25, 1.5, 2.0)),
+                                             (3, (0.8, 0.5, 0.2)),
+                                             (4, (1.5, 2.0)), (5, (0.8, 0.5))])
+    @pytest.mark.parametrize("spec", ["classical", "pow:2", "lambda:half"])
+    @pytest.mark.parametrize("wspec", ["const:0.7", "harmonicplus", "file"])
+    def test_batch_is_the_one_lam_calls(self, weight_table, which, lams, spec,
+                                        wspec):
+        # the index arrays are mapped once for every lam, and each estimate
+        # is its one-lam call's, bit for bit
+        base = parse_scheme_spec(spec)
+        mapped = []
+        scheme = BetaGammaScheme(lambda n: mapped.append(n) or base.beta(n),
+                                 base.gamma, base.label)
+        weights = parse_weight_spec(weight_table[0] if wspec == "file" else wspec)
+        batch = schemes._ratio_conditions(scheme, weights, lams, 32, which)
+        assert mapped == list(range(16, 33))
+        assert batch == [ratio_condition(base, weights, lam, 32, which)
+                         for lam in lams]
 
 
 class TestBuiltinsAndSpecs:

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -714,12 +715,75 @@ class TestSparsePath:
         cuts = schemes.unique_ints(cuts)
         with mock.patch.object(schemes, "_CHUNK", 61):
             ends, got = _sparse_pieces(fam, w, limits, xs, cuts, eps, bases, d0s)
-            want_ends, want = _dense_pieces(fam, w, limits, xs, cuts, eps)
-        assert np.array_equal(ends, want_ends)
+            dense_ends, dense_pieces = _dense_pieces(fam, w, limits, xs, cuts, eps)
+        # the sparse pieces end at the cuts, each at a dense piece's end: the
+        # dense pieces summed up to each sparse end are the sparse pieces
+        edges = np.searchsorted(dense_ends, np.append(cuts[0], ends), "right")
+        assert np.array_equal(dense_ends[edges[1:] - 1], ends)
+        want = np.array([[[math.fsum(col[a:b]) for a, b in zip(edges, edges[1:])]
+                          for col in per_x.T.tolist()] for per_x in dense_pieces])
+        want = want.reshape(len(xs), 5, len(ends)).transpose(0, 2, 1)
         assert np.array_equal(got[..., 4], want[..., 4])
         sums = want[..., :4]
         assert np.all(np.abs(got[..., :4] - sums)
                       <= 1e-12 * np.maximum(1.0, np.abs(sums)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(SPARSE_FAMILIES),
+           weights=st.sampled_from(["const:0.1", "recip5", "harmonicplus"]),
+           limit=st.sampled_from(LIMITS),
+           windows=st.lists(st.tuples(st.integers(1, 40000),
+                                      st.integers(0, 40000)),
+                            min_size=1, max_size=5),
+           eps=st.sampled_from([0.05, 0.5, 2.0, math.inf]),
+           xs=st.lists(st.floats(1.0, 2.0), min_size=1, max_size=3, unique=True))
+    def test_closed_form_stream_reads_no_chunk(self, family, weights, limit,
+                                               windows, eps, xs):
+        # nothing is walked, so the chunk size moves no bit, and the
+        # pieces end only at the cuts
+        fam, w = parse_family_spec(family), parse_weight_spec(weights)
+        limits = [limit_profile_fn(fam, limit)(x) for x in xs]
+        assume(eps == math.inf or not any(
+            triangular_profile_distance(*fam.limit_profile(x), *lim)
+            for x, lim in zip(xs, limits)))  # where _stream takes the sparse path
+        runs = []
+        for chunk in (7, 61, 1 << 13):
+            with mock.patch.object(schemes, "_CHUNK", chunk):
+                runs.append(_stream(fam, w, limits, xs, windows, eps))
+        (sums, hits), *rest = runs
+        for other_sums, other_hits in rest:
+            assert other_sums.tobytes() == sums.tobytes()
+            assert np.array_equal(other_hits, hits)
+        cuts = schemes.unique_ints([k for lo, hi in windows if lo <= hi
+                                    for k in (lo - 1, hi)] or [0])
+        assert w.piece_sums(cuts)[0].tolist() == cuts[1:].tolist()
+
+    @pytest.mark.parametrize("family", ["ex3.2", "ex3.3"])
+    @pytest.mark.parametrize("weights", ["const:0.7", "recip5"])
+    def test_exception_sums_are_accurate(self, family, weights):
+        # [1, 2^24] holds 4,096 squares and 256 cubes: each piece sums to
+        # within 4 * 2^-53 of its terms' magnitudes of the exact sum of
+        # those terms, b*W_j and the t*(v - b) of its exceptions; a running
+        # sum (np.bincount's) misses that bound on the cubes
+        fam, w = parse_family_spec(family), parse_weight_spec(weights)
+        xs = uniform_grid(1, 2, 5).points
+        bases = [fam.limit_profile(x) for x in xs]
+        cuts = np.array([0, 1 << 24], dtype=np.int64)
+        ends, sums = _sparse_pieces(fam, w, bases, xs, cuts, math.inf, bases,
+                                    [0.0] * len(xs))
+        _, wj = w.piece_sums(cuts)
+        ks = fam.exceptional(1, int(cuts[-1]))
+        t = w.values(ks)
+        splits = np.searchsorted(np.searchsorted(ends, ks), np.arange(1, len(ends)))
+        for i, x in enumerate(xs):
+            c, l, r = fam.values(ks, x)
+            dev = triangular_profile_distance(c, l, r, *bases[i])
+            for col, (v, b) in enumerate(zip((dev, c, l, r), (0.0, *bases[i]))):
+                pieces = np.split(t * (v - b), splits)
+                for j, (got, terms) in enumerate(zip(sums[i, :, col].tolist(), pieces)):
+                    mine = [Fraction(m) for m in (b * wj[j], *terms.tolist())]
+                    bound = 4 * Fraction(2) ** -53 * sum(map(abs, mine))
+                    assert abs(Fraction(got) - sum(mine)) <= bound, (i, col, j)
 
     @settings(max_examples=40, deadline=None)
     @given(family=st.sampled_from(SPARSE_FAMILIES),

@@ -400,6 +400,23 @@ class TestSlowDecreaseCheck:
                                match=r"^lam must lie in \(0, inf\), got nan$"):
                 scan(harmonic_crisp_family(), 1.0, 0.1, math.nan, 10, 100)
 
+    def test_horizon_past_the_budget_refused_first(self):
+        # refused before np.arange or the family builds an array over it;
+        # the cap itself passes the check and reaches the first array
+        late = AssertionError("an array was built before the refusal")
+        fam = harmonic_crisp_family()
+        cap = tauberian._MAX_INDEX
+        for scan in (slowly_decreasing_check, probe):
+            for horizon, refused in ((cap + 1, ValueError), (cap, AssertionError)):
+                with mock.patch.object(np, "arange", side_effect=late), \
+                        mock.patch.object(FuzzyFunctionSequence, "values",
+                                          side_effect=late), \
+                        pytest.raises(refused) as err:
+                    scan(fam, 1.0, 0.1, 2.0, 10, horizon)
+                if refused is ValueError:
+                    assert str(err.value) == (f"horizon={cap + 1} exceeds the "
+                                              f"scan budget of {cap} indices")
+
 
 class TestDecompositionIdentities:
     @pytest.mark.parametrize("scheme_spec", ["classical", "lacunary:pow2"])
@@ -649,7 +666,7 @@ class TestExperiment:
         # the classical top 2^28 was refused only by the ord sweep, after
         # condition 2 had started on n_max = 2^26
         late = AssertionError("condition 2 started before refusing")
-        with mock.patch.object(tauberian, "ratio_condition", side_effect=late), \
+        with mock.patch.object(tauberian, "_ratio_conditions", side_effect=late), \
                 pytest.raises(ValueError, match="classical: window top 268435456"):
             tauberian_experiment(
                 alternating_crisp_family(), None, classical_scheme(),
@@ -745,7 +762,7 @@ class TestExperiment:
     def test_scan_horizon_that_verifies_nothing_refused(self, n0, scan_horizon,
                                                         match):
         late = AssertionError("the experiment started before refusing")
-        with mock.patch.object(tauberian, "ratio_condition", side_effect=late), \
+        with mock.patch.object(tauberian, "_ratio_conditions", side_effect=late), \
                 pytest.raises(ValueError, match=match):
             tauberian_experiment(
                 alternating_crisp_family(), None, classical_scheme(),
