@@ -2,15 +2,15 @@
 replay the built-in reference configurations.
 
 Outputs a CSV of traces (columns x,mode,theta,n,value, sorted by x, mode,
-n) and a JSON report per run.  ``reproduce`` replays the ten canned
-reference rows (five groups) and compares observed verdicts against their
-documented expected outcomes, exiting nonzero on any contradiction.
+n) and a JSON report per run, one record (a verdict, a trace) per line.
+``reproduce`` replays the ten canned reference rows (five groups) and
+compares observed verdicts against their documented expected outcomes,
+exiting nonzero on any contradiction.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import dataclass
@@ -59,6 +59,25 @@ def _parse_grid(spec: str):
     return uniform_grid(a, b, count)
 
 
+def _json_text(obj, depth: int = 0) -> str:
+    """``obj`` as JSON text.  A dict or list fewer than four levels below
+    the root is laid out one item per line, indented by two spaces as
+    ``json.dump(..., indent=2)`` does; anything deeper (a verdict, a trace
+    with its points) takes one line from ``json.dumps``, whose C encoder
+    writes the same tokens, NaN and Infinity included."""
+    if depth == 4 or not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        items = [f"{json.dumps(str(k))}: {_json_text(v, depth + 1)}"
+                 for k, v in obj.items()]
+        left, right = "{}"
+    else:
+        items = [_json_text(v, depth + 1) for v in obj]
+        left, right = "[]"
+    pad = "\n" + "  " * depth
+    return f"{left}{pad}  " + f",{pad}  ".join(items) + f"{pad}{right}"
+
+
 def run(config: RunConfig) -> dict:
     """Execute one configuration; returns the JSON-ready report dict and
     writes the CSV/JSON artifacts."""
@@ -98,12 +117,11 @@ def run(config: RunConfig) -> dict:
     csv_path = Path(config.csv_path) if config.csv_path else out_dir / "traces.csv"
     json_path = Path(config.json_path) if config.json_path else out_dir / "report.json"
     rows.sort(key=lambda r: (r[0], r[1], r[3]))
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "mode", "theta", "n", "value"])
-        writer.writerows(rows)
-    with open(json_path, "w") as fh:
-        json.dump(result, fh, indent=2)
+    # csv.writer's bytes: no field needs quoting (a mode is a known token,
+    # the rest are numbers), and str() of a float, numpy's too, is its repr
+    lines = [f"{x},{mode},{theta},{n},{value}\r\n" for x, mode, theta, n, value in rows]
+    csv_path.write_text("x,mode,theta,n,value\r\n" + "".join(lines), newline="")
+    json_path.write_text(_json_text(result))
     result["artifacts"] = {"csv": str(csv_path), "json": str(json_path)}
     return result
 

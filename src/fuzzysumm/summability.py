@@ -191,14 +191,17 @@ def _dense_pieces(seq: FuzzyFunctionSequence, weights: WeightSequence,
         td, tc, hit = tds[:len(ks)], tcs[:len(ks)], hits[:len(ks)]
         for i, x in enumerate(xs):
             c, l, r = seq.profile(ks, x)
-            # the built-in families pass one array for both spreads
-            bounds = [(s.min(), s.max()) for s in ((l,) if r is l else (l, r))]
-            if not all(0 <= a and b < np.inf for a, b in bounds):  # NaN fails
+            # the built-in families pass one array for both spreads; NaN is
+            # truthy, so a NaN spread is not zero and is bounds-checked
+            zero_spreads = r is l and not l.any()
+            if not zero_spreads and not all(
+                    0 <= s.min() and s.max() < np.inf  # NaN fails
+                    for s in ((l,) if r is l else (l, r))):
                 seq.values(ks, x)
             out = sums[-1][i]
             c0, l0, r0 = limits[i]
             np.multiply(t, c, out=tc)
-            if r is l and not (l0 or r0 or bounds[0][1]):
+            if zero_spreads and not (l0 or r0):
                 # all spreads zero: the distance is |c - c0|, bit for bit
                 if c0 == 0:
                     np.abs(tc, out=td)
@@ -215,8 +218,11 @@ def _dense_pieces(seq: FuzzyFunctionSequence, weights: WeightSequence,
             if not out[:, 0].max() < np.inf:  # NaN fails
                 seq.values(ks, x)
             np.add.reduceat(tc, starts, out=out[:, 1])
-            np.add.reduceat(np.greater_equal(td, eps, out=hit), starts,
-                            out=out[:, 4])
+            np.greater_equal(td, eps, out=hit)
+            if len(starts) == 1:
+                out[0, 4] = np.count_nonzero(hit)
+            else:
+                np.add.reduceat(hit, starts, out=out[:, 4])
     return np.concatenate(ends), np.concatenate(sums, axis=1)
 
 
@@ -456,6 +462,7 @@ class ConvergenceReport:
         raise KeyError((x, mode))
 
     def to_dict(self) -> dict:
+        traces = [t.to_dict() for t in self.traces]
         return {
             "family": self.family,
             "scheme": self.scheme,
@@ -465,9 +472,9 @@ class ConvergenceReport:
             "grid": list(self.grid),
             "horizon": self.horizon,
             "policy": asdict(self.policy),
-            "verdicts": [{k: v for k, v in t.to_dict().items() if k != "points"}
-                         for t in self.traces],
-            "traces": [t.to_dict() for t in self.traces],
+            "verdicts": [{k: v for k, v in t.items() if k != "points"}
+                         for t in traces],
+            "traces": traces,
             "membership": dict(self.membership),
         }
 

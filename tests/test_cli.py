@@ -11,6 +11,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fuzzysumm
@@ -18,6 +19,7 @@ from fuzzysumm import (cli, parse_family_spec, parse_scheme_spec,
                        parse_weight_spec)
 from fuzzysumm.cli import RunConfig, main, reference_rows, reproduce, run
 from fuzzysumm.schemes import WeightSequence
+from fuzzysumm.sequences import FuzzyFunctionSequence
 
 
 class TestRunCommand:
@@ -171,6 +173,18 @@ class TestRunCommand:
         assert "empty weight window [0, 700]" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_lacunary_pow2_is_out_of_reach_of_run(self, tmp_path, capsys):
+        # the horizon floor is 64 and the window at n = 64 ends at 2^64, so
+        # every run of the scheme is refused; it serves the library only
+        rc = main(["run", "--family", "ex3.1", "--scheme", "lacunary:pow2",
+                   "--horizon", "64", "--modes", "abs",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: const:1: a walk over the weights up to "
+            "k=18446744073709551616 exceeds the budget of 134217728 indices\n")
+        assert not (tmp_path / "report.json").exists()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             RunConfig("ex4.1", "classical", "const:1", thetas=(1.5,))
@@ -293,6 +307,76 @@ def test_reports_are_deterministic(tmp_path):
         blobs.append(((out / "traces.csv").read_bytes(),
                       (out / "report.json").read_bytes()))
     assert blobs[0] == blobs[1]
+
+
+class TestArtifactWriters:
+    """traces.csv carries csv.writer's bytes, and report.json reads back as
+    the returned report with one verdict or trace record per line."""
+
+    RUNS = pytest.mark.parametrize("config", [
+        RunConfig("ex3.2", "pow:2", "recip5", thetas=(0.5, 1.0), horizon=128),
+        RunConfig("ex3.2", "pow:2", "recip5", horizon=256,
+                  modes=("ord", "tauberian")),
+    ], ids=["sp,abs,ord", "ord,tauberian"])
+
+    @staticmethod
+    def written(config, tmp_path):
+        result = run(dataclasses.replace(config, out_dir=str(tmp_path)))
+        del result["artifacts"]
+        return result
+
+    @RUNS
+    @pytest.mark.parametrize("numpy_x", [False, True])
+    def test_csv_is_what_csv_writer_writes(self, tmp_path, monkeypatch, config,
+                                           numpy_x):
+        if numpy_x:  # csv writes a np.float64 as its digits, as str() does
+            check_x = FuzzyFunctionSequence.check_x
+            monkeypatch.setattr(FuzzyFunctionSequence, "check_x",
+                                lambda seq, x: np.float64(check_x(seq, x)))
+        result = self.written(config, tmp_path)
+        rows = [(t["x"], t["mode"], t["theta"], n, v)
+                for rep in result["reports"] for t in rep["traces"]
+                for n, v in t["points"]]
+        rows += [(t["x"], "tauberian", t["theta"], n, v)
+                 for t in result.get("tauberian", {}).get("conclusion", {})
+                 .get("per_x", []) for n, v in t["points"]]
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["x", "mode", "theta", "n", "value"])
+        writer.writerows(sorted(rows, key=lambda r: (r[0], r[1], r[3])))
+        assert (tmp_path / "traces.csv").read_bytes() == buf.getvalue().encode()
+
+    @RUNS
+    def test_json_reads_back_as_the_report(self, tmp_path, config):
+        result = self.written(config, tmp_path)
+        with open(tmp_path / "report.json") as fh:
+            assert json.load(fh) == json.loads(json.dumps(result))
+
+    @RUNS
+    def test_one_record_per_line(self, tmp_path, config):
+        result = self.written(config, tmp_path)
+        lines = {line.strip().rstrip(",") for line in
+                 (tmp_path / "report.json").read_text().splitlines()}
+        records = [r for rep in result["reports"]
+                   for r in rep["verdicts"] + rep["traces"]]
+        records += result.get("tauberian", {}).get("conclusion", {}).get("per_x", [])
+        assert records
+        assert all(json.dumps(r) in lines for r in records)
+
+    @pytest.mark.parametrize("obj", [
+        {"a": [1, 2.5, {"b": None, "c": [], "d": {}}], "e": True, "f": "g"},
+        [[[["deep"]]]],
+        [],
+    ])
+    def test_shallow_layout_is_indent_2(self, obj):
+        assert cli._json_text(obj) == json.dumps(obj, indent=2)
+
+    def test_non_finite_tokens_at_any_depth(self):
+        obj = {"a": [math.nan, {"b": [{"c": [math.inf, -math.inf]}]}]}
+        text = cli._json_text(obj)
+        assert text == ('{\n  "a": [\n    NaN,\n    {\n      "b": [\n'
+                        '        {"c": [Infinity, -Infinity]}\n      ]\n    }\n  ]\n}')
+        assert json.dumps(json.loads(text)) == json.dumps(obj)
 
 
 def test_run_function_returns_artifacts(tmp_path):

@@ -983,6 +983,14 @@ class TestProfileChecksOnSums:
 
     @CASES
     @KERNELS
+    def test_nan_spread_in_a_later_chunk_named(self, mode, spread, limit):
+        # NaN is truthy: one NaN spread makes no chunk of zero spreads
+        fam = spoiled({BAD_K: (1.0 / BAD_K, math.nan)}, spread)
+        self.refused(fam, mode, limit,
+                     r"^spoiled: f_25\(1\.5\) has a non-finite center or spread")
+
+    @CASES
+    @KERNELS
     def test_negative_spread_in_a_later_chunk_refused(self, mode, spread, limit):
         fam = spoiled({BAD_K: (1.0 / BAD_K, -0.5)}, spread)
         self.refused(fam, mode, limit,
