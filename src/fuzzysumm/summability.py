@@ -37,14 +37,14 @@ MODES = ("sp", "abs", "ord")
 
 
 def check_mode_args(thetas: Sequence[float], eps: float,
-                    modes: Sequence[str] = ()) -> None:
-    """Refuse a theta outside (0, 1], an eps outside (0, inf) or an unknown mode."""
+                    modes: Sequence[str] = ()) -> tuple[list[float], float]:
+    """Refuse a theta outside (0, 1], an eps outside (0, inf) or an unknown
+    mode; return the thetas and eps as Python floats."""
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
-    for theta in thetas:
-        real_in(theta, "theta", 0, 1, open_low=True)
-    real_in(eps, "eps", 0, math.inf, open_low=True)
+    thetas = [real_in(theta, "theta", 0, 1, open_low=True) for theta in thetas]
+    return thetas, real_in(eps, "eps", 0, math.inf, open_low=True)
 
 
 @dataclass(frozen=True)
@@ -243,10 +243,7 @@ def _sparse_pieces(seq: FuzzyFunctionSequence, weights: WeightSequence,
     from its exceptions, t*(value - base): summed pairwise per piece where
     nothing was walked (a piece may then hold thousands), a running sum
     where a walked piece spans one chunk at most.  No term off them
-    reaches eps, so the hits come from the exceptions alone.  A value
-    array that repeats one already summed with the same base, bit for bit
-    (l and r of a symmetric family, or dev and l at a crisp zero limit),
-    reuses its column.
+    reaches eps, so the hits come from the exceptions alone.
     """
     ks = seq.exceptional(int(cuts[0]) + 1, int(cuts[-1]))
     ends, w = weights.piece_sums(cuts)
@@ -268,12 +265,8 @@ def _sparse_pieces(seq: FuzzyFunctionSequence, weights: WeightSequence,
     for i, x in enumerate(xs):
         c, l, r = seq.values(ks, x)
         dev = triangular_profile_distance(c, l, r, *limits[i])
-        done = {}
         for col, (v, b) in enumerate(zip((dev, c, l, r), (d0s[i], *bases[i]))):
-            key = (np.float64(b).tobytes(), v.tobytes())
-            if key not in done:
-                done[key] = b * w + excepted(t * (v - b))
-            sums[i, :, col] = done[key]
+            sums[i, :, col] = b * w + excepted(t * (v - b))
         sums[i, :, 4] = np.bincount(piece, t * dev >= eps, len(ends))
     return ends, sums
 
@@ -519,7 +512,7 @@ def classify_thetas(seq: FuzzyFunctionSequence, limit, scheme: BetaGammaScheme,
     [beta(n), gamma(n)] for abs and ord; each theta then only divides the
     theta-free sums by T_n**theta.
     """
-    check_mode_args(thetas, eps, modes)
+    thetas, eps = check_mode_args(thetas, eps, modes)
     limit_fn = limit_profile_fn(seq, limit)
     ns = ladder(horizon)
     xs = [seq.check_x(x) for x in grid.points]
@@ -539,7 +532,7 @@ def classify_thetas(seq: FuzzyFunctionSequence, limit, scheme: BetaGammaScheme,
         scales = np.array([total ** theta for total in totals])
         report = ConvergenceReport(
             family=seq.label, scheme=scheme.label, weights=weights.label,
-            theta=theta, eps=eps, grid=tuple(grid.points), horizon=ns[-1],
+            theta=theta, eps=eps, grid=tuple(xs), horizon=ns[-1],
             policy=policy)
         for mode in modes:
             mode_traces = []

@@ -133,18 +133,19 @@ def _scan(seq: FuzzyFunctionSequence, x: float, eps_ladder, lam: float,
     return _Scan(eps, n0, horizon, grow, ns, starts, widths, endpoints)
 
 
-def _violation_blocks(scan: _Scan, sides: list):
-    """Yield each block of a scan at the ``sides`` of one eps as (i, bad),
-    for scans with several endpoints, whose union of violations the
-    rank-count table cannot count.
+def _violation_blocks(scan: _Scan, sides: list) -> tuple[int, np.ndarray]:
+    """The violation count of a scan at the ``sides`` of one eps and the
+    sorted indices of its violating rows, for scans with several
+    endpoints, whose union of violations the rank-count table cannot count.
 
-    The block holds the scan's rows from i on, and ``bad[j, m]`` says
-    whether the pair (ns[i + j], starts[i + j] + 1 + m) violates; blocks
-    come in row order.
+    Rows are compared in blocks of about _BLOCK window entries, each
+    window a row of a sliding view of the endpoint arrays, so memory stays
+    O(horizon + _BLOCK).
     """
     starts, widths = scan.starts, scan.widths
+    count, hit = 0, np.zeros(len(widths), dtype=bool)
     if not len(widths):
-        return
+        return count, np.flatnonzero(hit)
     wmax = int(widths.max())
     # the padding only keeps the view in bounds; it is masked below
     sides = [(sliding_window_view(np.pad(w, (0, wmax)), wmax), v)
@@ -166,13 +167,16 @@ def _violation_blocks(scan: _Scan, sides: list):
             bad |= view[s, :w] < v[i:j, None]
         if narrow < w:  # only columns past the narrowest window need the mask
             bad[:, narrow:] &= np.arange(narrow, w) < widths[i:j, None]
-        yield i, bad
+        count += int(np.count_nonzero(bad))
+        bad.any(axis=1, out=hit[i:j])
+    return count, np.flatnonzero(hit)
 
 
-def _rank_counts(w: np.ndarray, v: np.ndarray, starts: np.ndarray,
-                 widths: np.ndarray) -> np.ndarray:
-    """Per row i, the count of positions k in [starts[i], starts[i] +
-    widths[i]) with w[k] < v[i], exact and with no arithmetic on values.
+def _rank_counts(scan: _Scan, sides: list) -> tuple[int, np.ndarray]:
+    """The violation count of a scan at the one side ``(w, v)`` of one eps
+    and the sorted indices of its violating rows: row i counts the
+    positions k of its window with w[k] < v[i], exactly and with no
+    arithmetic on values.
 
     With r_k the rank of w[k] among w's D distinct values and q_i the
     number of them below v[i], w[k] < v[i] exactly where r_k < q_i.  The
@@ -180,10 +184,13 @@ def _rank_counts(w: np.ndarray, v: np.ndarray, starts: np.ndarray,
     the first m blocks with r_k < q: a row's full blocks cost two lookups,
     and only its partial blocks at either end are compared directly.
     b = isqrt(D) balances the table's O(H*D/b) against the compares'
-    O(H*b); it is raised where needed to hold the table to about
-    _TABLE_PER_INDEX entries per position, and the compares run in chunks
-    of about _BLOCK entries, so memory stays O(H + _BLOCK).
+    O(H*b), so a scan costs O(H*sqrt(D)); b is raised where needed to
+    hold the table to about _TABLE_PER_INDEX entries per position, and
+    the compares run in chunks of about _BLOCK entries, so memory stays
+    O(H + _BLOCK).
     """
+    (w, v), = sides
+    starts, widths = scan.starts, scan.widths
     h = len(w)
     distinct = np.sort(w)
     keep = np.ones(h, dtype=bool)
@@ -217,7 +224,7 @@ def _rank_counts(w: np.ndarray, v: np.ndarray, starts: np.ndarray,
                 bad = view[lo] < v[at, None]
                 bad &= cols < (hi - lo)[:, None]
                 counts[at] += np.count_nonzero(bad, axis=1)
-    return counts
+    return int(counts.sum()), np.flatnonzero(counts)
 
 
 def slowly_decreasing_check(seq: FuzzyFunctionSequence, x: float, eps: float,
@@ -233,47 +240,30 @@ def slowly_decreasing_check(seq: FuzzyFunctionSequence, x: float, eps: float,
     and a spread that is zero on the whole horizon drops its endpoint.
 
     With one endpoint left (every crisp family, and any whose spreads are
-    all zero here), each row's count comes from a rank-count table in
-    O(H*sqrt(D)) for D distinct values, with no per-pair comparison (see
-    ``_rank_counts``).  With several, rows are compared in blocks of about
-    _BLOCK window entries, each window a row of a sliding view of the
-    endpoint arrays; the rows of a lam > 1 block are consecutive, so it
-    compares a basic slice of the view, not a copy, and only columns past
-    the block's narrowest window are masked, and the first 8 pairs come
-    from the first blocks that violate.  Either way only the count, the
-    violating rows and the first pairs are kept, so memory stays
-    O(horizon + _BLOCK).
+    all zero here), ``_rank_counts`` counts the violations from a table
+    with no per-pair comparison; with several, ``_violation_blocks``
+    compares the pairs in blocks.  Either kernel returns the count and the
+    violating rows; the first 8 pairs come from comparing the first
+    violating rows again, at every endpoint.
     """
+    lam = dilation_factor(lam)
     scan = _scan(seq, x, (eps,), lam, n0, horizon)
     sides = scan.sides(scan.eps[0])
-    if len(sides) == 1:
-        (w, v), = sides
-        counts = _rank_counts(w, v, scan.starts, scan.widths)
-        hit = np.flatnonzero(counts)
-        count = int(counts.sum())
-        last_bad = int(scan.ns[hit[-1]]) if hit.size else None
-        # the first rows that violate hold the first pairs: compare them again
-        rows = hit[:_WITNESSES]
-        cols = np.arange(int(scan.widths[rows].max(initial=0)))
-        inside = cols < scan.widths[rows, None]
-        ks = np.where(inside, scan.starts[rows, None] + cols, 0)
-        i, j = np.nonzero(inside & (w[ks] < v[rows, None]))
-        first = list(zip(scan.ns[rows[i]].tolist(), (ks[i, j] + 1).tolist()))
-    else:
-        count, last_bad, first = 0, None, []
-        for i, bad in _violation_blocks(scan, sides):
-            rows = np.flatnonzero(bad.any(axis=1))
-            if not rows.size:
-                continue
-            count += int(np.count_nonzero(bad))
-            last_bad = int(scan.ns[i + rows[-1]])
-            if len(first) < _WITNESSES:
-                rr, cc = np.nonzero(bad[rows[:_WITNESSES]])
-                rr = i + rows[rr]
-                first += zip(scan.ns[rr].tolist(),
-                             (scan.starts[rr] + 1 + cc).tolist())
-    return SlowDecreaseWitness(eps, lam, scan.n0, scan.horizon,
-                               tuple(first[:_WITNESSES]), count, last_bad)
+    kernel = _rank_counts if len(sides) == 1 else _violation_blocks
+    count, hit = kernel(scan, sides)
+    last_bad = int(scan.ns[hit[-1]]) if hit.size else None
+    # the first rows that violate hold the first pairs: compare them again
+    rows = hit[:_WITNESSES]
+    cols = np.arange(int(scan.widths[rows].max(initial=0)))
+    inside = cols < scan.widths[rows, None]
+    ks = np.where(inside, scan.starts[rows, None] + cols, 0)
+    bad = np.zeros(inside.shape, dtype=bool)
+    for w, v in sides:
+        bad |= w[ks] < v[rows, None]
+    i, j = np.nonzero(inside & bad)
+    first = zip(scan.ns[rows[i]].tolist(), (ks[i, j] + 1).tolist())
+    return SlowDecreaseWitness(scan.eps[0], lam, scan.n0, scan.horizon,
+                               tuple(first)[:_WITNESSES], count, last_bad)
 
 
 def _window_minima(a: np.ndarray, starts: np.ndarray,
@@ -618,7 +608,7 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
                                   eps=min(_EPS_LADDER), grid=grid,
                                   horizon=horizon, modes=("ord",))
 
-    mid_x = grid.points[len(grid.points) // 2]
+    mid_x = seq.check_x(grid.points[len(grid.points) // 2])
     identity_ns = [n for n in ns if 4 <= n <= max(8, horizon // 8)][-3:] or [ns[-1]]
     checks = [(lam, n) for n in identity_ns
               for lam in _LAMBDAS + tuple(round(1.0 / lam, 6) for lam in _LAMBDAS)]

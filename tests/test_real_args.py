@@ -7,8 +7,10 @@ ValueError naming the argument and the range, before it streams, walks or
 reads a value; it takes a numpy float as the Python float it equals.
 """
 
+import json
 import math
 import re
+from dataclasses import asdict
 from fractions import Fraction
 from unittest import mock
 
@@ -20,7 +22,8 @@ from fuzzysumm import (ModeParams, VerdictPolicy, XGridPolicy, classical_scheme,
                        dilation_mean_identity, harmonic_crisp_family, ladder,
                        parse_family_spec, ratio_condition, scale, scale_family,
                        shrink_mean_identity, slowly_decreasing_check, summability,
-                       tauberian, triangular, verdict, window_fuzzy_mean)
+                       tauberian, tauberian_experiment, triangular,
+                       uniform_grid, verdict, window_fuzzy_mean)
 from fuzzysumm.cli import RunConfig
 from fuzzysumm.numbers import closeness_check, real_in
 from fuzzysumm.schemes import WeightSequence
@@ -232,6 +235,29 @@ class TestDefectsMended:
                                              r"top 2 past the float range$"):
             dilate(classical_scheme(), 1e308).window(2)
         assert dilate(classical_scheme(), 1e300).window(2) == (1, math.floor(2e300))
+
+    def test_numpy_scalars_give_the_json_of_python_floats(self):
+        # each numpy scalar was stored as given: "Object of type float32 is
+        # not JSON serializable", and a scan's eps=True stayed True
+        def report(theta=1.0, eps=0.5, points=(1.0, 1.5)):
+            return json.dumps(classify(FAM, None, classical_scheme(), ONES, theta,
+                                       eps, XGridPolicy(points), 64).to_dict())
+        want = report()
+        assert report(theta=np.float32(1.0)) == want
+        assert report(theta=np.int64(1)) == want
+        assert report(eps=np.float32(0.5)) == want
+        assert report(points=(np.float32(1.0), np.float32(1.5))) == want
+
+        def experiment(a, b):
+            return json.dumps(tauberian_experiment(
+                parse_family_spec("ex3.2"), None, classical_scheme(), ONES,
+                uniform_grid(a, b, 3), 64).to_dict())
+        assert experiment(np.float32(1), np.float32(2)) == experiment(1.0, 2.0)
+
+        def witness(eps, lam):
+            return json.dumps(asdict(slowly_decreasing_check(FAM, 1.0, eps, lam,
+                                                             10, 50)))
+        assert witness(True, np.float32(2.0)) == witness(1.0, 2.0)
 
     def test_infinite_eps_refused_where_sp_read_zero(self):
         with pytest.raises(ValueError, match=r"^eps must lie in \(0, inf\), got inf$"):

@@ -300,6 +300,21 @@ class TestSlowDecreaseCheck:
             assert tauberian._last_violations(fam, x, ladder, lam, n0,
                                               horizon) == want
 
+    @pytest.mark.parametrize("family", list(SCAN_FAMILIES))
+    @pytest.mark.parametrize("lam", [2.0, 0.5])
+    def test_kernels_agree_on_one_endpoint(self, family, lam):
+        # the block kernel never meets one endpoint in a scan: on each
+        # endpoint alone, it referees the rank-count table
+        fam = SCAN_FAMILIES[family]()
+        with mock.patch.object(tauberian, "_BLOCK", 7):
+            for eps in (1e-6, 0.5, 3.0):
+                scan = tauberian._scan(fam, 1.25, (eps,), lam, 2, 300)
+                for side in scan.sides(eps):
+                    table, blocks = (kernel(scan, [side]) for kernel in (
+                        tauberian._rank_counts, tauberian._violation_blocks))
+                    assert table[0] == blocks[0]
+                    assert table[1].tolist() == blocks[1].tolist()
+
     @pytest.mark.parametrize("block", [7, 200, 1 << 15])
     @pytest.mark.parametrize("lam", [2.0, 0.5])
     def test_partial_blocks_in_chunks_of_any_size(self, block, lam):
