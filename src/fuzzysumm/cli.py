@@ -87,14 +87,14 @@ def run(config: RunConfig) -> dict:
     grid = _parse_grid(config.grid_spec)
 
     reports = []
-    rows = []
+    traces = []
     classify_modes = tuple(m for m in config.modes if m != "tauberian")
     if classify_modes:
         for rep in classify_thetas(family, None, scheme, weights, config.thetas,
                                    eps=config.eps, grid=grid,
                                    horizon=config.horizon, modes=classify_modes):
             reports.append(rep.to_dict())
-            rows += [(t.x, t.mode, t.theta, n, v) for t in rep.traces for n, v in t.points]
+            traces += [(t.x, t.mode, t.theta, t.points) for t in rep.traces]
 
     result = {
         "family": family.label,
@@ -110,16 +110,21 @@ def run(config: RunConfig) -> dict:
         exp = tauberian_experiment(family, None, scheme, weights, grid,
                                    config.horizon)
         result["tauberian"] = exp.to_dict()
-        rows += [(t.x, "tauberian", t.theta, n, v) for t in exp.conclusion for n, v in t.points]
+        traces += [(t.x, "tauberian", t.theta, t.points) for t in exp.conclusion]
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = Path(config.csv_path) if config.csv_path else out_dir / "traces.csv"
     json_path = Path(config.json_path) if config.json_path else out_dir / "report.json"
-    rows.sort(key=lambda r: (r[0], r[1], r[3]))
     # csv.writer's bytes: no field needs quoting (a mode is a known token,
-    # the rest are numbers), and str() of a float, numpy's too, is its repr
-    lines = [f"{x},{mode},{theta},{n},{value}\r\n" for x, mode, theta, n, value in rows]
+    # the rest are numbers), and str() of a float, numpy's too, is its repr;
+    # each trace formats its x,mode,theta, once
+    rows = []
+    for x, mode, theta, points in traces:
+        head = f"{x},{mode},{theta},"
+        rows += [(x, mode, n, head, value) for n, value in points]
+    rows.sort(key=lambda r: r[:3])
+    lines = [f"{head}{n},{value}\r\n" for _, _, n, head, value in rows]
     csv_path.write_text("x,mode,theta,n,value\r\n" + "".join(lines), newline="")
     json_path.write_text(_json_text(result))
     result["artifacts"] = {"csv": str(csv_path), "json": str(json_path)}

@@ -445,11 +445,14 @@ def lambda_scheme(lam_fn: Callable[[int], int], label: str) -> BetaGammaScheme:
     vals = [int(lam_fn(n)) for n in range(1, _LAMBDA_CHECK + 1)]
     if vals[0] != 1:
         raise ValueError("lambda sequence must start at 1")
-    for i in range(1, len(vals)):
-        if vals[i] < vals[i - 1]:
+    # before the first bad step every length lies in [1, 4096], so that
+    # step's sign is exact even in the float or object array huge lengths give
+    steps = np.diff(vals)
+    bad = np.flatnonzero((steps < 0) | (steps > 1))
+    if bad.size:
+        if steps[bad[0]] < 0:
             raise ValueError("lambda sequence must be non-decreasing")
-        if vals[i] > vals[i - 1] + 1:
-            raise ValueError("lambda sequence may grow by at most 1 per step")
+        raise ValueError("lambda sequence may grow by at most 1 per step")
     if vals[-1] <= vals[len(vals) // 2]:
         raise ValueError("lambda sequence must tend to infinity")
     return BetaGammaScheme(lambda n: n - int(lam_fn(n)) + 1, lambda n: n, label)
@@ -606,8 +609,15 @@ def _harmonicplus_sums(a: np.ndarray, g: np.ndarray, window: bool) -> np.ndarray
     return np.where(near, s, far)
 
 
+def _harmonicplus_values(ks: np.ndarray) -> np.ndarray:
+    """1 + 1/k, with the bits of ``1.0 + 1.0 / ks`` and one array."""
+    t = np.divide(1.0, ks, dtype=np.float64)
+    t += 1.0
+    return t
+
+
 def harmonicplus_weights() -> WeightSequence:
-    return WeightSequence(lambda ks: 1.0 + 1.0 / ks, "harmonicplus",
+    return WeightSequence(_harmonicplus_values, "harmonicplus",
                           sums=_harmonicplus_sums)
 
 

@@ -16,13 +16,20 @@ import numpy as np
 
 from .numbers import (NOT_TRIANGULAR, FuzzyNumber, integer_at_least, is_triangular,
                       real_in, triangular, triangular_profile_distance)
-from .schemes import read_table
+from .schemes import _CHUNK, read_table
 
 TriProfile = tuple[np.ndarray, np.ndarray, np.ndarray]
 LimitProfile = tuple[float, float, float]
 _ValueMap = Callable[[np.ndarray, float], np.ndarray]  # (ks, x) -> values
 _IndexMap = Callable[[np.ndarray], np.ndarray]  # ks -> values, for every x
 _Exceptions = Callable[[int, int], np.ndarray]  # (lo, hi) -> sorted int64 ks
+
+# The spreads of every crisp family on up to one walk chunk: slices of one
+# shared read-only buffer, which the dense walk knows to be zero by identity.
+ZERO_SPREADS = np.zeros(_CHUNK)
+ZERO_SPREADS.flags.writeable = False
+_SIGNS = np.array([-1.0, 1.0])  # alternating_crisp's value at even, odd k
+_SIGNS.flags.writeable = False
 
 
 # --- exact integer root tests (float sqrt/cbrt alone misclassify large k) ---
@@ -143,10 +150,16 @@ def _crisp_family(label: str, center: _IndexMap, limit: Optional[float] = None,
                   exceptional: Optional[_Exceptions] = None) -> FuzzyFunctionSequence:
     """x-free family with values center(ks) and zero spreads; ``limit``,
     when given, is the constant crisp limit it is claimed to converge to,
-    and ``exceptional`` the family's exception hook."""
+    and ``exceptional`` the family's exception hook.  Both spreads are one
+    read-only array: a slice of ``ZERO_SPREADS`` for up to _CHUNK indices."""
 
     def profile(ks: np.ndarray, x: float) -> TriProfile:
-        z = np.zeros(len(ks))
+        n = len(ks)
+        if n <= len(ZERO_SPREADS):
+            z = ZERO_SPREADS[:n]
+        else:
+            z = np.zeros(n)
+            z.flags.writeable = False
         return center(ks), z, z
 
     return FuzzyFunctionSequence(
@@ -204,10 +217,9 @@ def cube_decaying_family() -> FuzzyFunctionSequence:
 def alternating_crisp_family() -> FuzzyFunctionSequence:
     """Crisp +1, -1, +1, ... independent of x; mean-summable to 0 but the
     term deviations never shrink."""
-    # an even k survives dropping its low bit; numpy's shift loops are
-    # mapped already, while a first ``ks & 1`` maps 64 KB more of its code
+    # the low bit of k picks its sign from a table: one pass and one gather
     return _crisp_family("alternating_crisp",
-                         lambda ks: np.where(ks >> 1 << 1 == ks, -1.0, 1.0), 0.0)
+                         lambda ks: _SIGNS.take(ks & 1), 0.0)
 
 
 def truncated_square_indicator_family(n_trunc: int) -> FuzzyFunctionSequence:

@@ -31,7 +31,8 @@ from .numbers import (NOT_TRIANGULAR, FuzzyNumber, integer_at_least,
                       triangular_profile_distance, triangular_profile_of)
 from .schemes import (BetaGammaScheme, WeightSequence, unique_ints,
                       weighted_total)
-from .sequences import FuzzyFunctionSequence, LimitProfile, XGridPolicy
+from .sequences import (ZERO_SPREADS, FuzzyFunctionSequence, LimitProfile,
+                        XGridPolicy)
 
 MODES = ("sp", "abs", "ord")
 
@@ -57,8 +58,10 @@ class ModeParams:
     scheme: BetaGammaScheme
     weights: WeightSequence
 
-    def __post_init__(self):
-        check_mode_args((self.theta,), self.eps)
+    def __post_init__(self):  # frozen: the checked floats are set past the guard
+        (theta,), eps = check_mode_args((self.theta,), self.eps)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "eps", eps)
 
 
 def limit_profile_fn(seq: FuzzyFunctionSequence, limit=None) -> Callable[[float], LimitProfile]:
@@ -177,8 +180,9 @@ def _dense_pieces(seq: FuzzyFunctionSequence, weights: WeightSequence,
     Only when a spread's min or max, or a piece's sum of t*dev >= 0, is out
     of range does ``seq.values`` run, to raise its error naming the first
     bad k.  A chunk whose profile passes one all-zero array for both
-    spreads, at a limit with zero spreads, takes |c - c0| as the distance
-    (|t*c| at c0 = 0, as t > 0) and 0 as the spread sums, with the bits of
+    spreads (a slice of ZERO_SPREADS is known to be one without a pass),
+    at a limit with zero spreads, takes |c - c0| as the distance (|t*c| at
+    c0 = 0, as t > 0) and 0 as the spread sums, with the bits of
     ``triangular_profile_distance``.
     """
     # empty leading blocks keep the concatenations valid for an empty range
@@ -191,9 +195,10 @@ def _dense_pieces(seq: FuzzyFunctionSequence, weights: WeightSequence,
         td, tc, hit = tds[:len(ks)], tcs[:len(ks)], hits[:len(ks)]
         for i, x in enumerate(xs):
             c, l, r = seq.profile(ks, x)
-            # the built-in families pass one array for both spreads; NaN is
-            # truthy, so a NaN spread is not zero and is bounds-checked
-            zero_spreads = r is l and not l.any()
+            # the built-in families pass one array for both spreads, the
+            # crisp ones a slice of ZERO_SPREADS; NaN is truthy, so a NaN
+            # spread is not zero and is bounds-checked
+            zero_spreads = r is l and (l.base is ZERO_SPREADS or not l.any())
             if not zero_spreads and not all(
                     0 <= s.min() and s.max() < np.inf  # NaN fails
                     for s in ((l,) if r is l else (l, r))):
@@ -215,11 +220,12 @@ def _dense_pieces(seq: FuzzyFunctionSequence, weights: WeightSequence,
                 out[:, 2] = np.add.reduceat(t * l, starts)
                 out[:, 3] = out[:, 2] if r is l else np.add.reduceat(t * r, starts)
             np.add.reduceat(td, starts, out=out[:, 0])
-            if not out[:, 0].max() < np.inf:  # NaN fails
+            one = len(starts) == 1
+            if not (out[0, 0] if one else out[:, 0].max()) < np.inf:  # NaN fails
                 seq.values(ks, x)
             np.add.reduceat(tc, starts, out=out[:, 1])
             np.greater_equal(td, eps, out=hit)
-            if len(starts) == 1:
+            if one:
                 out[0, 4] = np.count_nonzero(hit)
             else:
                 np.add.reduceat(hit, starts, out=out[:, 4])

@@ -17,10 +17,11 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from fuzzysumm import (ModeParams, VerdictPolicy, XGridPolicy, classical_scheme,
-                       classify, constant_weights, crisp, dilate,
-                       dilation_mean_identity, harmonic_crisp_family, ladder,
-                       parse_family_spec, ratio_condition, scale, scale_family,
+from fuzzysumm import (ModeParams, VerdictPolicy, XGridPolicy, absolute_partial,
+                       classical_scheme, classify, constant_weights, crisp,
+                       dilate, dilation_mean_identity, harmonic_crisp_family,
+                       ladder, parse_family_spec, parse_scheme_spec,
+                       parse_weight_spec, ratio_condition, scale, scale_family,
                        shrink_mean_identity, slowly_decreasing_check, summability,
                        tauberian, tauberian_experiment, triangular,
                        uniform_grid, verdict, window_fuzzy_mean)
@@ -258,6 +259,18 @@ class TestDefectsMended:
             return json.dumps(asdict(slowly_decreasing_check(FAM, 1.0, eps, lam,
                                                              10, 50)))
         assert witness(True, np.float32(2.0)) == witness(1.0, 2.0)
+
+    def test_mode_params_keep_python_floats(self):
+        # theta was stored as given: T ** np.float32(0.25) is a float32, so
+        # absolute_partial returned np.float32(15178.537)
+        fam, scheme = parse_family_spec("ex3.2"), parse_scheme_spec("pow:2")
+        weights = parse_weight_spec("recip5")
+        p = ModeParams(np.float32(0.25), np.float32(0.5), scheme, weights)
+        assert (type(p.theta), type(p.eps)) == (float, float)
+        got = absolute_partial(fam, None, p, 100, 1.5)
+        want = absolute_partial(fam, None, ModeParams(0.25, 0.5, scheme, weights),
+                                100, 1.5)
+        assert type(got) is float and got == want == 15178.537803786001
 
     def test_infinite_eps_refused_where_sp_read_zero(self):
         with pytest.raises(ValueError, match=r"^eps must lie in \(0, inf\), got inf$"):

@@ -630,6 +630,25 @@ class TestBuiltinsAndSpecs:
         with pytest.raises(ValueError, match="infinity"):
             lambda_scheme(lambda n: 1, "bad")
 
+    @pytest.mark.parametrize("lengths, named", [
+        # a drop at step 3 before a jump at step 5, and the other way round
+        ([1, 2, 3, 2, 3, 5], "must be non-decreasing"),
+        ([1, 2, 4, 5, 3], "may grow by at most 1 per step"),
+        # lengths past int64 (a float array) and past float64 (an object
+        # array) after the first bad step
+        ([1, 0, 2 ** 63], "must be non-decreasing"),
+        ([1, 2, 1, 10 ** 400], "must be non-decreasing"),
+        ([1, 2, 2 ** 63, 0], "may grow by at most 1 per step"),
+        ([1, 2, -10 ** 400, 2], "must be non-decreasing"),
+    ])
+    def test_lambda_first_bad_step_named(self, lengths, named):
+        # past the list the lengths follow n, which is a jump or a drop too
+        def lam(n):
+            return lengths[n - 1] if n <= len(lengths) else n
+
+        with pytest.raises(ValueError, match=f"^lambda sequence {named}$"):
+            lambda_scheme(lam, "bad")
+
     def test_lacunary_side_conditions_named(self):
         with pytest.raises(ValueError, match="k_0 = 0"):
             lacunary_scheme(lambda r: r + 1, "bad")

@@ -16,7 +16,8 @@ from conftest import squares_upto
 from fuzzysumm import (add_families, alternating_crisp_family, classical_scheme,
                        classify, constant_family, constant_weights, crisp,
                        cube_decaying_family, distance,
-                       harmonic_crisp_family, is_bounded, is_cube, is_square,
+                       harmonic_crisp_family, harmonicplus_weights, is_bounded,
+                       is_cube, is_square,
                        parse_family_spec, scale_family, slowly_decreasing_check,
                        square_indicator_family, tauberian_experiment,
                        triangular, triangular_growing_family,
@@ -189,6 +190,30 @@ class TestExceptionHooks:
         # a range without exceptions (cubes in [2, 7]) asks for no values
         c, l, r = parse_family_spec(spec).values(np.zeros(0, np.int64), 1.0)
         assert len(c) == len(l) == len(r) == 0
+
+
+class TestCrispFastPaths:
+    """The crisp families' lean forms keep the bits of the plain ones."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ks=st.lists(st.integers(1, 2 ** 62), min_size=1, max_size=64))
+    def test_parity_signs_and_in_place_weights_keep_their_bits(self, ks):
+        ks = np.array(ks, dtype=np.int64)
+        c, _, _ = alternating_crisp_family().profile(ks, 1.0)
+        assert c.tobytes() == np.where(ks >> 1 << 1 == ks, -1.0, 1.0).tobytes()
+        t = harmonicplus_weights().values(ks)
+        assert t.tobytes() == (1.0 + 1.0 / ks).tobytes()
+
+    @pytest.mark.parametrize("spec", ["ex3.1", "ex4.1", "remark3:n=16",
+                                      "harmonic", "crisp_index"])
+    @pytest.mark.parametrize("n", [1, 8192, 8193])
+    def test_crisp_spreads_are_read_only(self, spec, n):
+        fam = (crisp_index_family() if spec == "crisp_index"
+               else parse_family_spec(spec))
+        _, l, r = fam.profile(np.arange(1, n + 1, dtype=np.int64), 1.5)
+        assert r is l and len(l) == n and not l.any()
+        with pytest.raises(ValueError, match="read-only"):
+            l[0] = 1.0
 
 
 class TestFamilyAlgebra:

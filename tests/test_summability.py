@@ -651,8 +651,38 @@ def general_kernel(fam):
     return dataclasses.replace(fam, profile=profile, exceptional=None)
 
 
+def fresh_zeros(fam):
+    """The family with one fresh writable np.zeros for both spreads, which
+    the dense walk can know to be zero only by reading it."""
+
+    def profile(ks, x):
+        c, _, _ = fam.profile(ks, x)
+        z = np.zeros(len(ks))
+        return c, z, z
+
+    return dataclasses.replace(fam, profile=profile)
+
+
+CRISP_FAMILIES = [parse_family_spec(spec) for spec in
+                  ("ex3.1", "ex3.1:M=2.5", "ex4.1", "remark3:n=16", "harmonic")
+                  ] + [crisp_index_family()]
+
+
 class TestZeroSpreadKernel:
     """The zero-spread chunk kernel gives the general kernel's bits."""
+
+    @pytest.mark.parametrize("fam", CRISP_FAMILIES, ids=lambda f: f.label)
+    def test_shared_zeros_give_the_pieces_of_fresh_ones(self, fam):
+        # chunks of 8192 indices, cut inside and at a chunk end, at crisp
+        # limits (the lean kernel) and one with spreads (the general one)
+        cuts = schemes.unique_ints([0, 7, 100, 8192, 8200, 20000])
+        lims = [(0.0, 0.0, 0.0), (-0.75, 0.0, 0.0), (0.25, 0.5, 1.0)]
+        got, want = [_dense_pieces(f, harmonicplus_weights(), lims,
+                                   [1.0, 1.5, 2.0], cuts, 0.1)
+                     for f in (fam, fresh_zeros(fam))]
+        for a, b in zip(got, want):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("family", ONE_SPREAD_FAMILIES)
     @pytest.mark.parametrize("limit", [None, -0.75, 0.5, (0.0, 0.0, 0.25),
