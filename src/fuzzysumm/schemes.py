@@ -51,14 +51,28 @@ _BAND = 10
 _HARMONIC_DIRECT = 64
 _HARMONIC_ERR = 2.0 ** -52
 _EULER_GAMMA = 0.5772156649015329
-# Largest index a walk over the weights may reach, checked on Python ints
-# before any index array is built; pow:2 at horizon 4096 needs 2^24.
+# The index budget: within_budget refuses any range past it before its
+# first array is built; pow:2 at horizon 4096 needs 2^24.
 _MAX_INDEX = 1 << 27
 # Every integer up to this one is an exact float64.
 _EXACT_INT = 1 << 53
 # Steps over which lambda_scheme and lacunary_scheme check their sequence.
 _LAMBDA_CHECK = 4096
 _LACUNARY_CHECK = 64
+
+
+def index_text(k: int) -> str:
+    """``k`` in full below 10^20, past that as a power of 2 (``2^66.44``)."""
+    return str(k) if k < 10 ** 20 else f"2^{math.log2(k):.2f}"
+
+
+def within_budget(k: int, subject: str, budget: str = "budget") -> int:
+    """``k``, an index or a count, within the index budget; past it a
+    ValueError "<subject><index_text(k)> exceeds the <budget> of 2^27 indices"."""
+    if k > _MAX_INDEX:
+        raise ValueError(f"{subject}{index_text(k)} exceeds the {budget} of "
+                         f"{_MAX_INDEX} indices")
+    return k
 
 
 def unique_ints(a) -> np.ndarray:
@@ -137,10 +151,8 @@ class WeightSequence:
         return float(self.values([integer_at_least(k, None, "weight index k")])[0])
 
     def ensure(self, k_max: int) -> None:
-        """Refuse a walk up to k_max past the index budget."""
-        if k_max > _MAX_INDEX:
-            raise ValueError(f"{self.label}: a walk over the weights up to "
-                             f"k={k_max} exceeds the budget of {_MAX_INDEX} indices")
+        """Refuse a walk over the weights up to k_max past the index budget."""
+        within_budget(k_max, f"{self.label}: a walk over the weights up to k=")
 
     def chunks(self, cuts: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
         """Walk k over (cuts[0], cuts[-1]] in chunks of at most _CHUNK indices.
@@ -291,7 +303,7 @@ def validate_scheme(scheme: BetaGammaScheme, n_max: int) -> SchemeValidation:
     (c) the window width gamma - beta keeps growing on the tail half
     (the finite stand-in for width -> infinity).
     """
-    n_max = integer_at_least(n_max, 2, "horizon n_max")
+    n_max = within_budget(integer_at_least(n_max, 2, "horizon n_max"), "horizon n_max=")
     ns = np.arange(1, n_max + 1, dtype=np.int64)
     betas, gammas = _index_arrays(scheme, ns)
     notes = []
@@ -327,8 +339,8 @@ def dilated_top(g: int, lam: float) -> int:
     try:
         return math.floor(lam * g)
     except OverflowError:
-        raise ValueError(f"lam={lam!r} moves the window top {g} past the "
-                         "float range") from None
+        raise ValueError(f"lam={lam!r} moves the window top {index_text(g)} "
+                         "past the float range") from None
 
 
 def dilation_factor(lam, grow: bool | None = None) -> float:
@@ -386,10 +398,10 @@ def _ratio_conditions(scheme: BetaGammaScheme, weights: WeightSequence,
     lams = [dilation_factor(lam, which in (DILATION_LIMINF, DILATION_GAP_LIMSUP))
             for lam in lams]
 
-    n_max = integer_at_least(n_max, 2, "horizon n_max")
+    n_max = within_budget(integer_at_least(n_max, 2, "horizon n_max"), "horizon n_max=")
     ns = np.arange(n_max // 2, n_max + 1, dtype=np.int64)
     betas, gammas = _index_arrays(scheme, ns)
-    # capped where int64 still holds it, so the walk budget refuses it by name
+    # capped where int64 still holds it, so the index budget refuses it by name
     dil_gammas = [dilated_indices(gammas, lam, 1 << 62) for lam in lams]
     # A shrunken top below beta leaves an empty index range, whose total
     # is the empty sum 0 (the shrink ratios then come out infinite).

@@ -16,7 +16,7 @@ import numpy as np
 
 from .numbers import (NOT_TRIANGULAR, FuzzyNumber, integer_at_least, is_triangular,
                       real_in, triangular, triangular_profile_distance)
-from .schemes import _CHUNK, read_table
+from .schemes import _CHUNK, read_table, within_budget
 
 TriProfile = tuple[np.ndarray, np.ndarray, np.ndarray]
 LimitProfile = tuple[float, float, float]
@@ -395,7 +395,7 @@ def is_bounded(seq: FuzzyFunctionSequence, grid: XGridPolicy,
     reported as the growth witness.  An x-free family is evaluated at the
     first point only.
     """
-    k_max = integer_at_least(k_max, 1, "k_max")
+    k_max = within_budget(integer_at_least(k_max, 1, "k_max"), "k_max=")
     ks = np.arange(1, k_max + 1, dtype=np.int64)
     dev = np.zeros(k_max)
     for i, x in enumerate(grid.points):

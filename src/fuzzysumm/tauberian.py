@@ -19,10 +19,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .numbers import ATOL, integer_at_least, real_in, triangular_profile_distance
-from .schemes import (_MAX_INDEX, BetaGammaScheme, DegenerateWindowError,
-                      DILATION_LIMINF, RatioResult, WeightSequence,
-                      _ratio_conditions, dilated_indices, dilated_top,
-                      dilation_factor, unique_ints)
+from .schemes import (BetaGammaScheme, DegenerateWindowError, DILATION_LIMINF,
+                      RatioResult, WeightSequence, _ratio_conditions,
+                      dilated_indices, dilated_top, dilation_factor,
+                      unique_ints, within_budget)
 from .sequences import FuzzyFunctionSequence, XGridPolicy
 from .summability import (ConvergenceReport, ModeTrace, _membership, _stream,
                           classify, ladder, limit_profile_fn, verdict)
@@ -108,14 +108,12 @@ def _scan(seq: FuzzyFunctionSequence, x: float, eps_ladder, lam: float,
           n0: int, horizon: int) -> _Scan:
     """Check a scan's arguments, every eps of ``eps_ladder`` among them,
     and lay out its rows and endpoints from one evaluation of the family.
-    A horizon past _MAX_INDEX is refused before any array is built."""
+    A horizon past the index budget is refused before any array is built."""
     lam = dilation_factor(lam)
     eps = tuple(real_in(e, "eps", 0, math.inf, open_low=True) for e in eps_ladder)
     n0 = integer_at_least(n0, 0, "n0")
-    horizon = integer_at_least(horizon, n0 + 1, "horizon")
-    if horizon > _MAX_INDEX:
-        raise ValueError(f"horizon={horizon} exceeds the scan budget of "
-                         f"{_MAX_INDEX} indices")
+    horizon = within_budget(integer_at_least(horizon, n0 + 1, "horizon"),
+                            "horizon=", "scan budget")
     x = seq.check_x(x)
     c, l, r = seq.values(np.arange(1, horizon + 1, dtype=np.int64), x)
     grow = lam > 1
@@ -566,7 +564,7 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
     error, never an estimate.  An x-free family is scanned, and evaluated
     at the tops, at the first grid point only.  The scans cover rows up
     to min(horizon, scan_horizon), and n0 may be at most half of that.  A
-    window top past the walk budget is refused before any work.  The
+    window top past the index budget is refused before any work.  The
     decomposition identities at the middle grid point run as one batch
     (``_mean_identities``), which leaves out a check whose windows cannot
     be formed; the public one-check identities are not called.  Condition
@@ -583,9 +581,7 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
                          "short a tail to verify")
     limit_fn = limit_profile_fn(seq, limit)
     tops = [scheme.window(n)[1] for n in ns]
-    if max(tops) > _MAX_INDEX:
-        raise ValueError(f"{scheme.label}: window top {max(tops)} exceeds the "
-                         f"walk budget of {_MAX_INDEX} indices")
+    within_budget(max(tops), f"{scheme.label}: window top ", "walk budget")
     report = TauberianReport(
         family=seq.label, scheme=scheme.label, weights=weights.label,
         horizon=horizon, eps_ladder=_EPS_LADDER,

@@ -131,3 +131,10 @@ def icbrt(m: int) -> int:
     while c ** 3 > m:
         c -= 1
     return c
+
+
+def one_short_line(message: str, named: str) -> bool:
+    """A refusal read at a glance: one line of at most 200 bytes that
+    contains ``named``."""
+    line = message.removesuffix("\n")
+    return "\n" not in line and len(line.encode()) <= 200 and named in line

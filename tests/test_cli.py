@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import one_short_line
+
 import fuzzysumm
 from fuzzysumm import (cli, parse_family_spec, parse_scheme_spec,
                        parse_weight_spec)
@@ -184,6 +186,18 @@ class TestRunCommand:
             "error: const:1: a walk over the weights up to "
             "k=18446744073709551616 exceeds the budget of 134217728 indices\n")
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("modes", ["sp", "tauberian"])
+    @pytest.mark.parametrize("horizon", ["1024", "4096", "16384"])
+    def test_lacunary_top_named_by_its_size(self, tmp_path, capsys, horizon,
+                                            modes):
+        # the top 2^horizon was printed digit by digit, and past 4300 digits
+        # Python refused to print it, so the budget went unnamed
+        rc = main(["run", "--family", "ex4.1", "--scheme", "lacunary:pow2",
+                   "--weights", "recip5", "--horizon", horizon,
+                   "--modes", modes, "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert one_short_line(capsys.readouterr().err, "budget")
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import re
 import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -317,6 +318,28 @@ class TestValidation:
             validate_scheme(classical_scheme(), 0)
         with pytest.raises(ValueError, match="at least 2"):
             ratio_condition(classical_scheme(), constant_weights(1), 2.0, 1, 2)
+
+    def test_horizon_past_the_budget_refused_first(self):
+        # refused before np.arange builds the range of n; the cap itself
+        # passes the check and reaches the first array
+        late = AssertionError("an array was built before the refusal")
+        cap = schemes._MAX_INDEX
+        for check in (lambda n: validate_scheme(classical_scheme(), n),
+                      lambda n: ratio_condition(classical_scheme(),
+                                                constant_weights(1), 2.0, n, 2)):
+            for n_max, refused in ((cap + 1, ValueError), (cap, AssertionError)):
+                with mock.patch.object(np, "arange", side_effect=late), \
+                        pytest.raises(refused) as err:
+                    check(n_max)
+                if refused is ValueError:
+                    assert str(err.value) == (f"horizon n_max={cap + 1} exceeds "
+                                              f"the budget of {cap} indices")
+
+
+def test_index_named_in_full_below_1e20():
+    assert schemes.index_text(10 ** 20 - 1) == "99999999999999999999"
+    assert schemes.index_text(10 ** 20) == "2^66.44"
+    assert schemes.index_text(1 << 16384) == "2^16384.00"
 
 
 class TestWeightedTotal:

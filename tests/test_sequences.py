@@ -23,6 +23,7 @@ from fuzzysumm import (add_families, alternating_crisp_family, classical_scheme,
                        triangular, triangular_growing_family,
                        triangular_profile_distance,
                        truncated_square_indicator_family, uniform_grid, zero)
+from fuzzysumm import schemes
 from fuzzysumm import tauberian
 from fuzzysumm.sequences import (FuzzyFunctionSequence, XGridPolicy,
                                  crisp_index_family, int_cbrt, int_sqrt)
@@ -323,6 +324,19 @@ class TestBoundedness:
         assert not rep.bounded
         assert rep.witness_k in squares_upto(2048)
         assert rep.bound >= 2048 - 90  # last square times x >= 1
+
+    def test_k_max_past_the_budget_refused_first(self):
+        # refused before np.arange builds the range of k; the cap itself
+        # passes the check and reaches the first array
+        late = AssertionError("an array was built before the refusal")
+        cap = schemes._MAX_INDEX
+        for k_max, refused in ((cap + 1, ValueError), (cap, AssertionError)):
+            with mock.patch.object(np, "arange", side_effect=late), \
+                    pytest.raises(refused) as err:
+                is_bounded(harmonic_crisp_family(), uniform_grid(1, 2, 5), k_max)
+            if refused is ValueError:
+                assert str(err.value) == (f"k_max={cap + 1} exceeds the budget "
+                                          f"of {cap} indices")
 
 
 def test_grid_policy_validation():

@@ -715,6 +715,8 @@ SPARSE_FAMILIES = ["ex3.1", "ex3.1:M=2.5", "ex3.2", "ex3.3", "remark3:n=16"]
 # An explicit limit off the claimed one (0.5, the triple) puts every index
 # at a deviation d0 > 0 from it: the sparse path serves it only at eps = inf.
 LIMITS = [None, 0.5, (0.25, 0.5, 1.0)]
+# Weights with no closed form: their piece sums come from the walk.
+WALKED = WeightSequence(lambda ks: 0.5 + 1.0 / ks, "walked")
 
 
 def close(got, want):
@@ -729,14 +731,14 @@ class TestSparsePath:
 
     @settings(max_examples=60, deadline=None)
     @given(family=st.sampled_from(SPARSE_FAMILIES),
-           weights=st.sampled_from(["const:0.1", "const:2.5", "recip5",
-                                    "harmonicplus"]),
+           weights=st.sampled_from([*map(parse_weight_spec, [
+               "const:0.1", "const:2.5", "recip5", "harmonicplus"]), WALKED]),
            limit=st.sampled_from(LIMITS),
            cuts=st.lists(st.integers(0, 3000), min_size=1, max_size=6),
            eps=st.sampled_from([0.05, 0.5, 2.0, math.inf]),
            xs=st.lists(st.floats(1.0, 2.0), min_size=1, max_size=3, unique=True))
     def test_piece_sums_match_dense(self, family, weights, limit, cuts, eps, xs):
-        fam, w = parse_family_spec(family), parse_weight_spec(weights)
+        fam, w = parse_family_spec(family), weights
         limits = [limit_profile_fn(fam, limit)(x) for x in xs]
         bases = [fam.limit_profile(x) for x in xs]
         d0s = [float(triangular_profile_distance(*b, *lim))
@@ -819,8 +821,8 @@ class TestSparsePath:
     @given(family=st.sampled_from(SPARSE_FAMILIES),
            scheme=st.sampled_from(["classical", "pow:2", "lambda:half",
                                    "lambda:n"]),
-           weights=st.sampled_from(["const:0.1", "const:2.5", "recip5",
-                                    "harmonicplus"]),
+           weights=st.sampled_from([*map(parse_weight_spec, [
+               "const:0.1", "const:2.5", "recip5", "harmonicplus"]), WALKED]),
            limit=st.sampled_from(LIMITS),
            eps=st.floats(0.05, 2.0),
            horizon=st.integers(1, 64),
@@ -828,7 +830,7 @@ class TestSparsePath:
     def test_classify_matches_dense(self, family, scheme, weights, limit, eps,
                                     horizon, xs):
         fam = parse_family_spec(family)
-        scheme, w = parse_scheme_spec(scheme), parse_weight_spec(weights)
+        scheme, w = parse_scheme_spec(scheme), weights
         grid = XGridPolicy(tuple(sorted(xs)))
         with mock.patch.object(schemes, "_CHUNK", 61):
             got, want = [classify_thetas(f, limit, scheme, w, (0.5, 1.0), eps,

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import one_short_line
+
 from fuzzysumm import (DegenerateWindowError, XGridPolicy, add, add_families,
                        classical_scheme, constant_family, constant_weights, crisp,
                        alternating_crisp_family,
@@ -20,6 +22,7 @@ from fuzzysumm import (DegenerateWindowError, XGridPolicy, add, add_families,
                        square_indicator_family,
                        tauberian_experiment, translate,
                        triangular_growing_family, uniform_grid)
+from fuzzysumm import schemes
 from fuzzysumm import tauberian
 from fuzzysumm.numbers import ATOL
 from fuzzysumm.schemes import WeightSequence
@@ -420,7 +423,7 @@ class TestSlowDecreaseCheck:
         # the cap itself passes the check and reaches the first array
         late = AssertionError("an array was built before the refusal")
         fam = harmonic_crisp_family()
-        cap = tauberian._MAX_INDEX
+        cap = schemes._MAX_INDEX
         for scan in (slowly_decreasing_check, probe):
             for horizon, refused in ((cap + 1, ValueError), (cap, AssertionError)):
                 with mock.patch.object(np, "arange", side_effect=late), \
@@ -432,8 +435,23 @@ class TestSlowDecreaseCheck:
                     assert str(err.value) == (f"horizon={cap + 1} exceeds the "
                                               f"scan budget of {cap} indices")
 
+    def test_huge_horizon_named_by_its_size(self):
+        # 10^5000 has more digits than Python prints (4300)
+        with pytest.raises(ValueError) as err:
+            slowly_decreasing_check(harmonic_crisp_family(), 1.0, 0.1, 2.0, 10,
+                                    10 ** 5000)
+        assert one_short_line(str(err.value), "budget")
+
 
 class TestDecompositionIdentities:
+    def test_top_past_the_float_range_named_by_its_size(self):
+        # gamma(14300) = 2^14300 has more digits than Python prints (4300)
+        with pytest.raises(ValueError) as err:
+            dilation_mean_identity(alternating_crisp_family(),
+                                   parse_scheme_spec("lacunary:pow2"),
+                                   parse_weight_spec("recip5"), 1.5, 14300, 1.0)
+        assert one_short_line(str(err.value), "float range")
+
     @pytest.mark.parametrize("scheme_spec", ["classical", "lacunary:pow2"])
     @pytest.mark.parametrize("lam", [1.5, 2.0])
     def test_dilation_identity_tiny_deviation(self, scheme_spec, lam):
