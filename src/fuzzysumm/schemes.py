@@ -54,6 +54,8 @@ _EULER_GAMMA = 0.5772156649015329
 # The index budget: within_budget refuses any range past it before its
 # first array is built; pow:2 at horizon 4096 needs 2^24.
 _MAX_INDEX = 1 << 27
+# From here on index_text names an index by its size, and ladders stop.
+_HUGE_INDEX = 10 ** 20
 # Every integer up to this one is an exact float64.
 _EXACT_INT = 1 << 53
 # Steps over which lambda_scheme and lacunary_scheme check their sequence.
@@ -62,8 +64,8 @@ _LACUNARY_CHECK = 64
 
 
 def index_text(k: int) -> str:
-    """``k`` in full below 10^20, past that as a power of 2 (``2^66.44``)."""
-    return str(k) if k < 10 ** 20 else f"2^{math.log2(k):.2f}"
+    """``k`` in full below _HUGE_INDEX, past that as a power of 2 (``2^66.44``)."""
+    return str(k) if k < _HUGE_INDEX else f"2^{math.log2(k):.2f}"
 
 
 def within_budget(k: int, subject: str, budget: str = "budget") -> int:

@@ -29,8 +29,8 @@ from . import schemes
 from .numbers import (NOT_TRIANGULAR, FuzzyNumber, integer_at_least,
                       is_triangular, real_in, triangular,
                       triangular_profile_distance, triangular_profile_of)
-from .schemes import (BetaGammaScheme, WeightSequence, unique_ints,
-                      weighted_total)
+from .schemes import (_HUGE_INDEX, BetaGammaScheme, WeightSequence,
+                      unique_ints, weighted_total)
 from .sequences import (ZERO_SPREADS, FuzzyFunctionSequence, LimitProfile,
                         XGridPolicy)
 
@@ -422,6 +422,17 @@ def ladder(horizon: int) -> list[int]:
     return [horizon >> j for j in reversed(range(horizon.bit_length()))]
 
 
+def ladder_windows(scheme: BetaGammaScheme, ns: Sequence[int]) -> list[tuple[int, int]]:
+    """``scheme.window(n)`` for the rungs ``ns``, through the first top of
+    _HUGE_INDEX or more: every budget refuses it, so no larger one is built."""
+    windows = []
+    for n in ns:
+        windows.append(scheme.window(n))
+        if windows[-1][1] >= _HUGE_INDEX:
+            break
+    return windows
+
+
 @dataclass(frozen=True)
 class ModeTrace:
     x: float
@@ -523,7 +534,7 @@ def classify_thetas(seq: FuzzyFunctionSequence, limit, scheme: BetaGammaScheme,
     ns = ladder(horizon)
     xs = [seq.check_x(x) for x in grid.points]
     limits = [limit_fn(x) for x in xs]
-    windows = [scheme.window(n) for n in ns]
+    windows = ladder_windows(scheme, ns)
     totals = weights.window_totals(*zip(*windows)).tolist()
     asked = [(1, math.floor(total)) for total in totals] if "sp" in modes else []
     if "abs" in modes or "ord" in modes:

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from itertools import islice
 from typing import NamedTuple, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .numbers import ATOL, integer_at_least, real_in, triangular_profile_distance
 from .schemes import (BetaGammaScheme, DegenerateWindowError, DILATION_LIMINF,
@@ -25,7 +25,8 @@ from .schemes import (BetaGammaScheme, DegenerateWindowError, DILATION_LIMINF,
                       unique_ints, within_budget)
 from .sequences import FuzzyFunctionSequence, XGridPolicy
 from .summability import (ConvergenceReport, ModeTrace, _membership, _stream,
-                          classify, ladder, limit_profile_fn, verdict)
+                          classify, ladder, ladder_windows, limit_profile_fn,
+                          verdict)
 
 
 @dataclass(frozen=True)
@@ -131,40 +132,49 @@ def _scan(seq: FuzzyFunctionSequence, x: float, eps_ladder, lam: float,
     return _Scan(eps, n0, horizon, grow, ns, starts, widths, endpoints)
 
 
-def _violation_blocks(scan: _Scan, sides: list) -> tuple[int, np.ndarray]:
-    """The violation count of a scan at the ``sides`` of one eps and the
-    sorted indices of its violating rows, for scans with several
-    endpoints, whose union of violations the rank-count table cannot count.
-
-    Rows are compared in blocks of about _BLOCK window entries, each
-    window a row of a sliding view of the endpoint arrays, so memory stays
-    O(horizon + _BLOCK).
-    """
-    starts, widths = scan.starts, scan.widths
-    count, hit = 0, np.zeros(len(widths), dtype=bool)
-    if not len(widths):
-        return count, np.flatnonzero(hit)
-    wmax = int(widths.max())
-    # the padding only keeps the view in bounds; it is masked below
-    sides = [(sliding_window_view(np.pad(w, (0, wmax)), wmax), v)
-             for w, v in sides]
-
-    # a block ends where the running window total passes a multiple of _BLOCK
-    running = np.cumsum(widths)
-    edges = unique_ints(np.append(np.searchsorted(
-        running, np.arange(0, running[-1], _BLOCK), "right"), len(widths)))
-    for i, j in zip(edges[:-1].tolist(), edges[1:].tolist()):
-        w, narrow = int(widths[i:j].max()), int(widths[i:j].min())
-        # For lam > 1 the kept rows are consecutive, as floor(lam*n) - n
-        # never decreases in n and the horizon empties only the last row:
-        # the block's windows are then a basic slice of the view, not a copy.
-        s = slice(starts[i], starts[i] + j - i) if scan.grow else starts[i:j]
-        (view, v), *rest = sides
+def _compares(sides: list, starts: np.ndarray, widths: np.ndarray):
+    """Yield (i, j, bad) for rows i:j of about _BLOCK window entries: bad[r,
+    c] is whether w[starts[i + r] + c] < v[i + r] at some side (w, v), and
+    False past widths[i + r].  Windows are rows of a sliding view of each
+    padded w, a slice, not a copy, where a block's starts run one by one:
+    memory stays O(len(w) + _BLOCK) however many pairs violate."""
+    wmax = int(widths.max(initial=0))
+    if not wmax:
+        return
+    views = []
+    for w, v in sides:  # sliding_window_view's layout, without its checks
+        padded = np.concatenate((w, np.zeros(wmax, w.dtype)))  # masked below
+        views.append((np.ndarray((len(w) + 1, wmax), w.dtype, padded, 0,
+                                 padded.strides * 2), v))
+    edges = [0]  # one block while the windows hold at most _BLOCK entries
+    if widths.sum() > _BLOCK:
+        # blocks end where the least rise-then-fall bound on the widths sums
+        # past a multiple of _BLOCK: about a block's widest where they zigzag
+        bound = np.minimum(np.maximum.accumulate(widths),
+                           np.maximum.accumulate(widths[::-1])[::-1])
+        running = np.cumsum(bound)
+        edges = unique_ints(np.searchsorted(
+            running, np.arange(0, running[-1], _BLOCK), "right")).tolist()
+    for i, j in zip(edges, edges[1:] + [len(widths)]):
+        s, ws = starts[i:j], widths[i:j]
+        w, narrow = int(ws.max()), int(ws.min())
+        if s[-1] - s[0] == j - i - 1 and (s[1:] - s[:-1] == 1).all():
+            s = slice(int(s[0]), int(s[0]) + j - i)
+        (view, v), *rest = views
         bad = view[s, :w] < v[i:j, None]
         for view, v in rest:
             bad |= view[s, :w] < v[i:j, None]
         if narrow < w:  # only columns past the narrowest window need the mask
-            bad[:, narrow:] &= np.arange(narrow, w) < widths[i:j, None]
+            bad[:, narrow:] &= np.arange(narrow, w) < ws[:, None]
+        yield i, j, bad
+
+
+def _violation_blocks(scan: _Scan, sides: list) -> tuple[int, np.ndarray]:
+    """The violation count of a scan at the ``sides`` of one eps and the
+    sorted indices of its violating rows, from every pair: for scans with
+    several endpoints, whose union the rank-count table cannot count."""
+    count, hit = 0, np.zeros(len(scan.widths), dtype=bool)
+    for i, j, bad in _compares(sides, scan.starts, scan.widths):
         count += int(np.count_nonzero(bad))
         bad.any(axis=1, out=hit[i:j])
     return count, np.flatnonzero(hit)
@@ -180,12 +190,10 @@ def _rank_counts(scan: _Scan, sides: list) -> tuple[int, np.ndarray]:
     number of them below v[i], w[k] < v[i] exactly where r_k < q_i.  The
     positions fall into blocks of b, and ``table[m, q]`` counts the k in
     the first m blocks with r_k < q: a row's full blocks cost two lookups,
-    and only its partial blocks at either end are compared directly.
-    b = isqrt(D) balances the table's O(H*D/b) against the compares'
-    O(H*b), so a scan costs O(H*sqrt(D)); b is raised where needed to
-    hold the table to about _TABLE_PER_INDEX entries per position, and
-    the compares run in chunks of about _BLOCK entries, so memory stays
-    O(H + _BLOCK).
+    and ``_compares`` takes only its partial blocks at either end.  b =
+    isqrt(D) balances the table's O(H*D/b) against the compares' O(H*b),
+    so a scan costs O(H*sqrt(D)); b is raised where needed to hold the
+    table to about _TABLE_PER_INDEX entries per position.
     """
     (w, v), = sides
     starts, widths = scan.starts, scan.widths
@@ -210,18 +218,11 @@ def _rank_counts(scan: _Scan, sides: list) -> tuple[int, np.ndarray]:
     last = np.maximum(stops // b, first)  # no full block where they meet
     counts = table[last, q] - table[first, q]
     if b > 1:
-        # the partial blocks [start, first*b) and [last*b, stop), each a
-        # masked row of a sliding view that the padding keeps in bounds
-        view = sliding_window_view(np.pad(w, (0, b)), b)
-        cols = np.arange(b)
-        step = max(1, _BLOCK // (2 * b))
-        for i in range(0, len(starts), step):
-            at, stop = slice(i, i + step), stops[i:i + step]
-            for lo, hi in ((starts[at], np.minimum(first[at] * b, stop)),
-                           (np.minimum(last[at] * b, stop), stop)):
-                bad = view[lo] < v[at, None]
-                bad &= cols < (hi - lo)[:, None]
-                counts[at] += np.count_nonzero(bad, axis=1)
+        # the partial blocks [start, first*b) and [last*b, stop)
+        for lo, hi in ((starts, np.minimum(first * b, stops)),
+                       (np.minimum(last * b, stops), stops)):
+            for i, j, bad in _compares(sides, lo, hi - lo):
+                counts[i:j] += np.count_nonzero(bad, axis=1)
     return int(counts.sum()), np.flatnonzero(counts)
 
 
@@ -240,9 +241,9 @@ def slowly_decreasing_check(seq: FuzzyFunctionSequence, x: float, eps: float,
     With one endpoint left (every crisp family, and any whose spreads are
     all zero here), ``_rank_counts`` counts the violations from a table
     with no per-pair comparison; with several, ``_violation_blocks``
-    compares the pairs in blocks.  Either kernel returns the count and the
-    violating rows; the first 8 pairs come from comparing the first
-    violating rows again, at every endpoint.
+    compares the pairs.  Either kernel returns the count and the violating
+    rows; the first 8 pairs come from ``_compares`` on the first violating
+    rows again, at every endpoint, stopped once it has found them.
     """
     lam = dilation_factor(lam)
     scan = _scan(seq, x, (eps,), lam, n0, horizon)
@@ -252,16 +253,14 @@ def slowly_decreasing_check(seq: FuzzyFunctionSequence, x: float, eps: float,
     last_bad = int(scan.ns[hit[-1]]) if hit.size else None
     # the first rows that violate hold the first pairs: compare them again
     rows = hit[:_WITNESSES]
-    cols = np.arange(int(scan.widths[rows].max(initial=0)))
-    inside = cols < scan.widths[rows, None]
-    ks = np.where(inside, scan.starts[rows, None] + cols, 0)
-    bad = np.zeros(inside.shape, dtype=bool)
-    for w, v in sides:
-        bad |= w[ks] < v[rows, None]
-    i, j = np.nonzero(inside & bad)
-    first = zip(scan.ns[rows[i]].tolist(), (ks[i, j] + 1).tolist())
+    starts = scan.starts[rows]
+    ns, ks = scan.ns[rows].tolist(), starts.tolist()
+    pairs = ((ns[i + r], ks[i + r] + c + 1)
+             for i, _, bad in _compares([(w, v[rows]) for w, v in sides],
+                                        starts, scan.widths[rows])
+             for r, c in zip(*(a[:_WITNESSES].tolist() for a in np.nonzero(bad))))
     return SlowDecreaseWitness(scan.eps[0], lam, scan.n0, scan.horizon,
-                               tuple(first)[:_WITNESSES], count, last_bad)
+                               tuple(islice(pairs, _WITNESSES)), count, last_bad)
 
 
 def _window_minima(a: np.ndarray, starts: np.ndarray,
@@ -580,7 +579,7 @@ def tauberian_experiment(seq: FuzzyFunctionSequence, limit,
                          f"// 2 = {scan_horizon // 2}]: a later n0 leaves too "
                          "short a tail to verify")
     limit_fn = limit_profile_fn(seq, limit)
-    tops = [scheme.window(n)[1] for n in ns]
+    tops = [g for _, g in ladder_windows(scheme, ns)]
     within_budget(max(tops), f"{scheme.label}: window top ", "walk budget")
     report = TauberianReport(
         family=seq.label, scheme=scheme.label, weights=weights.label,

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -13,8 +15,8 @@ from hypothesis import strategies as st
 from conftest import one_short_line
 
 from fuzzysumm import (DegenerateWindowError, XGridPolicy, add, add_families,
-                       classical_scheme, constant_family, constant_weights, crisp,
-                       alternating_crisp_family,
+                       classical_scheme, classify, constant_family,
+                       constant_weights, crisp, alternating_crisp_family,
                        dilation_mean_identity, distance, harmonic_crisp_family,
                        harmonicplus_weights, ladder, parse_family_spec,
                        parse_scheme_spec, parse_weight_spec, partial_leq,
@@ -118,6 +120,17 @@ def crisp_table_family(levels):
     return FuzzyFunctionSequence(f"table{levels}", profile)
 
 
+def step_family(at):
+    """Crisp 0 up to k = ``at``, then -1: a row whose window crosses the
+    step violates at every k on the far side, so the first violating rows
+    are wide and full of violations, for lam > 1 and lam < 1 alike.  The
+    centers are ints, which every compare must take as they are."""
+    def profile(ks, x):
+        z = np.zeros(len(ks))
+        return np.where(ks <= at, 0, -1), z, z
+    return FuzzyFunctionSequence(f"step{at}", profile)
+
+
 SCAN_FAMILIES = {"alternating": alternating_crisp_family,
                  "triangular_growing": triangular_growing_family,
                  "harmonic": harmonic_crisp_family,
@@ -130,7 +143,9 @@ SCAN_FAMILIES = {"alternating": alternating_crisp_family,
                  # D = 2, 5, 41 and about the horizon: rank-count tables with
                  # blocks of 1 and wider
                  **{f"table{d}": (lambda d=d: crisp_table_family(d))
-                    for d in (2, 5, 41, 100_000)}}
+                    for d in (2, 5, 41, 100_000)},
+                 # late, wide first violating rows, each full of violations
+                 "step150": lambda: step_family(150)}
 
 
 class TestSlowDecreaseCheck:
@@ -394,6 +409,22 @@ class TestSlowDecreaseCheck:
         assert wit.last_bad == (1 << 14) - 1
         assert wit.violations == ((11, 12), (11, 14), (11, 16), (11, 18),
                                   (11, 20), (11, 22), (13, 14), (13, 16))
+
+    def test_witnesses_stop_at_eight_pairs(self):
+        # at lam 0.5 each of the first 8 violating rows holds 2^14 pairs;
+        # turning all of them into tuples once more than tripled the peak
+        horizon = 1 << 16
+        fam = step_family(horizon // 2)
+        peaks = {}
+        for lam in (2.0, 0.5):
+            tracemalloc.start()
+            try:
+                wit = slowly_decreasing_check(fam, 1.0, 0.5, lam, 10, horizon)
+                peaks[lam] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(wit.violations) == 8
+        assert peaks[0.5] <= 1.5 * peaks[2.0], peaks
 
     def test_parameter_validation(self):
         fam = harmonic_crisp_family()
@@ -704,6 +735,30 @@ class TestExperiment:
             tauberian_experiment(
                 alternating_crisp_family(), None, classical_scheme(),
                 constant_weights(1), uniform_grid(1, 2, 2), horizon=1 << 28)
+
+    def test_lacunary_ladder_stops_at_the_first_huge_top(self):
+        # the tops 2^n of lacunary:pow2 were built for every rung before the
+        # budget refused the largest: 2^(2^24) at this horizon
+        built = []
+
+        def k_fn(r):
+            built.append(r)
+            return 0 if r == 0 else 2 ** r
+
+        scheme = schemes.lacunary_scheme(k_fn, "lacunary:pow2")
+        fam, weights = alternating_crisp_family(), parse_weight_spec("recip5")
+        for run, named in (
+                (lambda: classify(fam, None, scheme, weights, 1.0, 0.1,
+                                  uniform_grid(1, 2, 2), 1 << 24, ("sp",)),
+                 "recip5: a walk over the weights up to k=2^128.00 exceeds "
+                 "the budget"),
+                (lambda: tauberian_experiment(fam, None, scheme, weights,
+                                              uniform_grid(1, 2, 2), 1 << 24),
+                 "lacunary:pow2: window top 2^128.00 exceeds the walk budget")):
+            built.clear()
+            with pytest.raises(ValueError, match=f"^{re.escape(named)}"):
+                run()
+            assert max(built) == 128
 
     def test_constant_family_trivial_pass(self):
         fam = constant_family(2.0, 0.5, 0.5)
