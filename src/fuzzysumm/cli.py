@@ -163,7 +163,8 @@ def reference_rows() -> list[ReferenceRow]:
         ReferenceRow("ex3.3", "ex3.3", "pow:2", "harmonicplus", "abs", 1.0,
                      1e-9, 1 << 8, True, "cube-index deviations are summable"),
         ReferenceRow("ex3.3", "ex3.3", "pow:2", "harmonicplus", "sp", 0.2,
-                     1e-9, 1 << 8, False, "density grows like T**(2/15)"),
+                     1e-9, 1 << 8, False,
+                     "density grows like T**(2/15) while eps is below every deviation"),
         ReferenceRow("ex4.1", "ex4.1", "classical", "const:1", "ord", 1.0,
                      0.1, 1 << 12, True, "window means alternate 0 and 1/n"),
         ReferenceRow("ex4.1", "ex4.1", "classical", "const:1", "abs", 1.0,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -35,6 +36,7 @@ from .sequences import (ZERO_SPREADS, FuzzyFunctionSequence, LimitProfile,
                         XGridPolicy)
 
 MODES = ("sp", "abs", "ord")
+_Sweep = namedtuple("_Sweep", "ns windows totals xs limits hits sums")
 
 
 def check_mode_args(thetas: Sequence[float], eps: float,
@@ -490,16 +492,11 @@ class ConvergenceReport:
 
 
 def _membership(traces: list[ModeTrace], limit_tol: float) -> Optional[bool]:
-    saw_inconclusive = False
-    for t in traces:
-        v = t.verdict
-        if v.kind == "diverges":
-            return False
-        if v.kind == "converges" and abs(v.estimate) > limit_tol:
-            return False
-        if v.kind == "inconclusive":
-            saw_inconclusive = True
-    return None if saw_inconclusive else True
+    verdicts = [t.verdict for t in traces]
+    if any(v.kind == "diverges" or v.kind == "converges" and abs(v.estimate) > limit_tol
+           for v in verdicts):
+        return False
+    return None if any(v.kind == "inconclusive" for v in verdicts) else True
 
 
 def classify(seq: FuzzyFunctionSequence, limit, scheme: BetaGammaScheme,
@@ -517,54 +514,55 @@ def classify(seq: FuzzyFunctionSequence, limit, scheme: BetaGammaScheme,
                            horizon, modes, policy)[0]
 
 
-def classify_thetas(seq: FuzzyFunctionSequence, limit, scheme: BetaGammaScheme,
-                    weights: WeightSequence, thetas: Sequence[float], eps: float,
-                    grid: XGridPolicy, horizon: int,
-                    modes: Sequence[str] = MODES,
-                    policy: VerdictPolicy = VerdictPolicy()) -> list[ConvergenceReport]:
-    """One ``classify`` report per order in ``thetas``, from a single sweep.
-
-    The sweep streams k once per grid point, or per distinct limit for an
-    x-free family, and sums the windows [1, floor(T_n)] for sp and
-    [beta(n), gamma(n)] for abs and ord; each theta then only divides the
-    theta-free sums by T_n**theta.
-    """
-    thetas, eps = check_mode_args(thetas, eps, modes)
+def _sweep(seq: FuzzyFunctionSequence, limit, scheme: BetaGammaScheme,
+           weights: WeightSequence, eps: float, grid: XGridPolicy, horizon: int,
+           modes: Sequence[str]) -> _Sweep:
+    """One stream as a theta-free record: the ladder ``ns``, its ``windows``
+    and their ``totals`` T_n, the checked ``xs`` and their ``limits``, and
+    per point and rung the sp ``hits`` over [1, floor(T_n)] and the ``sums``
+    of t*dev, t*c, t*l and t*r over [beta(n), gamma(n)].  k is streamed once
+    per point (per distinct limit, for an x-free family) over only the
+    windows ``modes`` read; an array no mode reads holds other windows'."""
     limit_fn = limit_profile_fn(seq, limit)
     ns = ladder(horizon)
     xs = [seq.check_x(x) for x in grid.points]
     limits = [limit_fn(x) for x in xs]
     windows = ladder_windows(scheme, ns)
     totals = weights.window_totals(*zip(*windows)).tolist()
-    asked = [(1, math.floor(total)) for total in totals] if "sp" in modes else []
-    if "abs" in modes or "ord" in modes:
-        asked += windows
-    # sp reads the hits of the first len(ns) windows, abs and ord the sums
-    # (t*dev, t*c, t*l, t*r) of the last len(ns)
+    # the sp windows come first, the abs and ord windows last
+    asked = (([(1, math.floor(total)) for total in totals] if "sp" in modes else [])
+             + (windows if "abs" in modes or "ord" in modes else []))
     sums, hits = _stream(seq, weights, limits, xs, asked, eps)
-    hits, sums = hits[:, :len(ns)], sums[:, -len(ns):]
+    return _Sweep(ns, windows, totals, xs, limits, hits[:, :len(windows)],
+                  sums[:, -len(windows):])
 
+
+def classify_thetas(seq: FuzzyFunctionSequence, limit, scheme: BetaGammaScheme,
+                    weights: WeightSequence, thetas: Sequence[float], eps: float,
+                    grid: XGridPolicy, horizon: int,
+                    modes: Sequence[str] = MODES,
+                    policy: VerdictPolicy = VerdictPolicy()) -> list[ConvergenceReport]:
+    """One ``classify`` report per order in ``thetas``, from one ``_sweep``:
+    each theta divides its sums by T_n**theta and reads each mode once over
+    all points, ord as the distance of the scaled (t*c, t*l, t*r) sums to the
+    limit."""
+    thetas, eps = check_mode_args(thetas, eps, modes)
+    sweep = _sweep(seq, limit, scheme, weights, eps, grid, horizon, modes)
+    limits = np.array(sweep.limits).T[..., None]  # per point, across rungs
     reports = []
     for theta in thetas:
-        scales = np.array([total ** theta for total in totals])
-        report = ConvergenceReport(
-            family=seq.label, scheme=scheme.label, weights=weights.label,
-            theta=theta, eps=eps, grid=tuple(xs), horizon=ns[-1],
-            policy=policy)
+        scales = np.array([total ** theta for total in sweep.totals])
+        report = ConvergenceReport(seq.label, scheme.label, weights.label, theta,
+                                   eps, tuple(sweep.xs), sweep.ns[-1], policy)
         for mode in modes:
-            mode_traces = []
-            for x, lim, count, per_n in zip(xs, limits, hits, sums):
-                if mode == "sp":
-                    vals = count / scales
-                elif mode == "abs":
-                    vals = per_n[:, 0] / scales
-                else:
-                    vals = triangular_profile_distance(*per_n[:, 1:].T / scales,
-                                                       *lim)
-                trace = tuple(zip(ns, vals.tolist()))
-                mode_traces.append(ModeTrace(x, mode, theta, trace,
-                                             verdict(trace, policy)))
-            report.traces.extend(mode_traces)
-            report.membership[mode] = _membership(mode_traces, policy.limit_tol)
+            vals = (sweep.hits / scales if mode == "sp" else
+                    sweep.sums[..., 0] / scales if mode == "abs" else
+                    triangular_profile_distance(
+                        *np.moveaxis(sweep.sums[..., 1:], -1, 0) / scales, *limits))
+            rows = [tuple(zip(sweep.ns, row)) for row in vals.tolist()]
+            traces = [ModeTrace(x, mode, theta, trace, verdict(trace, policy))
+                      for x, trace in zip(sweep.xs, rows)]
+            report.traces += traces
+            report.membership[mode] = _membership(traces, policy.limit_tol)
         reports.append(report)
     return reports

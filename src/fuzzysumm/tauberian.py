@@ -12,7 +12,7 @@ every ingredient of that implication at desk scale.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import NamedTuple, Optional
 
@@ -424,13 +424,14 @@ class SlowDecreaseEntry:
     x: float
     eps: float
     holds: bool
-    lam: Optional[float]
-    n0: Optional[int]
+    lam: float
+    n0: int
+    scan_horizon: int
     violation_count: int
     witness: tuple[tuple[int, int], ...]  # first few violating pairs
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -443,7 +444,7 @@ class IdentityCheck:
     ok: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass
@@ -537,12 +538,12 @@ def _slow_decrease_entries(seq: FuzzyFunctionSequence, x: float, n0: int,
         # the tail (last_bad, scan_horizon] is clean by definition
         if last_bad is None or last_bad <= scan_horizon // 2:
             entries.append(SlowDecreaseEntry(x, eps, True, _LAMBDAS[0],
-                                             last_bad or n0, 0, ()))
+                                             last_bad or n0, scan_horizon, 0, ()))
         else:
             wit = slowly_decreasing_check(seq, x, eps, _LAMBDAS[-1], n0,
                                           scan_horizon)
-            entries.append(SlowDecreaseEntry(x, eps, False, None, n0,
-                                             wit.count, wit.violations))
+            entries.append(SlowDecreaseEntry(x, eps, False, _LAMBDAS[-1], n0,
+                                             scan_horizon, wit.count, wit.violations))
     return entries
 
 

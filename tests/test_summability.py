@@ -554,6 +554,39 @@ class TestStreamingKernel:
                     assert value == pytest.approx(want, rel=rel, abs=1e-12)
 
 
+class TestOneSweep:
+    """``classify_thetas`` streams once, whatever modes and orders it is
+    asked for, and each order's report is that order's own ``classify``
+    run with the same modes.  Runs with different mode subsets are not
+    compared: their streams cut at different windows, so ord's sums may
+    round differently."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(TestStreamingKernel.FAMILIES),
+           scheme=st.sampled_from(["classical", "pow:2", "pow:3", "lambda:half",
+                                   "lambda:n"]),
+           weights=st.sampled_from(["const:0.7", "const:2.5", "recip5",
+                                    "harmonicplus"]),
+           modes=st.lists(st.sampled_from(summability.MODES), min_size=1,
+                          max_size=3, unique=True),
+           thetas=st.lists(st.floats(0.2, 1.0), min_size=1, max_size=3),
+           eps=st.floats(0.05, 2.0),
+           horizon=st.integers(1, 40))
+    def test_one_stream_and_each_order_its_own_run(self, family, scheme, weights,
+                                                   modes, thetas, eps, horizon):
+        fam, grid = parse_family_spec(family), uniform_grid(1, 2, 3)
+        args = (parse_scheme_spec(scheme), parse_weight_spec(weights))
+        with mock.patch.object(summability, "_stream",
+                               wraps=summability._stream) as stream:
+            reports = classify_thetas(fam, None, *args, thetas, eps, grid,
+                                      horizon, modes)
+        assert stream.call_count == 1
+        assert len(reports) == len(thetas)
+        for theta, rep in zip(thetas, reports):
+            one = classify(fam, None, *args, theta, eps, grid, horizon, modes)
+            assert json.dumps(rep.to_dict()) == json.dumps(one.to_dict())
+
+
 X_FREE_FAMILIES = {
     "ex3.1": lambda: parse_family_spec("ex3.1"),
     "ex3.1-dense": lambda: dense(parse_family_spec("ex3.1")),

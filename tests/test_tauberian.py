@@ -666,11 +666,13 @@ class TestExperiment:
         assert not exp.hypotheses_pass
         assert exp.conclusion
 
-    @pytest.mark.parametrize("family, holds", [(harmonic_crisp_family, True),
-                                               (alternating_crisp_family, False)])
+    @pytest.mark.parametrize("family, holds", [
+        (harmonic_crisp_family, True), (alternating_crisp_family, False),
+        (lambda: parse_family_spec("ex3.2"), False)])  # three endpoints
     def test_slow_decrease_entries_are_the_first_lam_that_works(self, family,
                                                                 holds):
-        # every lam of the experiment tried in turn, as its definition reads
+        # every lam of the experiment tried in turn, as its definition reads;
+        # a failing entry reports the last lam's scan
         fam, grid, scan = family(), uniform_grid(1, 2, 2), 400
         exp = tauberian_experiment(fam, None, classical_scheme(),
                                    constant_weights(1), grid, horizon=1024,
@@ -682,10 +684,10 @@ class TestExperiment:
                     wit = slowly_decreasing_check(fam, x, eps, lam, 10, scan)
                     if wit.holds or wit.last_bad <= scan // 2:
                         want.append(SlowDecreaseEntry(
-                            x, eps, True, lam, wit.last_bad or 10, 0, ()))
+                            x, eps, True, lam, wit.last_bad or 10, scan, 0, ()))
                         break
                 else:
-                    want.append(SlowDecreaseEntry(x, eps, False, None, 10,
+                    want.append(SlowDecreaseEntry(x, eps, False, lam, 10, scan,
                                                   wit.count, wit.violations))
         assert exp.slow_decrease == want
         assert exp.slowly_decreasing_holds is holds
