@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -483,7 +483,7 @@ class ConvergenceReport:
             "eps": self.eps,
             "grid": list(self.grid),
             "horizon": self.horizon,
-            "policy": asdict(self.policy),
+            "policy": dict(vars(self.policy)),
             "verdicts": [{k: v for k, v in t.items() if k != "points"}
                          for t in traces],
             "traces": traces,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import islice
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -146,15 +145,13 @@ def _compares(sides: list, starts: np.ndarray, widths: np.ndarray):
         padded = np.concatenate((w, np.zeros(wmax, w.dtype)))  # masked below
         views.append((np.ndarray((len(w) + 1, wmax), w.dtype, padded, 0,
                                  padded.strides * 2), v))
-    edges = [0]  # one block while the windows hold at most _BLOCK entries
-    if widths.sum() > _BLOCK:
-        # blocks end where the least rise-then-fall bound on the widths sums
-        # past a multiple of _BLOCK: about a block's widest where they zigzag
-        bound = np.minimum(np.maximum.accumulate(widths),
-                           np.maximum.accumulate(widths[::-1])[::-1])
-        running = np.cumsum(bound)
-        edges = unique_ints(np.searchsorted(
-            running, np.arange(0, running[-1], _BLOCK), "right")).tolist()
+    # blocks end where the least rise-then-fall bound on the widths sums
+    # past a multiple of _BLOCK: about a block's widest where they zigzag
+    bound = np.minimum(np.maximum.accumulate(widths),
+                       np.maximum.accumulate(widths[::-1])[::-1])
+    running = np.cumsum(bound)
+    edges = unique_ints(np.searchsorted(
+        running, np.arange(0, running[-1], _BLOCK), "right")).tolist()
     for i, j in zip(edges, edges[1:] + [len(widths)]):
         s, ws = starts[i:j], widths[i:j]
         w, narrow = int(ws.max()), int(ws.min())
@@ -242,8 +239,8 @@ def slowly_decreasing_check(seq: FuzzyFunctionSequence, x: float, eps: float,
     all zero here), ``_rank_counts`` counts the violations from a table
     with no per-pair comparison; with several, ``_violation_blocks``
     compares the pairs.  Either kernel returns the count and the violating
-    rows; the first 8 pairs come from ``_compares`` on the first violating
-    rows again, at every endpoint, stopped once it has found them.
+    rows; the first 8 pairs come from comparing the first violating rows
+    again, one row at a time at every endpoint, stopped once it has them.
     """
     lam = dilation_factor(lam)
     scan = _scan(seq, x, (eps,), lam, n0, horizon)
@@ -251,16 +248,18 @@ def slowly_decreasing_check(seq: FuzzyFunctionSequence, x: float, eps: float,
     kernel = _rank_counts if len(sides) == 1 else _violation_blocks
     count, hit = kernel(scan, sides)
     last_bad = int(scan.ns[hit[-1]]) if hit.size else None
-    # the first rows that violate hold the first pairs: compare them again
-    rows = hit[:_WITNESSES]
-    starts = scan.starts[rows]
-    ns, ks = scan.ns[rows].tolist(), starts.tolist()
-    pairs = ((ns[i + r], ks[i + r] + c + 1)
-             for i, _, bad in _compares([(w, v[rows]) for w, v in sides],
-                                        starts, scan.widths[rows])
-             for r, c in zip(*(a[:_WITNESSES].tolist() for a in np.nonzero(bad))))
+    pairs = []  # the first violating rows hold the first pairs: read them
+    for i in hit[:_WITNESSES].tolist():
+        s, n = int(scan.starts[i]), int(scan.ns[i])
+        bad = np.zeros(int(scan.widths[i]), dtype=bool)
+        for w, v in sides:
+            bad |= w[s:s + len(bad)] < v[i]
+        pairs += [(n, s + c + 1) for c in
+                  np.flatnonzero(bad)[:_WITNESSES - len(pairs)].tolist()]
+        if len(pairs) == _WITNESSES:
+            break
     return SlowDecreaseWitness(scan.eps[0], lam, scan.n0, scan.horizon,
-                               tuple(islice(pairs, _WITNESSES)), count, last_bad)
+                               tuple(pairs), count, last_bad)
 
 
 def _window_minima(a: np.ndarray, starts: np.ndarray,
@@ -482,8 +481,6 @@ class TauberianReport:
         """Membership of the conclusion traces, whose limit is 0, within the
         finest eps of the ladder: a trace that converges away from 0 fails."""
         return _membership(self.conclusion, min(self.eps_ladder))
-
-    sandwich_ok = conclusion_holds
 
     def to_dict(self) -> dict:
         return {

@@ -366,7 +366,6 @@ def test_criterion_8_tauberian_experiment():
     assert exp.summable is True
     assert exp.hypotheses_pass
     assert exp.conclusion_holds is True
-    assert exp.sandwich_ok is True
     assert exp.identity_checks and all(c.ok for c in exp.identity_checks)
     for trace in exp.conclusion:
         for n, v in trace.points:

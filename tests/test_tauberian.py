@@ -385,6 +385,24 @@ class TestSlowDecreaseCheck:
                 wit = slowly_decreasing_check(fam, 1.0, 0.5, lam, 10, 300)
                 assert probe(fam, 1.0, 0.5, lam, 10, 300) == wit.last_bad
 
+    @pytest.mark.parametrize("family", [
+        alternating_crisp_family, lambda: constant_family(2.0, 0.0, 0.0),
+        lambda: add_families(alternating_crisp_family(),
+                             constant_family(2.0, 0.0, 0.0))],
+        ids=["alternating", "constant", "alternating_plus_2"])
+    def test_one_endpoint_of_two_values_compares_nothing(self, family):
+        # two distinct values give b = 1: the table counts every pair, and
+        # the witnesses are read from their own rows
+        fam = family()
+        for lam in (2.0, 0.5):
+            expect = violating_pairs(fam, 1.0, 0.5, lam, 10, 300)
+            with mock.patch.object(tauberian, "_compares", side_effect=
+                                   AssertionError("compare entered")):
+                wit = slowly_decreasing_check(fam, 1.0, 0.5, lam, 10, 300)
+            assert wit.count == len(expect)
+            assert wit.violations == tuple(expect[:8])
+            assert probe(fam, 1.0, 0.5, lam, 10, 300) == wit.last_bad
+
     @pytest.mark.parametrize("lam", [2.0, 0.5])
     def test_spread_family_at_several_blocks(self, lam):
         # three endpoints per value, and about 90,000 window entries: the
@@ -424,6 +442,18 @@ class TestSlowDecreaseCheck:
             finally:
                 tracemalloc.stop()
             assert len(wit.violations) == 8
+            # closed forms: the first eight violating rows hold more than
+            # _BLOCK entries in all
+            if lam > 1:
+                assert wit.count == 268_451_840 and wit.last_bad == 32_768
+                assert wit.violations == (
+                    (16385, 32769), (16385, 32770), (16386, 32769),
+                    (16386, 32770), (16386, 32771), (16386, 32772),
+                    (16387, 32769), (16387, 32770))
+            else:
+                assert wit.count == 1 << 28 and wit.last_bad == 65_535
+                assert wit.violations == tuple((32769, k)
+                                               for k in range(16385, 16393))
         assert peaks[0.5] <= 1.5 * peaks[2.0], peaks
 
     def test_parameter_validation(self):
@@ -621,7 +651,6 @@ class TestExperiment:
         assert exp.summable is True
         assert exp.hypotheses_pass
         assert exp.conclusion_holds is True
-        assert exp.sandwich_ok is True
         assert all(c.ok for c in exp.identity_checks)
         # subsequence distance is exactly 1/n on the classical windows
         for n, v in exp.conclusion[0].points:
@@ -700,7 +729,7 @@ class TestExperiment:
             parse_family_spec("ex4.1"), None, classical_scheme(),
             constant_weights(1), uniform_grid(1, 2, 3), horizon=horizon)
         assert [str(t.verdict) for t in exp.conclusion] == ["converges(1)"] * 3
-        assert exp.conclusion_holds is False and exp.sandwich_ok is False
+        assert exp.conclusion_holds is False
         blob = exp.to_dict()
         assert blob["conclusion"]["holds"] is False
         assert "sandwich_ok" not in json.dumps(blob)
