@@ -442,8 +442,7 @@ class TestSlowDecreaseCheck:
             finally:
                 tracemalloc.stop()
             assert len(wit.violations) == 8
-            # closed forms: the first eight violating rows hold more than
-            # _BLOCK entries in all
+            # the step's closed forms: count, last row and first 8 pairs
             if lam > 1:
                 assert wit.count == 268_451_840 and wit.last_bad == 32_768
                 assert wit.violations == (
